@@ -10,7 +10,6 @@ accepted reports re-verify from the certificate alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy as np
 from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, verify_one_sided
-from .levenshtein import DesignSpec, dgs_bound, quadrature_rule
+from .innerprod import OPEN_UPPER_EPS
+from .levenshtein import DesignSpec, _tol, dgs_bound, quadrature_rule
 from .orthopoly import (
     GegExpansion,
     Poly,
@@ -26,15 +26,11 @@ from .orthopoly import (
     gegenbauer_eval,
     gegenbauer_expand,
     gegenbauer_poly,
+    gegenbauer_table,
 )
 from .potentials import Potential
 
-OPEN_UPPER_EPS = 1e-9
 A1_GRID = 20_001
-
-
-def _tol() -> float:
-    return float(os.environ.get("DEB_TOL", "1e-9"))
 
 
 @dataclass(frozen=True)
@@ -415,11 +411,8 @@ def test_table(n: int, tau: int, N: float, j_max: int) -> TestFunctionTable:
     if tau % 2 != 1:
         raise RangeError(f"test functions are defined for odd tau, got {tau}")
     rule = quadrature_rule(n, tau, N)
-    vals = tuple(
-        float(1.0 / N + np.dot(rule.weights, gegenbauer_eval(n, j, rule.nodes)))
-        for j in range(1, j_max + 1)
-    )
-    return TestFunctionTable(spec=rule.spec, values=vals)
+    vals = 1.0 / N + gegenbauer_table(n, j_max, rule.nodes)[1:] @ rule.weights
+    return TestFunctionTable(spec=rule.spec, values=tuple(float(v) for v in vals))
 
 
 def k0_threshold(k: int) -> float:

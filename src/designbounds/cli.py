@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds, codes, innerprod, jsonio, levenshtein
 from .errors import InfeasibleRange, InternalConsistencyError, RangeError
@@ -26,12 +25,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _usage(message: str):
+    print(f"designbounds: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _potential_or_usage(spec: str):
     try:
         return parse_potential(spec)
     except (RangeError, KeyError, ValueError) as e:
-        print(f"invalid potential spec {spec!r}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"invalid potential spec {spec!r}: {e}")
 
 
 def _lower_reports(n, N, tau, h, l_override=None):
@@ -117,19 +120,21 @@ def cmd_testfn(args) -> int:
     return EXIT_OK
 
 
+# builder -> (the options it needs, constructor taking them in order)
 _BUILDERS = {
-    "simplex": lambda a: codes.simplex(a.n),
-    "orthogonal-simplices": lambda a: codes.orthogonal_simplices(a.a, a.b),
-    "cross-polytope": lambda a: codes.cross_polytope(a.n),
-    "kerdock": lambda a: codes.kerdock(a.l),
+    "simplex": (("n",), codes.simplex),
+    "orthogonal-simplices": (("a", "b"), codes.orthogonal_simplices),
+    "cross-polytope": (("n",), codes.cross_polytope),
+    "kerdock": (("l",), codes.kerdock),
 }
 
 
 def cmd_code(args) -> int:
-    if args.builder not in _BUILDERS:
-        print(f"unknown builder {args.builder!r}", file=sys.stderr)
-        return EXIT_USAGE
-    dist = _BUILDERS[args.builder](args)
+    needs, build = _BUILDERS[args.builder]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        _usage(f"builder {args.builder} needs {', '.join(missing)}")
+    dist = build(*(getattr(args, name) for name in needs))
     h = _potential_or_usage(args.potential)
     out = dist.to_json()
     out["energy"] = codes.energy(dist, h)
@@ -186,10 +191,8 @@ def cmd_sweep(args) -> int:
     h = _potential_or_usage(args.potential)
     points = _sweep_points(args)
     if not points:
-        print("empty sweep grid", file=sys.stderr)
-        return EXIT_USAGE
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda p: _sweep_one(p, h, args.u), points))
+        _usage("empty sweep grid")
+    rows = [_sweep_one(p, h, args.u) for p in points]
     if args.verify:
         for row in rows:
             for r in row.get("reports", []):
@@ -261,7 +264,7 @@ def build_parser() -> _Parser:
     s.add_argument("--potential", required=True)
     s.add_argument("--u", type=float, default=None)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--jobs", type=int, default=4)
+    s.add_argument("--jobs", type=int, default=1, help="ignored; points run one after another")
     s.add_argument("--verify", action="store_true")
     s.set_defaults(func=cmd_sweep)
     return p
@@ -271,6 +274,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            levenshtein._tol()
+        except ValueError as e:
+            _usage(str(e))
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .orthopoly import gegenbauer_eval
+from .orthopoly import gegenbauer_table
 from .potentials import Potential
 
 STRENGTH_TOL = 1e-8
@@ -134,10 +134,7 @@ def moment_sums(dist: InnerProductDistribution, j_max: int) -> np.ndarray:
     for j = 0..j_max; S_j = 0 iff the degree-j moment condition holds."""
     ts = np.array([t for t, _ in dist.entries])
     cs = np.array([c for _, c in dist.entries], dtype=float)
-    out = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        out[j] = dist.N + float(np.dot(cs, gegenbauer_eval(dist.n, j, ts)))
-    return out
+    return dist.N + gegenbauer_table(dist.n, j_max, ts) @ cs
 
 
 def strength(dist: InnerProductDistribution, max_tau: int) -> int:

@@ -13,18 +13,24 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from scipy import special
 from scipy.optimize import brentq
 
 from . import orthopoly as op
-from .errors import ConvergenceError, InternalConsistencyError, RangeError
+from .errors import InternalConsistencyError, RangeError
 
 MAX_K = 30
 
 
 def _tol() -> float:
-    return float(os.environ.get("DEB_TOL", "1e-9"))
+    """Verification tolerance: the DEB_TOL environment variable, default 1e-9."""
+    text = os.environ.get("DEB_TOL", "1e-9")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"DEB_TOL must be a finite non-negative number, got {text!r}")
+    return tol
 
 
 def dgs_bound(n: int, tau: int) -> int:
@@ -53,14 +59,13 @@ def lev_bound_m(n: int, m: int, s: float) -> float:
     if s >= 1:
         raise RangeError(f"s must be < 1, got {s}")
     k = (m + 1) // 2
+    P = op.gegenbauer_table(n, k + 1 - m % 2, s)
     if m % 2 == 1:
-        Pk = op.gegenbauer_eval(n, k, s)
-        Pk1 = op.gegenbauer_eval(n, k - 1, s)
+        Pk, Pk1 = P[k], P[k - 1]
         return math.comb(k + n - 3, k - 1) * (
             (2 * k + n - 3) / (n - 1) - (Pk1 - Pk) / ((1 - s) * Pk)
         )
-    Pk = op.gegenbauer_eval(n, k, s)
-    Pk1 = op.gegenbauer_eval(n, k + 1, s)
+    Pk, Pk1 = P[k], P[k + 1]
     return math.comb(k + n - 2, k) * (
         (2 * k + n - 1) / (n - 1) - (1 + s) * (Pk - Pk1) / ((1 - s) * (Pk + Pk1))
     )
@@ -102,62 +107,6 @@ def solve_cardinality(n: int, tau: int, N: float) -> float:
     f = lambda s: lev_bound_m(n, tau, s) - N
     s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return float(s)
-
-
-def _jacobi_monomial(alpha: float, beta: float, k: int) -> np.ndarray:
-    """Monomial coefficients (constant first) of P_k^(alpha,beta)."""
-    c = special.jacobi(k, alpha, beta).coefficients  # highest first
-    return np.asarray(c[::-1], dtype=float)
-
-
-def _polish_roots(raw, f, df):
-    out = []
-    for r in sorted(raw):
-        out.append(op._newton_polish(f, df, r, -1.0, 1.0))
-    return np.array(out)
-
-
-def _kernel_roots(a: float, b: float, k: int, s: float) -> np.ndarray:
-    """All k roots, ascending, of P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) for the
-    Jacobi (a, b) system; t = s is always among them and is pinned exactly."""
-    Pk_s = float(op.jacobi_eval(a, b, k, s))
-    Pk1_s = float(op.jacobi_eval(a, b, k - 1, s))
-    ker = npoly.polysub(Pk1_s * _jacobi_monomial(a, b, k), Pk_s * _jacobi_monomial(a, b, k - 1))
-
-    def f(t):
-        return float(op.jacobi_eval(a, b, k, t)) * Pk1_s - Pk_s * float(
-            op.jacobi_eval(a, b, k - 1, t)
-        )
-
-    def df(t):
-        return float(op.jacobi_derivative(a, b, k, t)) * Pk1_s - Pk_s * float(
-            op.jacobi_derivative(a, b, k - 1, t)
-        )
-
-    raw = np.roots(ker[::-1])
-    raw = np.real(raw[np.abs(np.imag(raw)) < 1e-8])
-    if len(raw) != k:
-        raise ConvergenceError(f"kernel equation returned {len(raw)} real roots, expected {k}")
-    roots = _polish_roots(raw, f, df)
-    roots[np.argmin(np.abs(roots - s))] = s
-    return roots
-
-
-def _odd_nodes(n: int, k: int, s: float) -> np.ndarray:
-    """Nodes alpha_0 < ... < alpha_{k-1} = s for the odd rule, from the
-    (1, 0)-adjacent Jacobi kernel."""
-    if k == 1:
-        return np.array([s])
-    return _kernel_roots((n - 1) / 2.0, (n - 3) / 2.0, k, s)
-
-
-def _even_interior_nodes(n: int, k: int, s: float) -> np.ndarray:
-    """Interior double nodes beta_1 < ... < beta_{k-1}, from the
-    (1, 1)-adjacent Jacobi kernel (the root at s is beta_k, not interior)."""
-    if k == 1:
-        return np.empty(0)
-    roots = _kernel_roots((n - 1) / 2.0, (n - 1) / 2.0, k, s)
-    return roots[roots != s]
 
 
 @dataclass(frozen=True)
@@ -207,19 +156,17 @@ class QuadratureRule:
 def _solve_weights(n: int, N: float, nodes: np.ndarray) -> tuple[np.ndarray, float]:
     """Weights from exactness on the Gegenbauer basis P_0..P_{len-1}."""
     m = len(nodes)
-    V = np.array([op.gegenbauer_eval(n, j, nodes) for j in range(m)])
+    V = op.gegenbauer_table(n, m - 1, nodes)
     rhs = -1.0 / N * np.ones(m)
     rhs[0] += 1.0
     return np.linalg.solve(V, rhs), float(np.linalg.cond(V))
 
 
 def _residuals(n: int, tau: int, N: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    res = []
-    for j in range(tau + 1):
-        target = 1.0 if j == 0 else 0.0
-        val = 1.0 / N + float(np.dot(weights, op.gegenbauer_eval(n, j, nodes)))
-        res.append(val - target)
-    return np.array(res)
+    """1/N + sum_i w_i P_j(node_i) - delta_j0 for j = 0..tau."""
+    res = 1.0 / N + op.gegenbauer_table(n, tau, nodes) @ weights
+    res[0] -= 1.0
+    return res
 
 
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
@@ -231,12 +178,16 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
     s = solve_cardinality(n, tau, N)
     boundary = N in (dgs_bound(n, tau), dgs_bound(n, tau + 1))
+    lam = (n - 3) / 2.0
     if tau % 2 == 1:
-        nodes = _odd_nodes(n, k, s)
+        # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel
+        nodes = op.kernel_zeros(lam + 1, lam, k, s)
         parity = "odd"
     else:
-        inner = _even_interior_nodes(n, k, s)
-        nodes = np.concatenate(([-1.0], inner, [s]))
+        # -1, the interior double nodes beta_1 < ... < beta_{k-1} from the
+        # (1, 1)-adjacent kernel, and beta_k = s
+        roots = op.kernel_zeros(lam + 1, lam + 1, k, s)
+        nodes = np.concatenate(([-1.0], roots[roots != s], [s]))
         parity = "even"
     weights, cond = _solve_weights(n, N, nodes)
     if np.any(np.diff(nodes) <= 0):

@@ -1,6 +1,11 @@
 """Gegenbauer/Jacobi polynomial evaluation, zeros, sphere-weight quadrature
 and Gegenbauer expansions.
 
+Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
+zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), and the zeros
+of the kernel P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) from the same matrix with
+its last diagonal entry shifted.
+
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
 to total mass 1, so the degree-0 expansion coefficient of a polynomial equals
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import special
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import ConvergenceError, RangeError
+from .errors import RangeError
 
 MAX_DEGREE = 60
 CONDITIONING_DEGREE = 30
@@ -62,18 +67,6 @@ class Poly:
         return list(self.coeffs)
 
 
-def poly_eval(p: Poly, t):
-    return p(t)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def poly_from_roots(roots) -> Poly:
     """Monic polynomial from (root, multiplicity) pairs or a flat root list."""
     flat = []
@@ -108,34 +101,40 @@ def gegenbauer_eval(n: int, i: int, t):
     return gegenbauer_derivative(n, i, t, 0)
 
 
+def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
+    """P_0..P_d at t, one row per degree, from one pass of the recurrence."""
+    return np.array(_recurrence_rows(n, d, t, 0))
+
+
 def gegenbauer_derivative(n: int, i: int, t, order: int):
     """Order-th derivative of P_i at t, by differentiating the recurrence."""
+    out = _recurrence_rows(n, i, t, order)[i]
+    return out if out.ndim else float(out)
+
+
+def _recurrence_rows(n: int, d: int, t, order: int) -> list:
+    """Order-th derivatives of P_0..P_d at t, one array per degree."""
     _check_dimension(n)
-    if i < 0:
-        raise RangeError(f"degree must be >= 0, got {i}")
+    if d < 0:
+        raise RangeError(f"degree must be >= 0, got {d}")
     if order < 0:
         raise RangeError(f"derivative order must be >= 0, got {order}")
-    _check_degree(i)
+    _check_degree(d)
     t = np.asarray(t, dtype=float)
-    if order > i:
-        return np.zeros_like(t) if t.ndim else 0.0
-    # d[m] holds the m-th derivative of P_deg at t as deg advances
+    # prev/cur hold P_deg-1 and P_deg with derivatives 0..order as deg advances
     one, zero = np.ones_like(t), np.zeros_like(t)
-    prev = [one] + [zero] * order          # P_0 and derivatives
-    if i == 0:
-        out = prev[order]
-        return out if t.ndim else float(out)
-    cur = [t, one] + [zero] * max(order - 1, 0)  # P_1 = t
-    cur = cur[: order + 1]
-    for deg in range(1, i):
+    prev = [one] + [zero] * order
+    cur = ([t, one] + [zero] * order)[: order + 1]  # P_1 = t
+    rows = [prev[order], cur[order]]
+    for deg in range(1, d):
         nxt = []
         a, b = 2 * deg + n - 2, deg + n - 2
         for m in range(order + 1):
             term = t * cur[m] + (m * cur[m - 1] if m >= 1 else 0.0)
             nxt.append((a * term - deg * prev[m]) / b)
         prev, cur = cur, nxt
-    out = cur[order]
-    return out if t.ndim else float(out)
+        rows.append(cur[order])
+    return rows[: d + 1]
 
 
 def gegenbauer_poly(n: int, i: int) -> Poly:
@@ -161,57 +160,45 @@ def jacobi_eval(alpha: float, beta: float, k: int, t):
     return special.eval_jacobi(k, alpha, beta, np.asarray(t, dtype=float))
 
 
-def jacobi_derivative(alpha: float, beta: float, k: int, t):
-    if k == 0:
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t)
-    return 0.5 * (k + alpha + beta + 1) * jacobi_eval(alpha + 1, beta + 1, k - 1, t)
-
-
-_BISECT_WIDTH = 1e-6
-_NEWTON_TOL = 1e-13
-
-
-def _newton_polish(f, df, x0, lo, hi):
-    x = x0
-    for _ in range(100):
-        fx = f(x)
-        d = df(x)
-        if d == 0.0:
-            break
-        step = fx / d
-        xn = x - step
-        if not (lo - 1e-12 <= xn <= hi + 1e-12):
-            xn = 0.5 * (x + (hi if step < 0 else lo))
-        if abs(xn - x) < _NEWTON_TOL:
-            return xn
-        x = xn
-    if abs(f(x)) < 1e-10:
-        return x
-    raise ConvergenceError(f"Newton polish failed near {x0}")
+def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients a_0..a_{k-1}, b_1..b_{k-1} of the monic Jacobi recurrence
+    p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t)."""
+    if alpha <= -1 or beta <= -1:
+        raise RangeError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
+    if k < 1:
+        raise RangeError(f"degree must be >= 1, got {k}")
+    ab = alpha + beta
+    j = np.arange(1, k, dtype=float)
+    s = 2 * j + ab
+    a = np.concatenate(([(beta - alpha) / (ab + 2)], (beta**2 - alpha**2) / (s * (s + 2))))
+    # b_1 is written out: the general form is 0/0 at alpha + beta = -1
+    b1 = 4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))
+    j, s = j[1:], s[1:]
+    b = 4 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1) * (s - 1))
+    return a, np.concatenate(([b1], b))[: k - 1]
 
 
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
-    """All k zeros of P_k^(alpha,beta), ascending, via interlacing brackets."""
-    if alpha <= -1 or beta <= -1:
-        raise RangeError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    zeros = np.empty(0)
-    for deg in range(1, k + 1):
-        f = lambda t, d=deg: float(jacobi_eval(alpha, beta, d, t))
-        df = lambda t, d=deg: float(jacobi_derivative(alpha, beta, d, t))
-        brackets = np.concatenate(([-1.0], zeros, [1.0]))
-        new = []
-        for lo, hi in zip(brackets[:-1], brackets[1:]):
-            a, b = lo + 1e-14, hi - 1e-14
-            fa, fb = f(a), f(b)
-            if fa * fb > 0:
-                raise ConvergenceError(
-                    f"interlacing bracket [{lo}, {hi}] lost the zero of degree {deg}"
-                )
-            x = brentq(f, a, b, xtol=_BISECT_WIDTH)
-            new.append(_newton_polish(f, df, x, lo, hi))
-        zeros = np.array(new)
-    return zeros
+    """All k zeros of P_k^(alpha,beta), ascending: the eigenvalues of the
+    k x k Jacobi matrix."""
+    a, b = _jacobi_recurrence(alpha, beta, k)
+    return eigvalsh_tridiagonal(a, np.sqrt(b))
+
+
+def kernel_zeros(alpha: float, beta: float, k: int, s: float) -> np.ndarray:
+    """All k zeros, ascending, of P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) for
+    P = P^(alpha,beta). In monic form the kernel is p_k - r p_{k-1} with
+    r = p_k(s)/p_{k-1}(s), whose zeros are the eigenvalues of the Jacobi
+    matrix with r added to its last diagonal entry (Golub, SIAM Review 15,
+    1973). t = s is always among them and is pinned exactly."""
+    a, b = _jacobi_recurrence(alpha, beta, k)
+    p_prev, p = 1.0, s - a[0]
+    for j in range(1, k):
+        p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
+    a[-1] += p / p_prev
+    roots = eigvalsh_tridiagonal(a, np.sqrt(b))
+    roots[np.argmin(np.abs(roots - s))] = s
+    return roots
 
 
 def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
@@ -248,20 +235,17 @@ class WeightRule:
 
 
 def weight_rule(n: int, m: int) -> WeightRule:
-    """m-point Gauss rule, exact on polynomials of degree <= 2m-1."""
+    """m-point Gauss rule, exact on polynomials of degree <= 2m-1 (Golub and
+    Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    Jacobi matrix, and the weights the squared first components of its unit
+    eigenvectors, which sum to 1."""
     _check_dimension(n)
     if m < 1:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
-    nodes = jacobi_zeros(lam, lam, m)
-    # collocation on the Gegenbauer basis: sum_i w_i P_j(x_i) = delta_j0
-    V = np.array([gegenbauer_eval(n, j, nodes) for j in range(m)])
-    rhs = np.zeros(m)
-    rhs[0] = 1.0
-    weights = np.linalg.solve(V, rhs)
-    if np.any(weights <= 0):
-        raise ConvergenceError("nonpositive Gauss weight; node solve failed")
-    return WeightRule(n=n, nodes=nodes, weights=weights)
+    a, b = _jacobi_recurrence(lam, lam, m)
+    nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
+    return WeightRule(n=n, nodes=nodes, weights=vecs[0] ** 2)
 
 
 @dataclass(frozen=True)
@@ -279,32 +263,19 @@ class GegExpansion:
         return out
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                acc = acc + c * gegenbauer_eval(self.n, i, t)
-        return acc
+        table = gegenbauer_table(self.n, len(self.coeffs) - 1, t)
+        return np.tensordot(self.coeffs, table, axes=1)
 
     def to_json(self) -> list[float]:
         return list(self.coeffs)
 
 
-def gegenbauer_norm2(n: int, i: int, rule: WeightRule | None = None) -> float:
-    """Weighted L2 norm squared of P_i under the normalized weight."""
-    if rule is None or len(rule.nodes) * 2 - 1 < 2 * i:
-        rule = weight_rule(n, i + 1)
-    return rule.integrate(lambda t: gegenbauer_eval(n, i, t) ** 2)
-
-
 def gegenbauer_expand(n: int, p: Poly) -> GegExpansion:
-    """Exact-degree expansion of p over the Gegenbauer basis by projection."""
+    """Exact-degree expansion of p over the Gegenbauer basis by projection
+    with the (d+1)-point Gauss rule; P_0..P_d are evaluated in one pass."""
     _check_dimension(n)
     d = p.degree
     rule = weight_rule(n, d + 1)
-    coeffs = []
-    for i in range(d + 1):
-        num = rule.integrate(lambda t: p(t) * gegenbauer_eval(n, i, t))
-        den = gegenbauer_norm2(n, i, rule)
-        coeffs.append(num / den)
-    return GegExpansion(n=n, coeffs=tuple(coeffs))
+    table = gegenbauer_table(n, d, rule.nodes)
+    coeffs = (table @ (rule.weights * p(rule.nodes))) / (table**2 @ rule.weights)
+    return GegExpansion(n=n, coeffs=tuple(float(c) for c in coeffs))

@@ -22,11 +22,10 @@ LOG_OFFSET = math.log(2.0)
 
 @dataclass(frozen=True)
 class Potential:
-    """Potential h with derivatives up to max_order (None = unbounded)."""
+    """Potential h with derivatives of every order."""
 
     name: str
     params: dict = field(default_factory=dict)
-    max_order: int | None = None
     _derivative: callable = None
 
     def eval(self, t):
@@ -35,8 +34,6 @@ class Potential:
     def derivative(self, t, order: int):
         if order < 0:
             raise RangeError(f"derivative order must be >= 0, got {order}")
-        if self.max_order is not None and order > self.max_order:
-            raise RangeError(f"{self.name} supports derivatives up to order {self.max_order}")
         return self._derivative(np.asarray(t, dtype=float), order)
 
     def __call__(self, t):
@@ -51,8 +48,8 @@ class Potential:
 
 def make_riesz(s: float) -> Potential:
     """h(t) = (2(1-t))^(-s/2), the Riesz s-potential in the inner product."""
-    if s <= 0:
-        raise RangeError(f"Riesz exponent must be positive, got {s}")
+    if not (math.isfinite(s) and s > 0):
+        raise RangeError(f"Riesz exponent must be positive and finite, got {s}")
 
     def deriv(t, order):
         # each differentiation of (1-t)^(-s/2) brings down (s/2 + j)
@@ -75,8 +72,8 @@ def make_log() -> Potential:
 
 def make_gauss(c: float) -> Potential:
     """h(t) = exp(c t)."""
-    if c <= 0:
-        raise RangeError(f"Gaussian parameter must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise RangeError(f"Gaussian parameter must be positive and finite, got {c}")
 
     def deriv(t, order):
         return c**order * np.exp(c * t)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from designbounds import cli, jsonio
+from designbounds.levenshtein import dgs_bound
 
 
 def run(capsys, *argv):
@@ -46,6 +47,42 @@ def test_bad_potential_exit_1(capsys):
     code, _, err = run(
         capsys, "bound", "--n", "3", "--N", "5", "--tau", "2",
         "--potential", "bogus", "--side", "lower",
+    )
+    assert code == 1
+    assert "potential" in err
+
+
+@pytest.mark.parametrize("n, tau", [(200, 17), (160, 13)])
+def test_bound_high_dimension_midpoint(capsys, n, tau):
+    # at this n, Jacobi polynomials in monomial coefficients overflow
+    N = (dgs_bound(n, tau) + dgs_bound(n, tau + 1)) / 2
+    code, out, err = run(
+        capsys, "bound", "--n", str(n), "--N", repr(N), "--tau", str(tau),
+        "--potential", "riesz:s=2", "--side", "lower", "--verify",
+    )
+    assert code == 0, err
+    assert json.loads(out)["lower"]["best_method"] == "ulb"
+
+
+def test_bad_tolerance_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("DEB_TOL", "abc")
+    code, _, err = run(
+        capsys, "bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", "riesz:s=2",
+    )
+    assert code == 1
+    assert "DEB_TOL" in err
+
+
+def test_code_builder_missing_option_exit_1(capsys):
+    code, _, err = run(capsys, "code", "--builder", "simplex", "--potential", "riesz:s=2")
+    assert code == 1
+    assert "--n" in err
+
+
+@pytest.mark.parametrize("spec", ["riesz:s=nan", "gauss:c=nan"])
+def test_nan_potential_parameter_exit_1(capsys, spec):
+    code, _, err = run(
+        capsys, "bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", spec,
     )
     assert code == 1
     assert "potential" in err

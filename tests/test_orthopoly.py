@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from designbounds import orthopoly as op
 from designbounds.errors import RangeError
@@ -64,12 +65,45 @@ def test_conditioning_warning():
         op.gegenbauer_eval(3, op.CONDITIONING_DEGREE + 1, 0.3)
 
 
-def test_jacobi_zeros_increasing_and_accurate():
-    for (a, b, k) in [(0.0, 0.0, 5), (1.0, 0.5, 7), (2.5, 2.5, 4)]:
-        z = op.jacobi_zeros(a, b, k)
-        assert len(z) == k
-        assert np.all(np.diff(z) > 0)
-        assert np.max(np.abs(op.jacobi_eval(a, b, k, z))) < 1e-10
+@pytest.mark.parametrize(
+    "a, b, k",
+    [
+        (0.0, 0.0, 5), (1.0, 0.5, 7), (2.5, 2.5, 4), (-0.5, -0.5, 9), (0.5, -0.5, 12),
+        (1.0, 0.0, 1), (11.5, 10.5, 31), (2.5, 2.5, 31), (99.5, 98.5, 31), (99.5, 99.5, 31),
+    ],
+)
+def test_jacobi_zeros_increasing_and_accurate(a, b, k):
+    # scipy builds its own Jacobi matrix and Newton-polishes, so it is an
+    # independent reference for the package's eigenproblem
+    x, w = roots_jacobi(k, a, b)
+    z = op.jacobi_zeros(a, b, k)
+    assert len(z) == k
+    assert np.all(np.diff(z) > 0)
+    assert np.max(np.abs(z - x)) < 1e-14
+    if a == b:
+        rule = op.weight_rule(int(2 * a + 3), k)
+        assert np.max(np.abs(rule.nodes - x)) < 1e-14
+        assert np.max(np.abs(rule.weights - w / np.sum(w))) < 1e-13
+        assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, b, k, s",
+    [
+        (1.0, 0.0, 1, 0.3), (1.0, 0.0, 4, 0.5), (1.5, 1.5, 6, 0.8), (3.5, 2.5, 12, 0.6),
+        (12.5, 12.5, 20, 0.55), (99.5, 98.5, 9, 0.3), (99.5, 99.5, 31, 0.45),
+    ],
+)
+def test_kernel_zeros(a, b, k, s):
+    roots = op.kernel_zeros(a, b, k, s)
+    assert len(roots) == k
+    assert np.all(np.diff(roots) > 0)
+    assert s in roots
+    Pk_s, Pk1_s = op.jacobi_eval(a, b, k, s), op.jacobi_eval(a, b, k - 1, s)
+    Pk_t, Pk1_t = op.jacobi_eval(a, b, k, roots), op.jacobi_eval(a, b, k - 1, roots)
+    kernel = Pk_t * Pk1_s - Pk_s * Pk1_t
+    scale = np.abs(Pk_t * Pk1_s) + np.abs(Pk_s * Pk1_t)
+    assert np.max(np.abs(kernel) / scale) < 1e-12
 
 
 def test_jacobi_rejects_bad_parameters():
