@@ -185,7 +185,7 @@ def improved_even_lower(
     admissible inner product ell instead of -1."""
     tau = 2 * k
     lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (lo < N < hi):
+    if not (float(lo) < float(N) < float(hi)):
         raise RangeError(f"N = {N} must lie strictly inside ({lo}, {hi}) for k = {k}")
     if ell is None:
         ell = innerprod.best_range(n, N, tau).lo

@@ -100,19 +100,26 @@ def verify_one_sided(
     if relation not in ("below", "above"):
         raise RangeError(f"relation must be 'below' or 'above', got {relation!r}")
     grid = np.linspace(lo, hi, grid_size)
-    diff = h.eval(grid) - f(grid)
-    if relation == "above":
-        diff = -diff
+    diff = _gap(f, h, grid, relation)
     # refine locally around the sampled minimum
     i = int(np.argmin(diff))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
     fine = np.linspace(a, b, 2001)
-    fdiff = h.eval(fine) - f(fine)
-    if relation == "above":
-        fdiff = -fdiff
+    fdiff = _gap(f, h, fine, relation)
     j = int(np.argmin(fdiff))
     m = min(float(diff[i]), float(fdiff[j]))
     arg = float(fine[j]) if fdiff[j] <= diff[i] else float(grid[i])
     return MarginReport(
         relation=relation, lo=lo, hi=hi, min_margin=m, argmin=arg, passes=m >= -tol
     )
+
+
+def _gap(f: Poly, h: Potential, t: np.ndarray, relation: str) -> np.ndarray:
+    """h - f at t ("below"), or f - h ("above"), written into the fresh array
+    f(t) returns; never into h's result, which the potential may share."""
+    ht = h.eval(t)
+    gap = f(t)
+    np.subtract(ht, gap, out=gap)
+    if relation == "above":
+        np.negative(gap, out=gap)
+    return gap

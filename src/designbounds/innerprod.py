@@ -49,18 +49,28 @@ def l_bound(n: int, N: float, tau: int) -> float:
 
 def even_range(n: int, N: float, k: int) -> tuple[float, float]:
     """Smallest/largest roots (xi, eta) of f(t) = gamma_0 N f(-1), where f is
-    the squared interior-node polynomial of the even quadrature rule."""
+    the squared interior-node polynomial of the even quadrature rule. A side
+    where f - gamma_0 N f(-1) has no sign change (round-off in the rule) bounds
+    nothing, and its trivial end, -1 or 1, is returned."""
     lo, hi = dgs_bound(n, 2 * k), dgs_bound(n, 2 * k + 1)
-    if not (lo < N < hi):
+    if not (float(lo) < float(N) < float(hi)):
         raise RangeError(f"N = {N} must lie strictly inside ({lo}, {hi}) for k = {k}")
     rule = quadrature_rule(n, 2 * k, N)
     betas = rule.nodes[1:]  # beta_1 .. beta_k
     f = poly_from_roots([(b, 2) for b in betas])
     target = float(rule.weights[0] * N * f(-1.0))
     g = lambda t: float(f(t)) - target
-    xi = brentq(g, -1.0, betas[0], xtol=1e-15)
-    eta = brentq(g, betas[-1], 1.0, xtol=1e-15)
+    xi = _root_or(g, -1.0, betas[0], -1.0)
+    eta = _root_or(g, betas[-1], 1.0, 1.0)
     return float(xi), float(eta)
+
+
+def _root_or(g, a: float, b: float, trivial: float) -> float:
+    """Root of g on [a, b], or trivial when g has no sign change there."""
+    try:
+        return brentq(g, a, b, xtol=1e-15)
+    except ValueError:  # brentq's only ValueError with these arguments
+        return trivial
 
 
 @dataclass(frozen=True)

@@ -93,20 +93,32 @@ def lev_bound(n: int, s: float) -> float:
 def solve_cardinality(n: int, tau: int, N: float) -> float:
     """Unique s on the tau-th interval with L_tau(n, s) = N."""
     lo_card, hi_card = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (lo_card <= N <= hi_card):
+    if not (float(lo_card) <= float(N) <= float(hi_card)):
         raise RangeError(
             f"N = {N} outside admissible interval [{lo_card}, {hi_card}] for (n={n}, tau={tau})"
         )
     lo, hi = interval(n, tau)
-    if N == lo_card:
+    if _at_bound(N, lo_card):
         return lo
-    if N == hi_card:
+    if _at_bound(N, hi_card):
         return hi
     if tau == 1:
         return -1.0 / (N - 1)
     f = lambda s: lev_bound_m(n, tau, s) - N
-    s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    try:
+        s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    except ValueError as e:
+        raise RangeError(
+            f"L_{tau}(n={n}, s) - N has no sign change on [{lo}, {hi}] for N = {N}:"
+            " round-off in L_tau exceeds the distance to an endpoint"
+        ) from e
     return float(s)
+
+
+def _at_bound(N: float, D: int) -> bool:
+    """N is the cardinality bound D in double precision. Above 2^53 an N
+    given as a float need not equal the integer D it was written as."""
+    return float(N) == float(D)
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,7 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
     s = solve_cardinality(n, tau, N)
-    boundary = N in (dgs_bound(n, tau), dgs_bound(n, tau + 1))
+    boundary = _at_bound(N, dgs_bound(n, tau)) or _at_bound(N, dgs_bound(n, tau + 1))
     lam = (n - 3) / 2.0
     if tau % 2 == 1:
         # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel
@@ -225,11 +237,11 @@ def levenshtein_polynomial(n: int, tau: int, N: float) -> op.Poly:
 def gamma0_times_N(n: int, k: int, N: float) -> float:
     """gamma_0 * N for the even rule; 0 and 1 exactly at the interval ends."""
     lo, hi = dgs_bound(n, 2 * k), dgs_bound(n, 2 * k + 1)
-    if not (lo <= N <= hi):
+    if not (float(lo) <= float(N) <= float(hi)):
         raise RangeError(f"N = {N} outside [{lo}, {hi}] for (n={n}, k={k})")
-    if N == lo:
+    if _at_bound(N, lo):
         return 0.0
-    if N == hi:
+    if _at_bound(N, hi):
         return 1.0
     rule = quadrature_rule(n, 2 * k, N)
     return float(rule.weights[0] * N)

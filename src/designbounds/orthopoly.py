@@ -45,7 +45,16 @@ class Poly:
         return max(len(self.coeffs) - 1, 0)
 
     def __call__(self, t):
-        return npoly.polyval(np.asarray(t, dtype=float), self.coeffs)
+        """Horner's rule into one output buffer; bit-identical to
+        ``npoly.polyval``, which starts from ``t*0 + c[-1]`` so that inf and
+        NaN in t propagate. A scalar or 0-d t gives a numpy scalar."""
+        t = np.asarray(t, dtype=float)
+        out = t * 0
+        out += self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out *= t
+            out += c
+        return out
 
     def deriv(self, order: int = 1) -> "Poly":
         return Poly(npoly.polyder(self.coeffs, order)) if order else self

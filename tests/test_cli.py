@@ -64,6 +64,39 @@ def test_bound_high_dimension_midpoint(capsys, n, tau):
     assert json.loads(out)["lower"]["best_method"] == "ulb"
 
 
+def test_even_range_without_sign_change_keeps_trivial_end(capsys):
+    # round-off leaves the xi bracket of innerprod.even_range without a sign
+    # change; that side bounds nothing, so ell stays -1 and ulb stands alone
+    code, out, err = run(
+        capsys, "bound", "--n", "60", "--N", "1.3737076437464382e+16", "--tau", "32",
+        "--potential", "riesz:s=2", "--side", "lower", "--verify",
+    )
+    assert code == 0, err
+    assert json.loads(out)["lower"]["best_method"] == "ulb"
+
+
+def test_even_range_in_unstable_zone_exits_3_not_traceback(capsys):
+    # the eta bracket has no sign change; the certificate itself is in the
+    # zone where ulb cannot be verified yet, and says so
+    code, _, err = run(
+        capsys, "bound", "--n", "3", "--N", "798", "--tau", "54",
+        "--potential", "gauss:c=1", "--side", "lower", "--verify",
+    )
+    assert code == 3
+    assert "internal consistency failure" in err
+
+
+@pytest.mark.parametrize("tau, N", [(33, "46773789676013700"), (37, "327025349084865200")])
+def test_quadrature_at_float_endpoint_above_2_53(capsys, tau, N):
+    # N is D(60, tau + 1) or D(60, tau), but parses to a float that is not
+    # that integer; it is still an endpoint of the cardinality interval
+    assert int(N) in (dgs_bound(60, tau), dgs_bound(60, tau + 1))
+    assert int(float(N)) != int(N)
+    code, out, err = run(capsys, "quadrature", "--n", "60", "--tau", str(tau), "--N", N)
+    assert code == 0, err
+    assert json.loads(out)["boundary"] is True
+
+
 def test_bad_tolerance_exit_1(capsys, monkeypatch):
     monkeypatch.setenv("DEB_TOL", "abc")
     code, _, err = run(

@@ -1,10 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from designbounds import cli
 from designbounds.errors import RangeError
 from designbounds.hermite import HermiteScheme, interpolate, verify_one_sided
 from designbounds.orthopoly import Poly
-from designbounds.potentials import make_poly, make_riesz
+from designbounds.potentials import Potential, make_poly, make_riesz
 
 
 def test_scheme_validation():
@@ -70,3 +74,92 @@ def test_margin_report_fields():
     # tangency point is where the margin vanishes
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.argmin == pytest.approx(0.0, abs=1e-3)
+
+
+def _potential(values):
+    """Potential whose value at t is values(t); derivatives are not used."""
+    return Potential(name="test", _derivative=lambda t, order: values(t))
+
+
+def test_verify_one_sided_keeps_negative_zero_margin():
+    # f == h exactly: h - f is +0.0, and f - h ("above") is -0.0
+    p = Poly([1.0, 2.0])
+    h = make_poly(p)
+    below = verify_one_sided(p, h, -1.0, 0.5, "below")
+    above = verify_one_sided(p, h, -1.0, 0.5, "above")
+    assert below.passes and above.passes
+    assert math.copysign(1.0, below.min_margin) == 1.0
+    assert math.copysign(1.0, above.min_margin) == -1.0
+
+
+def test_cli_reports_negative_zero_sign_margin(capsys):
+    code = cli.main(
+        ["bound", "--n", "3", "--N", "2", "--tau", "1", "--potential", "riesz:s=2",
+         "--side", "strip", "--u", "0"]
+    )
+    assert code == 0
+    assert '"sign_margin": -0.0' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("relation", ["below", "above"])
+@pytest.mark.parametrize("where", [0, 4321, 10_000])
+def test_verify_one_sided_fails_on_nan(relation, where):
+    grid = np.linspace(-1.0, 0.5, 10_001)
+    bad = grid[where]
+    h = _potential(lambda t: np.where(t == bad, np.nan, 100.0 if relation == "below" else -100.0))
+    rep = verify_one_sided(Poly([0.0, 1.0]), h, -1.0, 0.5, relation)
+    assert not rep.passes
+    assert math.isnan(rep.min_margin)
+
+
+def test_verify_one_sided_nan_polynomial_fails():
+    rep = verify_one_sided(Poly([np.nan]), make_riesz(2.0), -1.0, 0.5, "below")
+    assert not rep.passes
+
+
+def test_verify_one_sided_leaves_shared_potential_values():
+    # a potential may hand out one cached array per input shape
+    cache = {}
+
+    def shared(t):
+        return cache.setdefault(t.shape, np.full(t.shape, 5.0))
+
+    h = _potential(shared)
+    for relation in ("below", "above"):
+        rep = verify_one_sided(Poly([1.0, 2.0]), h, -1.0, 0.5, relation)
+        assert rep.passes == (relation == "below")
+    assert len(cache) == 2
+    assert all(np.all(a == 5.0) for a in cache.values())
+
+
+def _peak_in_grid_arrays(fn, size):
+    """Peak traced memory of fn() above what was live before it, in units of
+    one float64 array of the given size."""
+    fn()  # warm up lazily built state
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - base) / (8 * size)
+
+
+def test_a1_check_allocation_budget():
+    # the sign check runs inside every bound and every re-verification; at
+    # degree 30 on a 20001-point grid, Horner into one buffer and h - f
+    # written into f's buffer keep the peak at 1 and 3 grid arrays
+    size = 20_001
+    rng = np.random.default_rng(3)
+    f = Poly(rng.standard_normal(31) * 1e-3)
+    h = make_riesz(2.0)
+    grid = np.linspace(-1.0, 0.9, size)
+    assert _peak_in_grid_arrays(lambda: f(grid), size) <= 1.1
+    for relation in ("below", "above"):
+        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
+        assert _peak_in_grid_arrays(check, size) <= 3.1

@@ -63,6 +63,13 @@ def test_solve_cardinality_range_error_names_interval():
         lev.solve_cardinality(3, 2, 99)
 
 
+def test_solve_cardinality_bad_bracket_is_range_error(monkeypatch):
+    # round-off can leave L_tau - N without a sign change on the interval
+    monkeypatch.setattr(lev, "lev_bound_m", lambda n, m, s: 0.0)
+    with pytest.raises(RangeError, match="no sign change"):
+        lev.solve_cardinality(3, 2, 5)
+
+
 def test_tau1_closed_form():
     s = lev.solve_cardinality(5, 1, 3.5)
     assert s == pytest.approx(-1.0 / 2.5, abs=1e-14)

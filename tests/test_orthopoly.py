@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.special import roots_jacobi
 
 from designbounds import orthopoly as op
@@ -170,3 +171,32 @@ def test_poly_arithmetic_and_roots():
 def test_poly_trims_leading_zeros():
     p = op.Poly([1.0, 2.0, 0.0, 0.0])
     assert p.degree == 1
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+def _poly_inputs():
+    """Python scalars, 0-d, 1-d and 2-d arrays, with signed zeros, infinities
+    and NaN among the values."""
+    row = np.concatenate((np.linspace(-1.0, 1.0, 9), _SPECIAL, [2.5, -3.0]))
+    yield from (0.3, -0.7, 1, *_SPECIAL)
+    yield from (np.asarray(x) for x in (0.3, *_SPECIAL))
+    yield row
+    yield row.reshape(2, -1)
+
+
+def test_poly_call_is_polyval_bit_for_bit():
+    rng = np.random.default_rng(7)
+    polys = [op.Poly([0.0])] + [
+        op.Poly(rng.standard_normal(d + 1) * 10.0 ** rng.integers(-3, 4, d + 1)) for d in range(61)
+    ]
+    for p in polys:
+        for t in _poly_inputs():
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = p(t)
+                want = npoly.polyval(np.asarray(t, dtype=float), p.coeffs)
+            assert type(got) is type(want), (p.degree, t)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (p.degree, t)
+
