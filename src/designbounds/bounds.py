@@ -3,8 +3,10 @@ checks, improved even-strength lower bounds, 2-design closed forms, cubic
 upper bounds, odd-strength strips, test functions with the degree-raising
 improvement, and asymptotic evaluators.
 
-Every bound is returned as a BoundReport carrying a polynomial certificate;
-accepted reports re-verify from the certificate alone.
+Every bound is returned as a BoundReport carrying a polynomial certificate.
+_conditions alone decides acceptance, and BoundReport.verify re-runs it from
+the certificate; a method's own value (closed form, quadrature, strip) must
+match the certificate's to the same DEB_TOL, so accepted reports re-verify.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
-from .levenshtein import DesignSpec, _tol, dgs_bound, quadrature_rule
+from .levenshtein import DesignSpec, QuadratureRule, _tol, dgs_bound, quadrature_rule
 from .orthopoly import (
     GegExpansion,
     Poly,
@@ -65,24 +67,17 @@ class BoundReport:
     def recompute_value(self) -> float:
         """N(f_0 N - f(1)) from the stored certificate."""
         c = self.certificate
-        N = self.spec.N
-        return N * (c.gegenbauer.coeffs[0] * N - float(c.poly(1.0)))
+        return _lp_value(self.spec.N, c.poly, c.gegenbauer.coeffs[0])
 
     def verify(self, tol: float | None = None) -> bool:
-        """Re-check sign condition, coefficient condition, and stored value."""
+        """Re-run the checks that accepted the report (_conditions) at tol,
+        default DEB_TOL, and check that the stored value agrees with the
+        certificate's."""
         if not self.accepted or self.certificate is None:
             return False
         tol = _tol() if tol is None else tol
-        c = self.certificate
-        rel = verify_one_sided(c.poly, self.h, c.lo, c.hi, c.relation, A1_GRID, tol=tol)
-        if not rel.passes:
-            return False
-        sign = 1.0 if c.relation == "below" else -1.0
-        tail = [sign * x for x in c.gegenbauer.coeffs[self.spec.tau + 1 :]]
-        if tail and min(tail) < -tol:
-            return False
-        recomputed = self.recompute_value()
-        return abs(recomputed - self.value) <= tol * max(1.0, abs(self.value))
+        _, _, violations = _conditions(self.certificate, self.h, self.spec.tau, tol)
+        return not violations and _close(self.recompute_value(), self.value, tol)
 
     def to_json(self) -> dict:
         d = self.spec.to_json()
@@ -99,47 +94,73 @@ class BoundReport:
         }
 
 
+def _lp_value(N: float, f: Poly, f0: float) -> float:
+    """The LP bound N(f_0 N - f(1)) of a certificate f whose constant
+    Gegenbauer coefficient is f_0."""
+    return float(N * (f0 * N - f(1.0)))
+
+
+def _rule_value(rule: QuadratureRule, h: Potential, N: float) -> float:
+    """N^2 sum_i w_i h(node_i): the quadrature rule applied to h."""
+    return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+
+
+def _close(a: float, b: float, tol: float) -> bool:
+    """a equals b to tol relative to max(1, |b|); NaN never does."""
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def _conditions(cert: Certificate, h: Potential, tau: int, tol: float):
+    """The acceptance check: f <= h ("below") or f >= h ("above") sampled on
+    the certificate interval (A1/B1), and sign-correct Gegenbauer
+    coefficients above tau (A2/B2). Returns the sign margin, the worst
+    sign-adjusted coefficient above tau (0 if none) and one note per
+    violated condition."""
+    lower = cert.relation == "below"
+    sign_name, coeff_name = ("A1", "A2") if lower else ("B1", "B2")
+    m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=tol)
+    violations = []
+    if not m.passes:
+        violations.append(f"{sign_name} violated: margin {m.min_margin:.3e} at t = {m.argmin:.6f}")
+    sign = 1.0 if lower else -1.0
+    tail = [sign * x for x in cert.gegenbauer.coeffs[tau + 1 :]]
+    worst = min(tail) if tail else 0.0
+    if worst < -tol:
+        idx = tau + 1 + int(np.argmin(tail))
+        violations.append(f"{coeff_name} violated: coefficient {idx} = {sign * worst:.3e}")
+    return m.min_margin, worst, violations
+
+
 def _certify(
-    f: Poly,
-    n: int,
-    tau: int,
-    I: tuple[float, float],
-    h: Potential,
-    N: float,
-    side: str,
-    method: str,
-    grid_size: int = A1_GRID,
+    f: Poly, n: int, tau: int, I: tuple[float, float], h: Potential, N: float,
+    side: str, method: str,
 ) -> BoundReport:
     relation = "below" if side == "lower" else "above"
     exp = gegenbauer_expand(n, f)
     cert = Certificate(poly=f, gegenbauer=exp, lo=I[0], hi=I[1], relation=relation)
-    report = BoundReport(
+    sign_margin, coeff_margin, violations = _conditions(cert, h, tau, _tol())
+    return BoundReport(
         spec=DesignSpec(n=n, tau=tau, N=N),
         side=side,
-        value=float(N * (exp.coeffs[0] * N - f(1.0))),
+        value=_lp_value(N, f, exp.coeffs[0]),
         method=method,
         certificate=cert,
         h=h,
-        accepted=True,
+        accepted=not violations,
+        margins={"sign_margin": sign_margin, "coeff_margin": coeff_margin},
+        notes=violations,
     )
-    margin = verify_one_sided(f, h, I[0], I[1], relation, grid_size, tol=_tol())
-    report.margins["sign_margin"] = margin.min_margin
-    if not margin.passes:
-        report.accepted = False
-        report.notes.append(
-            f"{'A1' if side == 'lower' else 'B1'} violated: margin {margin.min_margin:.3e} at t = {margin.argmin:.6f}"
+
+
+def _pin_value(report: BoundReport, value: float, source: str) -> None:
+    """Report the method's own value instead of the certificate's; the two
+    must agree to DEB_TOL, the tolerance verify() applies."""
+    cert_value = report.recompute_value()
+    if not _close(cert_value, value, _tol()):
+        raise InternalConsistencyError(
+            f"certificate value {cert_value} disagrees with {source} value {value}"
         )
-    sign = 1.0 if side == "lower" else -1.0
-    tail = [sign * x for x in exp.coeffs[tau + 1 :]]
-    worst = min(tail) if tail else 0.0
-    report.margins["coeff_margin"] = worst
-    if worst < -_tol():
-        idx = tau + 1 + int(np.argmin(tail))
-        report.accepted = False
-        report.notes.append(
-            f"{'A2' if side == 'lower' else 'B2'} violated: coefficient {idx} = {sign * worst:.3e}"
-        )
-    return report
+    report.value = float(value)
 
 
 def lp_certify_lower(f: Poly, n: int, tau: int, I, h: Potential, N: float) -> BoundReport:
@@ -163,16 +184,11 @@ def ulb(n: int, N: float, tau: int, h: Potential) -> BoundReport:
     """Universal lower bound N^2 sum_i w_i h(node_i) with its Hermite
     interpolation certificate."""
     rule = quadrature_rule(n, tau, N)
-    quad_value = float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+    quad_value = _rule_value(rule, h, N)
     F = interpolate(_ulb_scheme(rule), h)
     report = _certify(F, n, tau, (-1.0, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="ulb")
-    cert_value = report.value
-    if abs(cert_value - quad_value) > 1e-8 * max(1.0, abs(quad_value)):
-        raise InternalConsistencyError(
-            f"certificate value {cert_value} disagrees with quadrature value {quad_value}"
-        )
-    report.value = quad_value
-    report.margins["certificate_vs_quadrature"] = cert_value - quad_value
+    report.margins["certificate_vs_quadrature"] = report.value - quad_value
+    _pin_value(report, quad_value, "quadrature")
     if not report.accepted:
         raise InternalConsistencyError(f"ULB certificate rejected: {report.notes}")
     return report
@@ -199,7 +215,7 @@ def improved_even_lower(
     report = _certify(
         G, n, tau, (ell, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="improved_even"
     )
-    report.margins["ulb_value"] = float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+    report.margins["ulb_value"] = _rule_value(rule, h, N)
     report.margins["ell"] = ell
     return report
 
@@ -234,11 +250,7 @@ def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) ->
     )
     if default:
         closed = N * (h.eval(0.0) * N * (N - n - 1) + n * h.eval(1.0 - N / n)) / (N - n)
-        if abs(closed - report.value) > 1e-8 * max(1.0, abs(closed)):
-            raise InternalConsistencyError(
-                f"closed form {closed} disagrees with certificate value {report.value}"
-            )
-        report.value = float(closed)
+        _pin_value(report, closed, "closed-form")
     report.margins["kappa"] = kappa
     report.margins["a0"] = a0
     return report
@@ -264,11 +276,7 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     g = Poly([hl - slope * ell, slope])
     report = _certify(g, n, 2, (ell, u), h, N, side="upper", method="upper_2design")
     closed = N * ((N - 1) * (u * hl - ell * hu) + hl - hu) / (u - ell)
-    if abs(closed - report.value) > 1e-8 * max(1.0, abs(closed)):
-        raise InternalConsistencyError(
-            f"closed form {closed} disagrees with certificate value {report.value}"
-        )
-    report.value = float(closed)
+    _pin_value(report, closed, "closed-form")
     report.margins["ell"] = ell
     report.margins["u"] = u
     return report
@@ -320,16 +328,18 @@ def upper_cubic(
 
 
 def _optimize_cubic_tangency(n, N, h, ell, u, grid_size: int = 201) -> float:
-    """Grid search for the tangency point minimizing the certified value."""
+    """Grid search for the tangency point minimizing the certified value.
+    Where the value is flat to DEB_TOL (as at N = 2n, tau = 3, u = 0), the
+    middle of the near-minimal points is taken, not one picked by round-off."""
     pad = 1e-6 * (u - ell)
-    best_a, best_v = None, math.inf
-    for a in np.linspace(ell + pad, u - pad, grid_size):
+    grid = np.linspace(ell + pad, u - pad, grid_size)
+    values = []
+    for a in grid:
         g = interpolate(HermiteScheme([(ell, 1), (float(a), 2), (u, 1)]), h)
-        exp0 = gegenbauer_expand(n, g).coeffs[0]
-        v = N * (exp0 * N - float(g(1.0)))
-        if v < best_v:
-            best_a, best_v = float(a), v
-    return best_a
+        values.append(_lp_value(N, g, gegenbauer_expand(n, g).coeffs[0]))
+    best = np.nanmin(values)
+    near = [i for i, v in enumerate(values) if _close(v, best, _tol())]
+    return float(grid[near[(len(near) - 1) // 2]])
 
 
 def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport:
@@ -344,7 +354,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
         raise RangeError(f"u must be < 1, got {u}")
     if u < alphas[-1] - 1e-12:
         raise RangeError(f"u = {u} must be at least the largest node {alphas[-1]}")
-    ulb_val = float(N * N * np.dot(rule.weights, h.eval(alphas)))
+    ulb_val = _rule_value(rule, h, N)
 
     best = None
     for j in range(k):
@@ -364,8 +374,8 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
         G = interpolate(scheme, h)
         corr = float(N * N * rule.weights[j] * (G(alphas[j]) - h.eval(alphas[j])))
         val = ulb_val + corr
-        identity = N * (gegenbauer_expand(n, G).coeffs[0] * N - float(G(1.0)))
-        if abs(identity - val) > 1e-8 * max(1.0, abs(val)):
+        identity = _lp_value(N, G, gegenbauer_expand(n, G).coeffs[0])
+        if not _close(identity, val, _tol()):
             raise InternalConsistencyError(
                 f"strip identity mismatch at j = {j}: {identity} vs {val}"
             )
@@ -378,7 +388,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
         raise ConvergenceError("no admissible released node for the strip bound")
     val, j, G = best
     report = _certify(G, n, tau, (-1.0, float(u)), h, N, side="upper", method="strip_odd")
-    report.value = float(val)
+    _pin_value(report, val, "strip")
     report.margins["ulb_value"] = ulb_val
     report.margins["released_node_index"] = j
     report.margins["strip_width"] = float(val - ulb_val)
@@ -444,7 +454,7 @@ def improve_with_degree(
         raise RangeError(f"need j >= {2 * k}, got {j}")
     qj = test_function(n, tau, N, j)
     rule = quadrature_rule(n, tau, N)
-    ulb_val = float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+    ulb_val = _rule_value(rule, h, N)
     if qj >= 0:
         report = BoundReport(
             spec=rule.spec,
@@ -490,7 +500,7 @@ def improve_with_degree(
     if report is None:
         raise ConvergenceError("shift size search failed to produce a valid certificate")
     margin = eps * N * N * abs(qj)
-    if abs((report.value - ulb_val) - margin) > 1e-8 * max(1.0, abs(ulb_val)):
+    if not _close(report.value, ulb_val + margin, _tol()):
         raise InternalConsistencyError(
             f"improvement margin mismatch: value - ulb = {report.value - ulb_val}, expected {margin}"
         )

@@ -77,15 +77,6 @@ class MarginReport:
     argmin: float
     passes: bool
 
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "interval": [self.lo, self.hi],
-            "min_margin": self.min_margin,
-            "argmin": self.argmin,
-            "passes": self.passes,
-        }
-
 
 def verify_one_sided(
     f: Poly,

@@ -123,14 +123,6 @@ class MonotonicityReport:
     min_per_order: tuple[float, ...]
     passes: bool
 
-    def to_json(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "grid_size": self.grid_size,
-            "min_per_order": list(self.min_per_order),
-            "passes_sampled_check": self.passes,
-        }
-
 
 def check_abs_monotone(p: Potential, max_order: int, grid_size: int = 2001) -> MonotonicityReport:
     """Sampled absolute-monotonicity check on [-1, 1 - 1e-6]; not a proof."""

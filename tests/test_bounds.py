@@ -7,7 +7,7 @@ from designbounds import bounds, codes, innerprod
 from designbounds.errors import RangeError
 from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_poly
-from designbounds.potentials import make_gauss, make_poly, make_riesz
+from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz
 
 R1 = make_riesz(1.0)
 R2 = make_riesz(2.0)
@@ -133,6 +133,18 @@ def test_upper_cubic_tau3_needs_u():
     assert rep.value >= 13.5 - 1e-9
     with pytest.raises(RangeError):
         bounds.upper_cubic(3, 4, 5, R2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 24])
+@pytest.mark.parametrize("h", [R2, make_log(), G1], ids=["riesz", "log", "gauss"])
+def test_upper_cubic_flat_tangency_is_deterministic(n, h):
+    # at N = 2n, tau = 3, u = 0 the certified value does not depend on the
+    # tangency point; the middle of the flat grid is taken, not a round-off pick
+    rep = bounds.upper_cubic(n, 2 * n, 3, h, u_override=0.0)
+    assert rep.margins["a0"] == -0.5
+    assert rep.accepted and rep.verify()
+    exact = codes.energy(codes.cross_polytope(n), h)
+    assert rep.value == pytest.approx(exact, rel=1e-14)
 
 
 def test_strip_odd_collapse_at_octahedron():

@@ -86,6 +86,26 @@ def test_even_range_in_unstable_zone_exits_3_not_traceback(capsys):
     assert "internal consistency failure" in err
 
 
+@pytest.mark.parametrize("n, N, tau, potential", [
+    (3, "196", 26, "riesz:s=2"),
+    (4, "1938", 33, "log"),
+    (8, "826804", 36, "riesz:s=2"),
+])
+@pytest.mark.parametrize("tol, expected", [(None, 3), ("1e-8", 0)])
+def test_ulb_value_check_uses_verify_tolerance(
+    capsys, monkeypatch, n, N, tau, potential, tol, expected
+):
+    # the ulb certificate and quadrature values differ by 1e-9..1e-8
+    # relative: the value check at creation and --verify both use DEB_TOL,
+    # so the exit code does not depend on --verify
+    if tol is not None:
+        monkeypatch.setenv("DEB_TOL", tol)
+    argv = ["bound", "--n", str(n), "--N", N, "--tau", str(tau),
+            "--potential", potential, "--side", "lower"]
+    assert run(capsys, *argv)[0] == expected
+    assert run(capsys, *argv, "--verify")[0] == expected
+
+
 @pytest.mark.parametrize("tau, N", [(33, "46773789676013700"), (37, "327025349084865200")])
 def test_quadrature_at_float_endpoint_above_2_53(capsys, tau, N):
     # N is D(60, tau + 1) or D(60, tau), but parses to a float that is not
