@@ -25,12 +25,11 @@ from .orthopoly import (
     GegExpansion,
     Poly,
     gegenbauer_derivative,
-    gegenbauer_eval,
     gegenbauer_expand,
     gegenbauer_poly,
     gegenbauer_table,
 )
-from .potentials import Potential
+from .potentials import Potential, check_abs_monotone
 
 A1_GRID = 20_001
 
@@ -327,12 +326,12 @@ def upper_cubic(
     return report
 
 
-def _optimize_cubic_tangency(n, N, h, ell, u, grid_size: int = 201) -> float:
+def _optimize_cubic_tangency(n, N, h, ell, u) -> float:
     """Grid search for the tangency point minimizing the certified value.
     Where the value is flat to DEB_TOL (as at N = 2n, tau = 3, u = 0), the
     middle of the near-minimal points is taken, not one picked by round-off."""
     pad = 1e-6 * (u - ell)
-    grid = np.linspace(ell + pad, u - pad, grid_size)
+    grid = np.linspace(ell + pad, u - pad, 201)
     values = []
     for a in grid:
         g = interpolate(HermiteScheme([(ell, 1), (float(a), 2), (u, 1)]), h)
@@ -343,8 +342,8 @@ def _optimize_cubic_tangency(n, N, h, ell, u, grid_size: int = 201) -> float:
 
 
 def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport:
-    """Upper bound for odd-strength designs with maximal inner product <= u,
-    minimized over which quadrature node is released."""
+    """Upper bound for odd-strength designs with maximal inner product <= u:
+    the lowest accepted certificate over which quadrature node is released."""
     if tau % 2 != 1:
         raise RangeError(f"strip_odd requires odd tau, got {tau}")
     rule = quadrature_rule(n, tau, N)
@@ -373,25 +372,17 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
             continue
         G = interpolate(scheme, h)
         corr = float(N * N * rule.weights[j] * (G(alphas[j]) - h.eval(alphas[j])))
-        val = ulb_val + corr
-        identity = _lp_value(N, G, gegenbauer_expand(n, G).coeffs[0])
-        if not _close(identity, val, _tol()):
-            raise InternalConsistencyError(
-                f"strip identity mismatch at j = {j}: {identity} vs {val}"
-            )
+        report = _certify(G, n, tau, (-1.0, float(u)), h, N, side="upper", method="strip_odd")
+        _pin_value(report, ulb_val + corr, "strip")
         # degenerate (merged-node) schemes can land on the wrong side of h
-        if not verify_one_sided(G, h, -1.0, float(u), "above", 4001, tol=_tol()).passes:
-            continue
-        if best is None or val < best[0]:
-            best = (val, j, G)
+        if report.accepted and (best is None or report.value < best[0].value):
+            best = (report, j)
     if best is None:
         raise ConvergenceError("no admissible released node for the strip bound")
-    val, j, G = best
-    report = _certify(G, n, tau, (-1.0, float(u)), h, N, side="upper", method="strip_odd")
-    _pin_value(report, val, "strip")
+    report, j = best
     report.margins["ulb_value"] = ulb_val
     report.margins["released_node_index"] = j
-    report.margins["strip_width"] = float(val - ulb_val)
+    report.margins["strip_width"] = float(report.value - ulb_val)
     return report
 
 
@@ -409,12 +400,9 @@ class TestFunctionTable:
 
 def test_function(n: int, tau: int, N: float, j: int) -> float:
     """Q_j: the quadrature rule applied to the degree-j Gegenbauer polynomial."""
-    if tau % 2 != 1:
-        raise RangeError(f"test functions are defined for odd tau, got {tau}")
     if j < 1:
         raise RangeError(f"need j >= 1, got {j}")
-    rule = quadrature_rule(n, tau, N)
-    return float(1.0 / N + np.dot(rule.weights, gegenbauer_eval(n, j, rule.nodes)))
+    return test_table(n, tau, N, j).q(j)
 
 
 def test_table(n: int, tau: int, N: float, j_max: int) -> TestFunctionTable:
@@ -470,8 +458,8 @@ def improve_with_degree(
         )
         return report
 
-    grid = np.linspace(-1.0, 1.0 - 1e-6, 2001)
     if eps is None:
+        grid = np.linspace(-1.0, 1.0 - 1e-6, 2001)
         eps = math.inf
         for m in range(2 * k + 1):
             pmax = float(np.max(np.abs(gegenbauer_derivative(n, j, grid, m))))
@@ -486,8 +474,7 @@ def improve_with_degree(
     report = None
     for _ in range(80):
         shifted = _shifted_potential(h, n, j, eps)
-        mins = [float(np.min(shifted.derivative(grid, m))) for m in range(2 * k + 1)]
-        if min(mins) >= 0.0:
+        if check_abs_monotone(shifted, 2 * k).passes:
             g = interpolate(HermiteScheme([(t, 2) for t in rule.nodes]), shifted)
             f = g + eps * pj_poly
             candidate = _certify(

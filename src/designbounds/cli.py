@@ -1,7 +1,8 @@
 """Command-line front end: bounds, quadratures, test-function tables, code
 energies, and parameter sweeps with JSON/CSV output.
 
-Exit codes: 0 ok, 1 usage, 2 range error, 3 internal-consistency failure.
+Outside input is validated here, once. Exit codes: 0 ok, 1 usage (a message
+names the bad input), 2 range error, 3 internal-consistency or convergence failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import io
 import sys
 
 from . import bounds, codes, innerprod, jsonio, levenshtein
-from .errors import InfeasibleRange, InternalConsistencyError, RangeError
+from .errors import ConvergenceError, InfeasibleRange, InternalConsistencyError, RangeError
 from .potentials import parse_potential
 
 EXIT_OK, EXIT_USAGE, EXIT_RANGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -28,6 +29,21 @@ class _Parser(argparse.ArgumentParser):
 def _usage(message: str):
     print(f"designbounds: error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+def _inner_product(text: str) -> float:
+    """An inner product: a finite number in [-1, 1]."""
+    x = float(text)
+    if not -1.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"not a finite number in [-1, 1]: {text!r}")
+    return x
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
 def _potential_or_usage(spec: str):
@@ -144,20 +160,16 @@ def cmd_code(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 def _sweep_points(args):
     pts = []
-    for n in _int_list(args.n):
-        for tau in _int_list(args.tau):
+    for n in args.n:
+        for tau in args.tau:
             lo = levenshtein.dgs_bound(n, tau)
             hi = levenshtein.dgs_bound(n, tau + 1)
             if args.N == "auto":
                 Ns = sorted({lo, (lo + hi) // 2, hi})
             else:
-                Ns = [int(x) for x in args.N.split(",") if lo <= int(x) <= hi]
+                Ns = [N for N in args.N if lo <= N <= hi]
             for N in Ns:
                 pts.append((n, N, tau))
     return pts
@@ -229,8 +241,8 @@ def build_parser() -> _Parser:
     b.add_argument("--tau", type=int, required=True)
     b.add_argument("--potential", required=True)
     b.add_argument("--side", choices=["lower", "upper", "strip"], default="strip")
-    b.add_argument("--u", type=float, default=None, help="largest admissible inner product")
-    b.add_argument("--l", type=float, default=None, help="smallest admissible inner product")
+    b.add_argument("--u", type=_inner_product, help="largest admissible inner product")
+    b.add_argument("--l", type=_inner_product, help="smallest admissible inner product")
     b.add_argument("--verify", action="store_true", help="re-check certificates before output")
     b.set_defaults(func=cmd_bound)
 
@@ -258,11 +270,12 @@ def build_parser() -> _Parser:
     c.set_defaults(func=cmd_code)
 
     s = sub.add_parser("sweep", help="grid sweep over (n, N, tau)")
-    s.add_argument("--n", required=True, help="comma-separated dimensions")
-    s.add_argument("--tau", required=True, help="comma-separated strengths")
-    s.add_argument("--N", default="auto", help="'auto' (endpoints+midpoint) or comma list")
+    s.add_argument("--n", type=_int_list, required=True, help="comma-separated dimensions")
+    s.add_argument("--tau", type=_int_list, required=True, help="comma-separated strengths")
+    s.add_argument("--N", type=lambda text: text if text == "auto" else _int_list(text),
+                   default="auto", help="'auto' (endpoints+midpoint) or comma list")
     s.add_argument("--potential", required=True)
-    s.add_argument("--u", type=float, default=None)
+    s.add_argument("--u", type=_inner_product)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--jobs", type=int, default=1, help="ignored; points run one after another")
     s.add_argument("--verify", action="store_true")
@@ -286,6 +299,9 @@ def main(argv=None) -> int:
         return EXIT_RANGE
     except InternalConsistencyError as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ConvergenceError as e:
+        print(f"convergence failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

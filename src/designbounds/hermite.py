@@ -3,6 +3,7 @@ one-sided verification of interpolants against potentials."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
         for i in range(n - j):
             dz = z[i + j] - z[i]
             if dz == 0.0:
-                table[i, j] = float(h.derivative(z[i], j)) / _fact(j)
+                table[i, j] = float(h.derivative(z[i], j)) / math.factorial(j)
             else:
                 table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / dz
     # expand the Newton form into the monomial basis
@@ -59,13 +60,6 @@ def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
         coeffs = npoly.polymul(coeffs, [-z[i], 1.0])
         coeffs = npoly.polyadd(coeffs, [table[0, i]])
     return Poly(coeffs)
-
-
-def _fact(j: int) -> float:
-    out = 1.0
-    for i in range(2, j + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,6 @@ class QuadratureRule:
     parity: str  # "odd" | "even"
     exactness_residuals: np.ndarray
     boundary: bool
-    condition: float
 
     def apply(self, f) -> float:
         """1/N f(1) + sum_i w_i f(node_i)."""
@@ -165,13 +164,13 @@ class QuadratureRule:
         return d
 
 
-def _solve_weights(n: int, N: float, nodes: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_weights(n: int, N: float, nodes: np.ndarray) -> np.ndarray:
     """Weights from exactness on the Gegenbauer basis P_0..P_{len-1}."""
     m = len(nodes)
     V = op.gegenbauer_table(n, m - 1, nodes)
     rhs = -1.0 / N * np.ones(m)
     rhs[0] += 1.0
-    return np.linalg.solve(V, rhs), float(np.linalg.cond(V))
+    return np.linalg.solve(V, rhs)
 
 
 def _residuals(n: int, tau: int, N: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         roots = op.kernel_zeros(lam + 1, lam + 1, k, s)
         nodes = np.concatenate(([-1.0], roots[roots != s], [s]))
         parity = "even"
-    weights, cond = _solve_weights(n, N, nodes)
+    weights = _solve_weights(n, N, nodes)
     if np.any(np.diff(nodes) <= 0):
         raise InternalConsistencyError(f"nodes not strictly increasing: {nodes}")
     wmin = weights.min()
@@ -220,7 +219,6 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         parity=parity,
         exactness_residuals=res,
         boundary=boundary,
-        condition=cond,
     )
 
 

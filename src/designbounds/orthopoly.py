@@ -14,6 +14,7 @@ its weighted mean.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -96,12 +97,14 @@ def _check_dimension(n: int) -> None:
 
 
 def _check_degree(i: int) -> None:
+    if i < 0:
+        raise RangeError(f"degree must be >= 0, got {i}")
     if i > MAX_DEGREE:
         raise RangeError(f"degree {i} exceeds cap {MAX_DEGREE}")
     if i > CONDITIONING_DEGREE:
         warnings.warn(
             f"degree {i} > {CONDITIONING_DEGREE}: double-precision conditioning degrades",
-            stacklevel=3,
+            stacklevel=2,
         )
 
 
@@ -112,37 +115,32 @@ def gegenbauer_eval(n: int, i: int, t):
 
 def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
     """P_0..P_d at t, one row per degree, from one pass of the recurrence."""
-    return np.array(_recurrence_rows(n, d, t, 0))
+    _check_dimension(n)
+    _check_degree(d)
+    return np.array(_recurrence_rows(n, d, t))
 
 
 def gegenbauer_derivative(n: int, i: int, t, order: int):
-    """Order-th derivative of P_i at t, by differentiating the recurrence."""
-    out = _recurrence_rows(n, i, t, order)[i]
+    """Order-th derivative of P_i at t. P_i' = i(i+n-2)/(n-1) P_{i-1} in
+    dimension n + 2 (d/dt C_i^lam = 2 lam C_{i-1}^{lam+1}), so the result is
+    c P_{i-order} in dimension n + 2 order, and 0 when order > i."""
+    _check_dimension(n)
+    _check_degree(i)
+    if order < 0:
+        raise RangeError(f"derivative order must be >= 0, got {order}")
+    # an order above i stops at the factor m = i, which is 0, so the result is +0
+    c = math.prod((i - m) * (i + m + n - 2) / (n + 2 * m - 1) for m in range(min(order, i + 1)))
+    out = c * _recurrence_rows(n + 2 * order, max(i - order, 0), t)[-1]
     return out if out.ndim else float(out)
 
 
-def _recurrence_rows(n: int, d: int, t, order: int) -> list:
-    """Order-th derivatives of P_0..P_d at t, one array per degree."""
-    _check_dimension(n)
-    if d < 0:
-        raise RangeError(f"degree must be >= 0, got {d}")
-    if order < 0:
-        raise RangeError(f"derivative order must be >= 0, got {order}")
-    _check_degree(d)
+def _recurrence_rows(n: int, d: int, t) -> list:
+    """P_0..P_d at t, one array per degree."""
     t = np.asarray(t, dtype=float)
-    # prev/cur hold P_deg-1 and P_deg with derivatives 0..order as deg advances
-    one, zero = np.ones_like(t), np.zeros_like(t)
-    prev = [one] + [zero] * order
-    cur = ([t, one] + [zero] * order)[: order + 1]  # P_1 = t
-    rows = [prev[order], cur[order]]
+    rows = [np.ones_like(t), t]
     for deg in range(1, d):
-        nxt = []
         a, b = 2 * deg + n - 2, deg + n - 2
-        for m in range(order + 1):
-            term = t * cur[m] + (m * cur[m - 1] if m >= 1 else 0.0)
-            nxt.append((a * term - deg * prev[m]) / b)
-        prev, cur = cur, nxt
-        rows.append(cur[order])
+        rows.append((a * (t * rows[-1]) - deg * rows[-2]) / b)
     return rows[: d + 1]
 
 

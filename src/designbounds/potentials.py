@@ -82,7 +82,10 @@ def make_gauss(c: float) -> Potential:
 
 
 def make_poly(p: Poly) -> Potential:
-    """Polynomial potential; flags negativity on [-1, 1) without rejecting."""
+    """Polynomial potential; flags negativity on [-1, 1) without rejecting.
+    Coefficients must be finite."""
+    if not all(math.isfinite(c) for c in p.coeffs):
+        raise RangeError(f"polynomial coefficients must be finite, got {list(p.coeffs)}")
     grid = np.linspace(-1.0, 1.0 - 1e-9, 2001)
     negative = bool(np.min(p(grid)) < 0)
 

@@ -141,6 +141,47 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
     assert "potential" in err
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ("bound --n 3 --N 6 --tau 3 --potential riesz:s=2 --u nan", "--u"),
+        ("bound --n 3 --N 6 --tau 3 --potential riesz:s=2 --u inf", "--u"),
+        ("bound --n 3 --N 10 --tau 4 --potential riesz:s=2 --side upper --u nan", "--u"),
+        ("bound --n 3 --N 10 --tau 4 --potential riesz:s=2 --side lower --l nan", "--l"),
+        ("bound --n 3 --N 6 --tau 3 --potential riesz:s=2 --u 1.5", "--u"),
+        ("sweep --n 3 --tau 3 --potential riesz:s=2 --u nan", "--u"),
+        ("sweep --n 3,x --tau 3 --potential riesz:s=2", "--n"),
+        ("sweep --n 3 --tau 3,y --potential riesz:s=2", "--tau"),
+        ("sweep --n 3 --tau 1 --N 5,y --potential riesz:s=2", "--N"),
+        ("sweep --n 3 --tau 1 --N 5.5 --potential riesz:s=2", "--N"),
+        ("bound --n 3 --N 6 --tau 3 --potential poly:nan --side lower", "poly:nan"),
+        ("bound --n 3 --N 6 --tau 3 --potential poly:inf,1 --side lower", "poly:inf,1"),
+    ],
+)
+def test_bad_input_exit_1_names_it(capsys, argv, names):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert names in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "n, N, tau, u",
+    [
+        (24, "20412047012175", 47, "0.8935446724486625"),
+        (8, "490314", 33, "0.9389680149268138"),
+    ],
+)
+def test_strip_without_admissible_node_exits_3(capsys, n, N, tau, u):
+    # strip_odd rejects every released-node candidate: a convergence failure
+    code, _, err = run(
+        capsys, "bound", "--n", str(n), "--N", N, "--tau", str(tau),
+        "--potential", "riesz:s=2", "--side", "upper", "--u", u,
+    )
+    assert code == 3
+    assert "convergence failure" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, _ = run(capsys, "bound", "--n", "3")
     assert code == 1

@@ -48,6 +48,28 @@ def test_gegenbauer_derivative_matches_finite_difference():
                 assert op.gegenbauer_derivative(n, i, t0, 1) == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 24])
+def test_gegenbauer_derivative_matches_monomial_derivative(n):
+    # every order up to i + 1, so an order above the degree must give 0
+    for i in range(13):
+        p = op.gegenbauer_poly(n, i)
+        for m in range(i + 2):
+            for t in (0.3, np.linspace(-1, 1, 9)):
+                want = p.deriv(m)(t)
+                got = op.gegenbauer_derivative(n, i, t, m)
+                assert np.shape(got) == np.shape(want)
+                err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                assert np.all(err <= 1e-10), (n, i, m, t)
+
+
+def test_gegenbauer_derivative_cap_is_on_requested_degree():
+    # P_61^(5) is a degree-56 polynomial, but the cap applies to degree 61
+    with pytest.raises(RangeError):
+        op.gegenbauer_derivative(3, op.MAX_DEGREE + 1, 0.3, 5)
+    with pytest.warns(UserWarning):
+        op.gegenbauer_derivative(3, op.CONDITIONING_DEGREE + 1, 0.3, 5)
+
+
 def test_gegenbauer_poly_matches_eval():
     t = np.linspace(-1, 1, 17)
     for n in (3, 4, 10):

@@ -1,0 +1,110 @@
+"""Equivalence harness: run fixed case sets through ``cli.main`` in-process
+and print one line per case, ``<argv>\\t<exit>\\t<sha1 of stdout>``.
+
+An exception that escapes ``cli.main`` is recorded as ``TB:<name>`` in the
+exit column. Two trees give the same answers on a set when their outputs
+are identical, so a refactor is checked with one ``diff``::
+
+    PYTHONPATH=src python tools/acceptance_grid.py --set grid > new.txt
+    PYTHONPATH=/path/to/other/src python tools/acceptance_grid.py --set grid > old.txt
+    diff old.txt new.txt
+
+The sets:
+
+- ``grid`` (452 cases): ``bound --side strip --verify`` over n in {3, 4, 5,
+  8, 24}, tau 1..10, N in {lo, (lo+hi)//2, hi} and the three potentials,
+  with ``--u`` 0 for odd tau and 0.5 for even tau; plus two ``sweep`` runs
+  over tau 1..8 with riesz:s=1.5, ``--verify --format json``.
+- ``zone`` (2,700 cases): ``bound --side lower --verify`` over n in {3, 4,
+  5, 8, 24, 60}, tau 11..60, N in {lo, (lo+hi)//2, hi} and the three
+  potentials.
+- ``strip`` (1,800 cases): ``bound --side upper --u u`` over n in {3, 4, 5,
+  8, 24}, odd tau 1..59, N in {lo, (lo+hi)//2}, u the largest rule node s
+  and min(s + 0.05, 0.999) (passed as ``repr(u)``), and the three
+  potentials.
+
+Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import warnings
+
+from designbounds import cli, levenshtein
+
+POTENTIALS = ("riesz:s=2", "log", "gauss:c=1")
+
+
+def _bounds(n: int, tau: int) -> tuple[int, int]:
+    return levenshtein.dgs_bound(n, tau), levenshtein.dgs_bound(n, tau + 1)
+
+
+def grid_cases():
+    for n in (3, 4, 5, 8, 24):
+        for tau in range(1, 11):
+            lo, hi = _bounds(n, tau)
+            u = "0" if tau % 2 else "0.5"
+            for N in (lo, (lo + hi) // 2, hi):
+                for pot in POTENTIALS:
+                    yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                           "--potential", pot, "--side", "strip", "--u", u, "--verify"]
+    for ns in ("3,4,5", "8,24"):
+        yield ["sweep", "--n", ns, "--tau", "1,2,3,4,5,6,7,8", "--potential", "riesz:s=1.5",
+               "--verify", "--format", "json"]
+
+
+def zone_cases():
+    for n in (3, 4, 5, 8, 24, 60):
+        for tau in range(11, 61):
+            lo, hi = _bounds(n, tau)
+            for N in (lo, (lo + hi) // 2, hi):
+                for pot in POTENTIALS:
+                    yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                           "--potential", pot, "--side", "lower", "--verify"]
+
+
+def strip_cases():
+    for n in (3, 4, 5, 8, 24):
+        for tau in range(1, 60, 2):
+            lo, hi = _bounds(n, tau)
+            for N in (lo, (lo + hi) // 2):
+                s = levenshtein.solve_cardinality(n, tau, N)
+                for u in (s, min(s + 0.05, 0.999)):
+                    for pot in POTENTIALS:
+                        yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                               "--potential", pot, "--side", "upper", "--u", repr(u)]
+
+
+SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases}
+
+
+def run_case(argv: list[str]) -> tuple[str, str]:
+    """Exit code (or TB:<exception name>) and the SHA-1 of stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = str(cli.main(argv))
+        except Exception as e:  # noqa: BLE001 - every escape is a finding
+            code = f"TB:{type(e).__name__}"
+    return code, hashlib.sha1(out.getvalue().encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--set", choices=sorted(SETS), required=True)
+    args = p.parse_args(argv)
+    for case in SETS[args.set]():
+        code, digest = run_case(case)
+        print(f"{' '.join(case)}\t{code}\t{digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
