@@ -365,7 +365,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
                 mults[float(a)] = 2
         for t in (-1.0, float(u)):
             if not any(abs(t - x) < 1e-12 for x in mults):
-                mults[t] = max(mults.get(t, 0), 1)
+                mults[t] = 1
         try:
             scheme = HermiteScheme(sorted(mults.items()))
         except RangeError:
@@ -459,14 +459,14 @@ def improve_with_degree(
         return report
 
     if eps is None:
+        # the shift keeps h^(m) - eps P_j^(m) >= 0; that binds only where P_j^(m) > 0
         grid = np.linspace(-1.0, 1.0 - 1e-6, 2001)
         eps = math.inf
         for m in range(2 * k + 1):
-            pmax = float(np.max(np.abs(gegenbauer_derivative(n, j, grid, m))))
-            if pmax == 0.0:
-                continue
-            hmin = float(np.min(h.derivative(grid, m)))
-            eps = min(eps, hmin / pmax)
+            pj = gegenbauer_derivative(n, j, grid, m)
+            up = pj > 0
+            if up.any():
+                eps = min(eps, float(np.min(h.derivative(grid, m)[up] / pj[up])))
         if not (math.isfinite(eps) and eps > 0):
             raise ConvergenceError("could not find a positive shift size")
 

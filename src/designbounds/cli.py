@@ -89,14 +89,28 @@ def _upper_reports(n, N, tau, h, u_override=None):
     return out
 
 
-def _side_json(reports, pick):
+def _best(reports, pick):
+    """The accepted report that pick (max or min) chooses by value, or None."""
     accepted = [r for r in reports if r.accepted]
-    best = pick(accepted, key=lambda r: r.value) if accepted else None
+    return pick(accepted, key=lambda r: r.value) if accepted else None
+
+
+def _side_json(reports, pick):
+    best = _best(reports, pick)
     return {
         "best_value": best.value if best else None,
         "best_method": best.method if best else None,
         "methods": [r.to_json() for r in reports],
     }
+
+
+def _verify(reports):
+    for r in reports:
+        if r.accepted and not r.verify():
+            raise InternalConsistencyError(
+                f"certificate re-verification failed for method {r.method} at"
+                f" (n={r.spec.n}, N={r.spec.N}, tau={r.spec.tau})"
+            )
 
 
 def cmd_bound(args) -> int:
@@ -115,11 +129,7 @@ def cmd_bound(args) -> int:
             )
         result["upper"] = _side_json(uppers, min)
     if args.verify:
-        for r in lowers + uppers:
-            if r.accepted and not r.verify():
-                raise InternalConsistencyError(
-                    f"certificate re-verification failed for method {r.method}"
-                )
+        _verify(lowers + uppers)
     print(jsonio.dumps(result))
     return EXIT_OK
 
@@ -179,23 +189,20 @@ def _sweep_one(point, h, u):
     n, N, tau = point
     row = {"n": n, "N": N, "tau": tau}
     try:
-        rule = levenshtein.quadrature_rule(n, tau, N)
-        row["s"] = rule.s
-        lowers = [r for r in _lower_reports(n, N, tau, h) if r.accepted]
-        uppers = [r for r in _upper_reports(n, N, tau, h, u) if r.accepted]
-        if lowers:
-            best = max(lowers, key=lambda r: r.value)
-            row["lower_best"] = best.value
-            row["lower_method"] = best.method
-            row["lower_margin"] = best.margins.get("sign_margin")
-        if uppers:
-            best = min(uppers, key=lambda r: r.value)
-            row["upper_best"] = best.value
-            row["upper_method"] = best.method
-            row["upper_margin"] = best.margins.get("sign_margin")
-        row["reports"] = lowers + uppers
+        lowers = _lower_reports(n, N, tau, h)
+        uppers = _upper_reports(n, N, tau, h, u)
     except (RangeError, InfeasibleRange) as e:
         row["error"] = str(e)
+        return row
+    # the reports built this point's rule, so its s solves without error
+    row["s"] = levenshtein.solve_cardinality(n, tau, N)
+    for side, reports, pick in (("lower", lowers, max), ("upper", uppers, min)):
+        best = _best(reports, pick)
+        if best is not None:
+            row[f"{side}_best"] = best.value
+            row[f"{side}_method"] = best.method
+            row[f"{side}_margin"] = best.margins.get("sign_margin")
+    row["reports"] = lowers + uppers
     return row
 
 
@@ -205,15 +212,9 @@ def cmd_sweep(args) -> int:
     if not points:
         _usage("empty sweep grid")
     rows = [_sweep_one(p, h, args.u) for p in points]
+    reports = [r for row in rows for r in row.pop("reports", [])]
     if args.verify:
-        for row in rows:
-            for r in row.get("reports", []):
-                if r.accepted and not r.verify():
-                    raise InternalConsistencyError(
-                        f"re-verification failed at (n={row['n']}, N={row['N']}, tau={row['tau']})"
-                    )
-    for row in rows:
-        row.pop("reports", None)
+        _verify(reports)
     if args.format == "json":
         print(jsonio.dumps(rows))
         return EXIT_OK

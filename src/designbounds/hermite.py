@@ -64,9 +64,6 @@ def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
 
 @dataclass(frozen=True)
 class MarginReport:
-    relation: str  # "below" | "above"
-    lo: float
-    hi: float
     min_margin: float
     argmin: float
     passes: bool
@@ -94,9 +91,7 @@ def verify_one_sided(
     j = int(np.argmin(fdiff))
     m = min(float(diff[i]), float(fdiff[j]))
     arg = float(fine[j]) if fdiff[j] <= diff[i] else float(grid[i])
-    return MarginReport(
-        relation=relation, lo=lo, hi=hi, min_margin=m, argmin=arg, passes=m >= -tol
-    )
+    return MarginReport(min_margin=m, argmin=arg, passes=m >= -tol)
 
 
 def _gap(f: Poly, h: Potential, t: np.ndarray, relation: str) -> np.ndarray:

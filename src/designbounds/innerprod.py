@@ -80,9 +80,6 @@ class InnerProductRange:
     lo_source: str
     hi_source: str
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "lo_source": self.lo_source, "hi_source": self.hi_source}
-
 
 def best_range(
     n: int,

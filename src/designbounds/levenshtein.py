@@ -164,22 +164,6 @@ class QuadratureRule:
         return d
 
 
-def _solve_weights(n: int, N: float, nodes: np.ndarray) -> np.ndarray:
-    """Weights from exactness on the Gegenbauer basis P_0..P_{len-1}."""
-    m = len(nodes)
-    V = op.gegenbauer_table(n, m - 1, nodes)
-    rhs = -1.0 / N * np.ones(m)
-    rhs[0] += 1.0
-    return np.linalg.solve(V, rhs)
-
-
-def _residuals(n: int, tau: int, N: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """1/N + sum_i w_i P_j(node_i) - delta_j0 for j = 0..tau."""
-    res = 1.0 / N + op.gegenbauer_table(n, tau, nodes) @ weights
-    res[0] -= 1.0
-    return res
-
-
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     """Levenshtein quadrature for the (n, tau, N) triple, exact to degree tau."""
     if N <= 1:
@@ -200,13 +184,19 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         roots = op.kernel_zeros(lam + 1, lam + 1, k, s)
         nodes = np.concatenate(([-1.0], roots[roots != s], [s]))
         parity = "even"
-    weights = _solve_weights(n, N, nodes)
+    # P_0..P_tau at the nodes: the weights make the first len(nodes) rows
+    # exact, and every row gives an exactness residual
+    table = op.gegenbauer_table(n, tau, nodes)
+    rhs = -1.0 / N * np.ones(len(nodes))
+    rhs[0] += 1.0
+    weights = np.linalg.solve(table[: len(nodes)], rhs)
     if np.any(np.diff(nodes) <= 0):
         raise InternalConsistencyError(f"nodes not strictly increasing: {nodes}")
     wmin = weights.min()
     if wmin <= 0 and not (boundary and wmin > -1e-12):
         raise InternalConsistencyError(f"nonpositive quadrature weight: {weights}")
-    res = _residuals(n, tau, N, nodes, weights)
+    res = 1.0 / N + table @ weights
+    res[0] -= 1.0
     if np.max(np.abs(res)) > _tol():
         raise InternalConsistencyError(
             f"exactness check failed for (n={n}, tau={tau}, N={N}): residuals {res}"

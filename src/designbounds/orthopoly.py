@@ -233,7 +233,6 @@ def weight_moment(n: int, j: int) -> float:
 class WeightRule:
     """Gauss rule for the normalized weight (1-t^2)^((n-3)/2); mass 1."""
 
-    n: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -252,7 +251,7 @@ def weight_rule(n: int, m: int) -> WeightRule:
     lam = (n - 3) / 2.0
     a, b = _jacobi_recurrence(lam, lam, m)
     nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
-    return WeightRule(n=n, nodes=nodes, weights=vecs[0] ** 2)
+    return WeightRule(nodes=nodes, weights=vecs[0] ** 2)
 
 
 @dataclass(frozen=True)

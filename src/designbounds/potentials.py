@@ -121,8 +121,6 @@ def parse_potential(spec: str) -> Potential:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    max_order: int
-    grid_size: int
     min_per_order: tuple[float, ...]
     passes: bool
 
@@ -131,9 +129,4 @@ def check_abs_monotone(p: Potential, max_order: int, grid_size: int = 2001) -> M
     """Sampled absolute-monotonicity check on [-1, 1 - 1e-6]; not a proof."""
     grid = np.linspace(-1.0, 1.0 - 1e-6, grid_size)
     mins = tuple(float(np.min(p.derivative(grid, m))) for m in range(max_order + 1))
-    return MonotonicityReport(
-        max_order=max_order,
-        grid_size=grid_size,
-        min_per_order=mins,
-        passes=all(m >= 0.0 for m in mins),
-    )
+    return MonotonicityReport(min_per_order=mins, passes=all(m >= 0.0 for m in mins))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from designbounds import bounds, codes, innerprod
-from designbounds.errors import RangeError
+from designbounds.errors import ConvergenceError, RangeError
 from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_poly
 from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz
@@ -213,6 +213,21 @@ def test_improve_with_degree_small_case():
     assert rep.value >= ulb_val
     expect = rep.margins["eps"] * N * N * abs(qj)
     assert rep.value - ulb_val == pytest.approx(expect, abs=1e-8 * max(1.0, abs(ulb_val)))
+
+
+def test_improve_with_degree_log_finds_positive_shift():
+    # h(-1) = 0 for log; the shift binds only where P_j^(m) > 0, and P_9 is
+    # odd, so a positive shift exists
+    rep = bounds.improve_with_degree(5, 40, 5, make_log(), 9)
+    assert rep.accepted
+    assert rep.verify()
+    assert rep.margins["eps"] > 0
+
+
+def test_improve_with_degree_log_even_j_has_no_shift():
+    # P_6(-1) = 1 and h(-1) = 0 leave no positive shift
+    with pytest.raises(ConvergenceError):
+        bounds.improve_with_degree(3, 7.5, 3, make_log(), 6)
 
 
 def test_strip2_asym_forms():

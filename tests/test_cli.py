@@ -236,6 +236,42 @@ def test_sweep_json_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "ns, taus, points, errors",
+    [("3,4", "2,3,4,5", 24, 0), ("3", "61", 3, 3)],  # tau = 61 exceeds MAX_K
+)
+def test_sweep_rows_agree_with_bound_and_quadrature(capsys, ns, taus, points, errors):
+    code, out, _ = run(
+        capsys, "sweep", "--n", ns, "--tau", taus, "--N", "auto",
+        "--potential", "riesz:s=2", "--u", "0.5", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == points
+    assert sum("error" in row for row in rows) == errors
+    for row in rows:
+        spec = ["--n", str(row["n"]), "--N", str(row["N"]), "--tau", str(row["tau"])]
+        code, out, err = run(
+            capsys, "bound", *spec, "--potential", "riesz:s=2", "--side", "strip", "--u", "0.5"
+        )
+        if "error" in row:
+            assert code == 2
+            assert err == f"range error: {row['error']}\n"
+            continue
+        assert code == 0
+        d = json.loads(out)
+        for side in ("lower", "upper"):
+            best = d[side]
+            assert row.get(f"{side}_best") == best["best_value"]
+            assert row.get(f"{side}_method") == best["best_method"]
+            margins = [m["margins"]["sign_margin"] for m in best["methods"]
+                       if m["accepted"] and m["method"] == best["best_method"]]
+            assert row.get(f"{side}_margin") == (margins[0] if margins else None)
+        code, out, _ = run(capsys, "quadrature", *spec)
+        assert code == 0
+        assert row["s"] == json.loads(out)["s"]
+
+
 def test_bound_json_deterministic(capsys):
     args = [
         "bound", "--n", "4", "--N", "10", "--tau", "3",

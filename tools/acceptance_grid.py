@@ -22,6 +22,14 @@ The sets:
   8, 24}, odd tau 1..59, N in {lo, (lo+hi)//2}, u the largest rule node s
   and min(s + 0.05, 0.999) (passed as ``repr(u)``), and the three
   potentials.
+- ``sweep`` (96 cases): ``sweep --verify`` over four ``--n``/``--tau``
+  groups (3,4,5 with tau 1..10,61,62; 8,24 with tau 1..8; 60,200 with tau
+  2,3,13,17; 2,3 with tau 1,2,3), each with no extra option, ``--u 0``,
+  ``--u 0.5`` and ``--N 4,5,6,7,10,14,20,50``, in csv and json, and the
+  three potentials.
+- ``rules`` (1,620 cases): ``quadrature`` over n in {3, 4, 5, 8, 24, 60},
+  tau 1..60 and N in {lo, (lo+hi)//2, hi}, plus ``testfn --jmax
+  min(tau+9, 60)`` at odd tau.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -80,7 +88,37 @@ def strip_cases():
                                "--potential", pot, "--side", "upper", "--u", repr(u)]
 
 
-SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases}
+SWEEP_GROUPS = (
+    ("3,4,5", "1,2,3,4,5,6,7,8,9,10,61,62"),
+    ("8,24", "1,2,3,4,5,6,7,8"),
+    ("60,200", "2,3,13,17"),
+    ("2,3", "1,2,3"),
+)
+SWEEP_OPTIONS = ([], ["--u", "0"], ["--u", "0.5"], ["--N", "4,5,6,7,10,14,20,50"])
+
+
+def sweep_cases():
+    for ns, taus in SWEEP_GROUPS:
+        for extra in SWEEP_OPTIONS:
+            for fmt in ("csv", "json"):
+                for pot in POTENTIALS:
+                    yield ["sweep", "--n", ns, "--tau", taus, *extra, "--potential", pot,
+                           "--format", fmt, "--verify"]
+
+
+def rules_cases():
+    for n in (3, 4, 5, 8, 24, 60):
+        for tau in range(1, 61):
+            lo, hi = _bounds(n, tau)
+            for N in (lo, (lo + hi) // 2, hi):
+                spec = ["--n", str(n), "--tau", str(tau), "--N", str(N)]
+                yield ["quadrature", *spec]
+                if tau % 2:
+                    yield ["testfn", *spec, "--jmax", str(min(tau + 9, 60))]
+
+
+SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
+        "sweep": sweep_cases, "rules": rules_cases}
 
 
 def run_case(argv: list[str]) -> tuple[str, str]:
