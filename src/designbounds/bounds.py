@@ -29,7 +29,7 @@ from .orthopoly import (
     gegenbauer_poly,
     gegenbauer_table,
 )
-from .potentials import Potential, check_abs_monotone
+from .potentials import MONOTONE_GRID, Potential, check_abs_monotone
 
 A1_GRID = 20_001
 
@@ -234,8 +234,9 @@ def a0_lower_quadratic(n: int, N: float, kappa: float) -> float:
 
 def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) -> BoundReport:
     """Closed-form lower bound for 2-designs via a quadratic certificate."""
-    if not (n + 1 <= N <= 2 * n):
-        raise RangeError(f"N = {N} outside [{n + 1}, {2 * n}] for 2-designs on S^{n - 1}")
+    lo, hi = dgs_bound(n, 2), dgs_bound(n, 3)
+    if not (lo <= N <= hi):
+        raise RangeError(f"N = {N} outside [{lo}, {hi}] for 2-designs on S^{n - 1}")
     default = kappa is None
     if default:
         kappa = 1.0 - N / n
@@ -258,8 +259,9 @@ def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) ->
 def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     """Chord upper bound for 2-designs over the admissible inner-product
     range; collapses to the simplex/Mimura energy when the range is a point."""
-    if not (n + 1 <= N < 2 * n):
-        raise RangeError(f"N = {N} outside [{n + 1}, {2 * n}) for 2-design upper bounds")
+    lo, hi = dgs_bound(n, 2), dgs_bound(n, 3)
+    if not (lo <= N < hi):
+        raise RangeError(f"N = {N} outside [{lo}, {hi}) for 2-design upper bounds")
     ell = innerprod.l_bound(n, N, 2)
     u = innerprod.u_bound(n, N, 2)
     if abs(u - ell) < 1e-12:
@@ -293,21 +295,18 @@ def upper_cubic(
     n: int, N: float, tau: int, h: Potential, u_override: float | None = None
 ) -> BoundReport:
     """Cubic-interpolant upper bound for 3- and 4-designs."""
+    if tau not in (3, 4):
+        raise RangeError(f"upper_cubic supports tau in (3, 4), got {tau}")
+    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
+    if not (lo <= N < hi):
+        raise RangeError(f"N = {N} outside [{lo}, {hi}) for tau = {tau}")
     if tau == 4:
-        lo, hi = n * (n + 3) // 2, n * n + n
-        if not (lo <= N < hi):
-            raise RangeError(f"N = {N} outside [{lo}, {hi}) for tau = 4")
         ell = innerprod.l_bound(n, N, 4)
         u = innerprod.u_bound(n, N, 4) if u_override is None else float(u_override)
-    elif tau == 3:
-        lo, hi = 2 * n, n * (n + 3) // 2
-        if not (lo <= N < hi):
-            raise RangeError(f"N = {N} outside [{lo}, {hi}) for tau = 3")
-        if u_override is None:
-            raise RangeError("tau = 3 requires a caller-supplied upper inner-product bound u")
-        ell, u = -1.0, float(u_override)
+    elif u_override is None:
+        raise RangeError("tau = 3 requires a caller-supplied upper inner-product bound u")
     else:
-        raise RangeError(f"upper_cubic supports tau in (3, 4), got {tau}")
+        ell, u = -1.0, float(u_override)
 
     a0 = a0_upper_cubic(n, N, ell, u)
     fallback = not (math.isfinite(a0) and ell < a0 < u)
@@ -347,7 +346,6 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
     if tau % 2 != 1:
         raise RangeError(f"strip_odd requires odd tau, got {tau}")
     rule = quadrature_rule(n, tau, N)
-    k = rule.spec.k
     alphas = rule.nodes
     if u >= 1.0:
         raise RangeError(f"u must be < 1, got {u}")
@@ -356,7 +354,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
     ulb_val = _rule_value(rule, h, N)
 
     best = None
-    for j in range(k):
+    for j in range(len(alphas)):
         # double nodes except the released alpha_j; -1 and u enter simply
         # unless they coincide with a kept double node
         mults: dict[float, int] = {}
@@ -430,9 +428,7 @@ def _shifted_potential(h: Potential, n: int, j: int, eps: float) -> Potential:
     return Potential(name=f"{h.name}-shifted", params=dict(h.params), _derivative=deriv)
 
 
-def improve_with_degree(
-    n: int, N: float, tau: int, h: Potential, j: int, eps: float | None = None
-) -> BoundReport:
+def improve_with_degree(n: int, N: float, tau: int, h: Potential, j: int) -> BoundReport:
     """Raise the certificate degree to j when Q_j < 0; the bound improves by
     exactly eps * N^2 * |Q_j|."""
     if tau % 2 != 1:
@@ -458,24 +454,23 @@ def improve_with_degree(
         )
         return report
 
-    if eps is None:
-        # the shift keeps h^(m) - eps P_j^(m) >= 0; that binds only where P_j^(m) > 0
-        grid = np.linspace(-1.0, 1.0 - 1e-6, 2001)
-        eps = math.inf
-        for m in range(2 * k + 1):
-            pj = gegenbauer_derivative(n, j, grid, m)
-            up = pj > 0
-            if up.any():
-                eps = min(eps, float(np.min(h.derivative(grid, m)[up] / pj[up])))
-        if not (math.isfinite(eps) and eps > 0):
-            raise ConvergenceError("could not find a positive shift size")
+    # the shift keeps h^(m) - eps P_j^(m) >= 0 on the monotonicity grid;
+    # that binds only where P_j^(m) > 0
+    eps = math.inf
+    for m in range(2 * k + 1):
+        pj = gegenbauer_derivative(n, j, MONOTONE_GRID, m)
+        up = pj > 0
+        if up.any():
+            eps = min(eps, float(np.min(h.derivative(MONOTONE_GRID, m)[up] / pj[up])))
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConvergenceError("could not find a positive shift size")
 
     pj_poly = gegenbauer_poly(n, j)
     report = None
     for _ in range(80):
         shifted = _shifted_potential(h, n, j, eps)
         if check_abs_monotone(shifted, 2 * k).passes:
-            g = interpolate(HermiteScheme([(t, 2) for t in rule.nodes]), shifted)
+            g = interpolate(_ulb_scheme(rule), shifted)
             f = g + eps * pj_poly
             candidate = _certify(
                 f, n, tau, (-1.0, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="improve_with_degree"

@@ -3,6 +3,8 @@ energies, and parameter sweeps with JSON/CSV output.
 
 Outside input is validated here, once. Exit codes: 0 ok, 1 usage (a message
 names the bad input), 2 range error, 3 internal-consistency or convergence failure.
+A sweep prints every row, and a point that fails gets an error row; the sweep
+exits 3 if any point failed internally, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import csv
 import io
 import sys
 
-from . import bounds, codes, innerprod, jsonio, levenshtein
-from .errors import ConvergenceError, InfeasibleRange, InternalConsistencyError, RangeError
+from . import bounds, codes, jsonio, levenshtein
+from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .potentials import parse_potential
 
 EXIT_OK, EXIT_USAGE, EXIT_RANGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -64,7 +66,7 @@ def _lower_reports(n, N, tau, h, l_override=None):
     if tau % 2 == 0 and tau >= 2:
         try:
             out.append(bounds.improved_even_lower(n, N, tau // 2, h, ell=l_override))
-        except (RangeError, InfeasibleRange):
+        except RangeError:
             pass
     return out
 
@@ -191,8 +193,9 @@ def _sweep_one(point, h, u):
     try:
         lowers = _lower_reports(n, N, tau, h)
         uppers = _upper_reports(n, N, tau, h, u)
-    except (RangeError, InfeasibleRange) as e:
+    except (RangeError, InternalConsistencyError, ConvergenceError) as e:
         row["error"] = str(e)
+        row["failed"] = not isinstance(e, RangeError)
         return row
     # the reports built this point's rule, so its s solves without error
     row["s"] = levenshtein.solve_cardinality(n, tau, N)
@@ -213,11 +216,16 @@ def cmd_sweep(args) -> int:
         _usage("empty sweep grid")
     rows = [_sweep_one(p, h, args.u) for p in points]
     reports = [r for row in rows for r in row.pop("reports", [])]
+    failed = sum(row.pop("failed", False) for row in rows)
     if args.verify:
         _verify(reports)
+    if failed:
+        print(f"internal failure at {failed} of {len(rows)} sweep points; see their error rows",
+              file=sys.stderr)
+    exit_code = EXIT_INTERNAL if failed else EXIT_OK
     if args.format == "json":
         print(jsonio.dumps(rows))
-        return EXIT_OK
+        return exit_code
     cols = [
         "n", "N", "tau", "s",
         "lower_best", "lower_method", "lower_margin",
@@ -229,7 +237,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow({c: row.get(c, "") for c in cols})
     sys.stdout.write(buf.getvalue())
-    return EXIT_OK
+    return exit_code
 
 
 def build_parser() -> _Parser:
@@ -295,7 +303,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (RangeError, InfeasibleRange) as e:
+    except RangeError as e:
         print(f"range error: {e}", file=sys.stderr)
         return EXIT_RANGE
     except InternalConsistencyError as e:

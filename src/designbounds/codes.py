@@ -154,9 +154,9 @@ def strength(dist: InnerProductDistribution, max_tau: int) -> int:
     return tau
 
 
-def distribution_from_points(points, decimals: int = 10) -> InnerProductDistribution:
+def distribution_from_points(points) -> InnerProductDistribution:
     """Distribution of an explicit unit-norm point set (rows of an array);
-    inner products are grouped after rounding to the given decimals."""
+    inner products are grouped after rounding to 10 decimals."""
     pts = np.asarray(points, dtype=float)
     norms = np.linalg.norm(pts, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
@@ -168,6 +168,6 @@ def distribution_from_points(points, decimals: int = 10) -> InnerProductDistribu
         for j in range(N):
             if i == j:
                 continue
-            t = round(float(np.clip(gram[i, j], -1.0, 1.0 - 1e-15)), decimals)
+            t = round(float(np.clip(gram[i, j], -1.0, 1.0 - 1e-15)), 10)
             vals[t] = vals.get(t, 0) + 1
     return InnerProductDistribution(n=pts.shape[1], N=N, entries=tuple(sorted(vals.items())))

@@ -17,18 +17,6 @@ class InternalConsistencyError(DesignBoundsError):
     """A constructed object failed its own validation check."""
 
 
-class InfeasibleRange(DesignBoundsError):
-    """Inner-product constraints have empty intersection.
-
-    Carries the conflicting endpoints; useful as a nonexistence proof for
-    the requested parameters.
-    """
-
-    def __init__(self, lo, hi, lo_source, hi_source):
-        self.lo = lo
-        self.hi = hi
-        self.lo_source = lo_source
-        self.hi_source = hi_source
-        super().__init__(
-            f"empty inner-product range: lo={lo} ({lo_source}) > hi={hi} ({hi_source})"
-        )
+class InfeasibleRange(RangeError):
+    """Inner-product constraints have empty intersection; the message names
+    the conflicting endpoints and their sources."""

@@ -3,7 +3,6 @@ one-sided verification of interpolants against potentials."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,15 @@ def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
         z.extend([t] * m)
     z = np.asarray(z)
     n = len(z)
-    # divided-difference table; equal abscissae take the derivative value
+    # divided-difference table; multiplicities are at most 2, so equal
+    # abscissae meet only at j = 1, where they take h'
     table = np.zeros((n, n))
     table[:, 0] = h.eval(z)
     for j in range(1, n):
         for i in range(n - j):
             dz = z[i + j] - z[i]
             if dz == 0.0:
-                table[i, j] = float(h.derivative(z[i], j)) / math.factorial(j)
+                table[i, j] = float(h.derivative(z[i], 1))
             else:
                 table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / dz
     # expand the Newton form into the monomial basis

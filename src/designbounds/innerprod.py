@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InfeasibleRange, RangeError
@@ -15,36 +14,32 @@ from .orthopoly import poly_from_roots
 OPEN_UPPER_EPS = 1e-9
 
 
-def u_bound(n: int, N: float, tau: int) -> float:
-    """Largest admissible inner product for 2- and 4-designs."""
+def _check_closed_form(name: str, n: int, N: float, tau: int, closed: bool) -> None:
+    """The closed forms hold for n >= 3, tau in (2, 4) and D(n, tau) <= N <=
+    D(n, tau + 1), the upper end excluded unless closed."""
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
+    if tau not in (2, 4):
+        raise RangeError(f"{name} supports tau in (2, 4), got {tau}")
+    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
+    if not (lo <= N < hi or (closed and N == hi)):
+        raise RangeError(f"N = {N} outside [{lo}, {hi}{']' if closed else ')'} for tau = {tau}")
+
+
+def u_bound(n: int, N: float, tau: int) -> float:
+    """Largest admissible inner product for 2- and 4-designs."""
+    _check_closed_form("u_bound", n, N, tau, closed=True)
     if tau == 2:
-        if not (n + 1 <= N <= 2 * n):
-            raise RangeError(f"N = {N} outside [{n + 1}, {2 * n}] for tau = 2")
         return (N - 2) / n - 1.0
-    if tau == 4:
-        lo, hi = n * (n + 3) // 2, n * (n + 1)
-        if not (lo <= N <= hi):
-            raise RangeError(f"N = {N} outside [{lo}, {hi}] for tau = 4")
-        return 2.0 * (3.0 + math.sqrt((n - 1) * ((n + 2) * N - 3 * (n + 3)))) / (n * (n + 2)) - 1.0
-    raise RangeError(f"u_bound supports tau in (2, 4), got {tau}")
+    return 2.0 * (3.0 + math.sqrt((n - 1) * ((n + 2) * N - 3 * (n + 3)))) / (n * (n + 2)) - 1.0
 
 
 def l_bound(n: int, N: float, tau: int) -> float:
     """Smallest admissible inner product for 2- and 4-designs."""
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_closed_form("l_bound", n, N, tau, closed=False)
     if tau == 2:
-        if not (n + 1 <= N < 2 * n):
-            raise RangeError(f"N = {N} outside [{n + 1}, {2 * n}) for tau = 2")
         return 1.0 - N / n
-    if tau == 4:
-        lo, hi = n * (n + 3) // 2, n * (n + 1)
-        if not (lo <= N < hi):
-            raise RangeError(f"N = {N} outside [{lo}, {hi}) for tau = 4")
-        return 1.0 - (2.0 / n) * (1.0 + math.sqrt((n - 1) * (N - 2) / (n + 2)))
-    raise RangeError(f"l_bound supports tau in (2, 4), got {tau}")
+    return 1.0 - (2.0 / n) * (1.0 + math.sqrt((n - 1) * (N - 2) / (n + 2)))
 
 
 def even_range(n: int, N: float, k: int) -> tuple[float, float]:
@@ -119,5 +114,5 @@ def best_range(
     if user_u is not None and user_u < hi:
         hi, hi_src = float(user_u), "user"
     if lo > hi:
-        raise InfeasibleRange(lo, hi, lo_src, hi_src)
+        raise InfeasibleRange(f"empty inner-product range: lo={lo} ({lo_src}) > hi={hi} ({hi_src})")
     return InnerProductRange(lo=lo, hi=hi, lo_source=lo_src, hi_source=hi_src)

@@ -49,6 +49,4 @@ def dumps(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {dumps(v, indent + 2)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if hasattr(obj, "to_json"):
-        return dumps(obj.to_json(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

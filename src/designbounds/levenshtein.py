@@ -71,25 +71,6 @@ def lev_bound_m(n: int, m: int, s: float) -> float:
     )
 
 
-def branch_of(n: int, s: float) -> int:
-    """Branch index m with s in the m-th interval."""
-    if s >= 1:
-        raise RangeError(f"s must be < 1, got {s}")
-    m = 1
-    while True:
-        lo, hi = interval(n, m)
-        if s <= hi + 1e-14:
-            return m
-        m += 1
-        if (m + 1) // 2 > op.MAX_DEGREE:
-            raise RangeError(f"s = {s} beyond supported branch range")
-
-
-def lev_bound(n: int, s: float) -> float:
-    """Piecewise Levenshtein bound L(n, s); continuous in s."""
-    return lev_bound_m(n, branch_of(n, s), s)
-
-
 def solve_cardinality(n: int, tau: int, N: float) -> float:
     """Unique s on the tau-th interval with L_tau(n, s) = N."""
     lo_card, hi_card = dgs_bound(n, tau), dgs_bound(n, tau + 1)
@@ -126,10 +107,6 @@ class DesignSpec:
     n: int
     tau: int
     N: float
-
-    @property
-    def k(self) -> int:
-        return (self.tau + 1) // 2
 
     def to_json(self) -> dict:
         N = self.N

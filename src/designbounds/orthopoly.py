@@ -37,7 +37,9 @@ class Poly:
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        c = npoly.polytrim(c, tol=0.0)
+        # trim trailing exact zeros only; NaN and inf stay, so validation sees them
+        nonzero = np.flatnonzero(c != 0.0)
+        c = c[: nonzero[-1] + 1] if nonzero.size else c[:1]
         object.__setattr__(self, "coeffs", tuple(float(x) for x in c))
 
     @property
@@ -78,17 +80,8 @@ class Poly:
 
 
 def poly_from_roots(roots) -> Poly:
-    """Monic polynomial from (root, multiplicity) pairs or a flat root list."""
-    flat = []
-    for r in roots:
-        if np.isscalar(r):
-            flat.append(float(r))
-        else:
-            t, mult = r
-            flat.extend([float(t)] * int(mult))
-    if not flat:
-        return Poly([1.0])
-    return Poly(npoly.polyfromroots(flat))
+    """Monic polynomial from (root, multiplicity) pairs."""
+    return Poly(npoly.polyfromroots([float(t) for t, mult in roots for _ in range(int(mult))]))
 
 
 def _check_dimension(n: int) -> None:

@@ -19,6 +19,10 @@ from .orthopoly import Poly
 # N(N-1)*log(2), reported via the potential's params
 LOG_OFFSET = math.log(2.0)
 
+# the sample points of the absolute-monotonicity check
+MONOTONE_GRID = np.linspace(-1.0, 1.0 - 1e-6, 2001)
+MONOTONE_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -35,9 +39,6 @@ class Potential:
         if order < 0:
             raise RangeError(f"derivative order must be >= 0, got {order}")
         return self._derivative(np.asarray(t, dtype=float), order)
-
-    def __call__(self, t):
-        return self.eval(t)
 
     def spec_string(self) -> str:
         if not self.params:
@@ -125,8 +126,7 @@ class MonotonicityReport:
     passes: bool
 
 
-def check_abs_monotone(p: Potential, max_order: int, grid_size: int = 2001) -> MonotonicityReport:
-    """Sampled absolute-monotonicity check on [-1, 1 - 1e-6]; not a proof."""
-    grid = np.linspace(-1.0, 1.0 - 1e-6, grid_size)
-    mins = tuple(float(np.min(p.derivative(grid, m))) for m in range(max_order + 1))
+def check_abs_monotone(p: Potential, max_order: int) -> MonotonicityReport:
+    """Sampled absolute-monotonicity check on MONOTONE_GRID; not a proof."""
+    mins = tuple(float(np.min(p.derivative(MONOTONE_GRID, m))) for m in range(max_order + 1))
     return MonotonicityReport(min_per_order=mins, passes=all(m >= 0.0 for m in mins))

@@ -156,6 +156,7 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
         ("sweep --n 3 --tau 1 --N 5.5 --potential riesz:s=2", "--N"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:nan --side lower", "poly:nan"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:inf,1 --side lower", "poly:inf,1"),
+        ("bound --n 3 --N 5 --tau 2 --potential poly:1,nan", "poly:1,nan"),
     ],
 )
 def test_bad_input_exit_1_names_it(capsys, argv, names):
@@ -270,6 +271,27 @@ def test_sweep_rows_agree_with_bound_and_quadrature(capsys, ns, taus, points, er
         code, out, _ = run(capsys, "quadrature", *spec)
         assert code == 0
         assert row["s"] == json.loads(out)["s"]
+
+
+def test_sweep_keeps_rows_when_points_fail_internally(capsys):
+    # 8 of these points give a ULB certificate that fails its own check
+    code, out, err = run(
+        capsys, "sweep", "--n", "60,200", "--tau", "2,3,13,17",
+        "--potential", "gauss:c=1", "--format", "json",
+    )
+    assert code == 3
+    assert "8 of 24" in err
+    rows = json.loads(out)
+    assert len(rows) == 24
+    failed = [row for row in rows if "error" in row]
+    assert len(failed) == 8
+    for row in failed:
+        code, _, err = run(
+            capsys, "bound", "--n", str(row["n"]), "--N", str(row["N"]), "--tau", str(row["tau"]),
+            "--potential", "gauss:c=1", "--side", "lower",
+        )
+        assert code == 3
+        assert err == f"internal consistency failure: {row['error']}\n"
 
 
 def test_bound_json_deterministic(capsys):

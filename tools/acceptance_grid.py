@@ -30,6 +30,11 @@ The sets:
 - ``rules`` (1,620 cases): ``quadrature`` over n in {3, 4, 5, 8, 24, 60},
   tau 1..60 and N in {lo, (lo+hi)//2, hi}, plus ``testfn --jmax
   min(tau+9, 60)`` at odd tau.
+- ``cubic`` (1,386 cases): ``bound --side upper`` over odd n from 3 to 29,
+  tau in {3, 4}, N in {lo, lo + (hi-lo)//4, (lo+hi)//2} and the three
+  potentials, with ``--u`` in {-0.6, -0.3, 0, 0.5, 0.95}; tau 4 also runs
+  once without ``--u``. This covers ``upper_cubic``'s closed-form and
+  grid-searched tangency points.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -117,8 +122,22 @@ def rules_cases():
                     yield ["testfn", *spec, "--jmax", str(min(tau + 9, 60))]
 
 
+def cubic_cases():
+    for n in range(3, 30, 2):
+        for tau in (3, 4):
+            lo, hi = _bounds(n, tau)
+            us = [["--u", u] for u in ("-0.6", "-0.3", "0", "0.5", "0.95")]
+            if tau == 4:
+                us.append([])
+            for N in (lo, lo + (hi - lo) // 4, (lo + hi) // 2):
+                for extra in us:
+                    for pot in POTENTIALS:
+                        yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                               "--potential", pot, "--side", "upper", *extra]
+
+
 SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
-        "sweep": sweep_cases, "rules": rules_cases}
+        "sweep": sweep_cases, "rules": rules_cases, "cubic": cubic_cases}
 
 
 def run_case(argv: list[str]) -> tuple[str, str]:
