@@ -20,7 +20,7 @@ from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
-from .levenshtein import DesignSpec, QuadratureRule, _tol, dgs_bound, quadrature_rule
+from .levenshtein import DesignSpec, QuadratureRule, _admissible, _tol, quadrature_rule
 from .orthopoly import (
     GegExpansion,
     Poly,
@@ -199,9 +199,7 @@ def improved_even_lower(
     """Even-strength improvement: interpolate additionally at the smallest
     admissible inner product ell instead of -1."""
     tau = 2 * k
-    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (float(lo) < float(N) < float(hi)):
-        raise RangeError(f"N = {N} must lie strictly inside ({lo}, {hi}) for k = {k}")
+    _admissible(n, tau, N, "()")
     if ell is None:
         ell = innerprod.best_range(n, N, tau).lo
     if ell <= -1.0 + 1e-12:
@@ -234,9 +232,7 @@ def a0_lower_quadratic(n: int, N: float, kappa: float) -> float:
 
 def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) -> BoundReport:
     """Closed-form lower bound for 2-designs via a quadratic certificate."""
-    lo, hi = dgs_bound(n, 2), dgs_bound(n, 3)
-    if not (lo <= N <= hi):
-        raise RangeError(f"N = {N} outside [{lo}, {hi}] for 2-designs on S^{n - 1}")
+    _admissible(n, 2, N)
     default = kappa is None
     if default:
         kappa = 1.0 - N / n
@@ -259,9 +255,6 @@ def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) ->
 def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     """Chord upper bound for 2-designs over the admissible inner-product
     range; collapses to the simplex/Mimura energy when the range is a point."""
-    lo, hi = dgs_bound(n, 2), dgs_bound(n, 3)
-    if not (lo <= N < hi):
-        raise RangeError(f"N = {N} outside [{lo}, {hi}) for 2-design upper bounds")
     ell = innerprod.l_bound(n, N, 2)
     u = innerprod.u_bound(n, N, 2)
     if abs(u - ell) < 1e-12:
@@ -297,9 +290,7 @@ def upper_cubic(
     """Cubic-interpolant upper bound for 3- and 4-designs."""
     if tau not in (3, 4):
         raise RangeError(f"upper_cubic supports tau in (3, 4), got {tau}")
-    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (lo <= N < hi):
-        raise RangeError(f"N = {N} outside [{lo}, {hi}) for tau = {tau}")
+    _admissible(n, tau, N, "[)")
     if tau == 4:
         ell = innerprod.l_bound(n, N, 4)
         u = innerprod.u_bound(n, N, 4) if u_override is None else float(u_override)
@@ -307,6 +298,8 @@ def upper_cubic(
         raise RangeError("tau = 3 requires a caller-supplied upper inner-product bound u")
     else:
         ell, u = -1.0, float(u_override)
+    if not ell < u < 1.0:
+        raise RangeError(f"u = {u} must lie strictly between ell = {ell} and 1")
 
     a0 = a0_upper_cubic(n, N, ell, u)
     fallback = not (math.isfinite(a0) and ell < a0 < u)

@@ -1,8 +1,10 @@
 """Command-line front end: bounds, quadratures, test-function tables, code
 energies, and parameter sweeps with JSON/CSV output.
 
-Outside input is validated here, once. Exit codes: 0 ok, 1 usage (a message
-names the bad input), 2 range error, 3 internal-consistency or convergence failure.
+The form of outside input is validated here; n, N and tau are checked where
+they are used, by levenshtein's one admissibility check. Exit codes: 0 ok,
+1 usage (a message names the bad input), 2 range error, 3
+internal-consistency or convergence failure.
 A sweep prints every row, and a point that fails gets an error row; the sweep
 exits 3 if any point failed internally, and 0 otherwise.
 """
@@ -72,23 +74,22 @@ def _lower_reports(n, N, tau, h, l_override=None):
 
 
 def _upper_reports(n, N, tau, h, u_override=None):
-    out = []
+    """The reports of the upper-bound methods tried at tau, and the
+    RangeError of each tried method that does not apply."""
+    tried = []
     if tau == 2:
-        try:
-            out.append(bounds.upper_2design(n, N, h))
-        except RangeError:
-            pass
+        tried.append(("upper_2design", lambda: bounds.upper_2design(n, N, h)))
     if tau in (3, 4):
-        try:
-            out.append(bounds.upper_cubic(n, N, tau, h, u_override=u_override))
-        except RangeError:
-            pass
+        tried.append(("upper_cubic", lambda: bounds.upper_cubic(n, N, tau, h, u_override)))
     if tau % 2 == 1 and u_override is not None:
+        tried.append(("strip_odd", lambda: bounds.strip_odd(n, N, tau, h, u_override)))
+    out, errors = [], []
+    for method, call in tried:
         try:
-            out.append(bounds.strip_odd(n, N, tau, h, u_override))
-        except RangeError:
-            pass
-    return out
+            out.append(call())
+        except RangeError as e:
+            errors.append(f"{method}: {e}")
+    return out, errors
 
 
 def _best(reports, pick):
@@ -123,12 +124,14 @@ def cmd_bound(args) -> int:
         lowers = _lower_reports(args.n, args.N, args.tau, h, args.l)
         result["lower"] = _side_json(lowers, max)
     if args.side in ("upper", "strip"):
-        uppers = _upper_reports(args.n, args.N, args.tau, h, args.u)
+        uppers, errors = _upper_reports(args.n, args.N, args.tau, h, args.u)
         if not uppers and args.side == "upper":
-            raise RangeError(
-                f"no upper-bound method applies to (n={args.n}, N={args.N}, tau={args.tau});"
-                " odd strengths need --u"
-            )
+            where = f"(n={args.n}, N={args.N}, tau={args.tau})"
+            if errors:
+                raise RangeError(f"no upper-bound method applies to {where}: {'; '.join(errors)}")
+            levenshtein._admissible(args.n, args.tau, args.N)  # bad input is named first
+            without = " without --u" if args.tau % 2 else ""
+            raise RangeError(f"no upper-bound method exists for tau = {args.tau}{without}")
         result["upper"] = _side_json(uppers, min)
     if args.verify:
         _verify(lowers + uppers)
@@ -192,7 +195,7 @@ def _sweep_one(point, h, u):
     row = {"n": n, "N": N, "tau": tau}
     try:
         lowers = _lower_reports(n, N, tau, h)
-        uppers = _upper_reports(n, N, tau, h, u)
+        uppers, _ = _upper_reports(n, N, tau, h, u)
     except (RangeError, InternalConsistencyError, ConvergenceError) as e:
         row["error"] = str(e)
         row["failed"] = not isinstance(e, RangeError)

@@ -8,27 +8,25 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import InfeasibleRange, RangeError
-from .levenshtein import dgs_bound, quadrature_rule
+from .levenshtein import _admissible, quadrature_rule
 from .orthopoly import poly_from_roots
 
 OPEN_UPPER_EPS = 1e-9
 
 
-def _check_closed_form(name: str, n: int, N: float, tau: int, closed: bool) -> None:
-    """The closed forms hold for n >= 3, tau in (2, 4) and D(n, tau) <= N <=
-    D(n, tau + 1), the upper end excluded unless closed."""
+def _check_closed_form(name: str, n: int, N: float, tau: int, ends: str) -> None:
+    """The closed forms hold for n >= 3, tau in (2, 4) and N between
+    D(n, tau) and D(n, tau + 1) with the given ends."""
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
     if tau not in (2, 4):
         raise RangeError(f"{name} supports tau in (2, 4), got {tau}")
-    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (lo <= N < hi or (closed and N == hi)):
-        raise RangeError(f"N = {N} outside [{lo}, {hi}{']' if closed else ')'} for tau = {tau}")
+    _admissible(n, tau, N, ends)
 
 
 def u_bound(n: int, N: float, tau: int) -> float:
     """Largest admissible inner product for 2- and 4-designs."""
-    _check_closed_form("u_bound", n, N, tau, closed=True)
+    _check_closed_form("u_bound", n, N, tau, "[]")
     if tau == 2:
         return (N - 2) / n - 1.0
     return 2.0 * (3.0 + math.sqrt((n - 1) * ((n + 2) * N - 3 * (n + 3)))) / (n * (n + 2)) - 1.0
@@ -36,7 +34,7 @@ def u_bound(n: int, N: float, tau: int) -> float:
 
 def l_bound(n: int, N: float, tau: int) -> float:
     """Smallest admissible inner product for 2- and 4-designs."""
-    _check_closed_form("l_bound", n, N, tau, closed=False)
+    _check_closed_form("l_bound", n, N, tau, "[)")
     if tau == 2:
         return 1.0 - N / n
     return 1.0 - (2.0 / n) * (1.0 + math.sqrt((n - 1) * (N - 2) / (n + 2)))
@@ -47,9 +45,7 @@ def even_range(n: int, N: float, k: int) -> tuple[float, float]:
     the squared interior-node polynomial of the even quadrature rule. A side
     where f - gamma_0 N f(-1) has no sign change (round-off in the rule) bounds
     nothing, and its trivial end, -1 or 1, is returned."""
-    lo, hi = dgs_bound(n, 2 * k), dgs_bound(n, 2 * k + 1)
-    if not (float(lo) < float(N) < float(hi)):
-        raise RangeError(f"N = {N} must lie strictly inside ({lo}, {hi}) for k = {k}")
+    _admissible(n, 2 * k, N, "()")
     rule = quadrature_rule(n, 2 * k, N)
     betas = rule.nodes[1:]  # beta_1 .. beta_k
     f = poly_from_roots([(b, 2) for b in betas])

@@ -73,11 +73,7 @@ def lev_bound_m(n: int, m: int, s: float) -> float:
 
 def solve_cardinality(n: int, tau: int, N: float) -> float:
     """Unique s on the tau-th interval with L_tau(n, s) = N."""
-    lo_card, hi_card = dgs_bound(n, tau), dgs_bound(n, tau + 1)
-    if not (float(lo_card) <= float(N) <= float(hi_card)):
-        raise RangeError(
-            f"N = {N} outside admissible interval [{lo_card}, {hi_card}] for (n={n}, tau={tau})"
-        )
+    lo_card, hi_card = _admissible(n, tau, N)
     lo, hi = interval(n, tau)
     if _at_bound(N, lo_card):
         return lo
@@ -100,6 +96,24 @@ def _at_bound(N: float, D: int) -> bool:
     """N is the cardinality bound D in double precision. Above 2^53 an N
     given as a float need not equal the integer D it was written as."""
     return float(N) == float(D)
+
+
+def _admissible(n: int, tau: int, N: float, ends: str = "[]") -> tuple[int, int]:
+    """D(n, tau) and D(n, tau + 1), once tau >= 1 and N lies between them in
+    double precision, as _at_bound compares; a bracket of ends ("[]", "[)"
+    or "()") includes its end."""
+    if tau < 1:
+        raise RangeError(f"need tau >= 1, got {tau}")
+    lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
+    try:
+        x = float(N)
+    except OverflowError:  # an int past the doubles lies outside
+        x = math.nan
+    a, b = float(lo), float(hi)
+    if not ((a <= x if ends[0] == "[" else a < x) and (x <= b if ends[1] == "]" else x < b)):
+        bracket = f"{ends[0]}{lo}, {hi}{ends[1]}"
+        raise RangeError(f"N = {N} outside admissible interval {bracket} for (n={n}, tau={tau})")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,6 @@ class QuadratureRule:
 
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     """Levenshtein quadrature for the (n, tau, N) triple, exact to degree tau."""
-    if N <= 1:
-        raise RangeError(f"N must exceed 1, got {N}")
     k = (tau + 1) // 2
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
@@ -201,9 +213,7 @@ def levenshtein_polynomial(n: int, tau: int, N: float) -> op.Poly:
 
 def gamma0_times_N(n: int, k: int, N: float) -> float:
     """gamma_0 * N for the even rule; 0 and 1 exactly at the interval ends."""
-    lo, hi = dgs_bound(n, 2 * k), dgs_bound(n, 2 * k + 1)
-    if not (float(lo) <= float(N) <= float(hi)):
-        raise RangeError(f"N = {N} outside [{lo}, {hi}] for (n={n}, k={k})")
+    lo, hi = _admissible(n, 2 * k, N)
     if _at_bound(N, lo):
         return 0.0
     if _at_bound(N, hi):

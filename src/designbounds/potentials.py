@@ -100,18 +100,33 @@ def make_poly(p: Poly) -> Potential:
     )
 
 
+def _params(name: str, rest: str, known: str) -> dict[str, float]:
+    """The name=value items of a spec, each name known and given once."""
+    kv = {}
+    for item in filter(None, rest.split(",")):
+        key, _, value = item.partition("=")
+        if key != known:
+            raise RangeError(f"unknown parameter {key!r} for {name}; it takes {known!r}")
+        if key in kv:
+            raise RangeError(f"repeated parameter {key!r}")
+        kv[key] = float(value)
+    return kv
+
+
 def parse_potential(spec: str) -> Potential:
-    """Parse CLI syntax: riesz:s=3, log, gauss:c=1, poly:1,0,2."""
+    """Parse CLI syntax: riesz:s=3, log, gauss:c=1, poly:1,0,2. log takes
+    the offset it prints, log:offset=0.6931471805599453, and no other."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     if name == "riesz":
-        kv = dict(item.split("=") for item in rest.split(",") if item)
-        return make_riesz(float(kv["s"]))
+        return make_riesz(_params(name, rest, "s")["s"])
     if name == "log":
+        offset = _params(name, rest, "offset").get("offset", LOG_OFFSET)
+        if offset != LOG_OFFSET:
+            raise RangeError(f"log offset is fixed at {LOG_OFFSET}, got {offset}")
         return make_log()
     if name == "gauss":
-        kv = dict(item.split("=") for item in rest.split(",") if item)
-        return make_gauss(float(kv["c"]))
+        return make_gauss(_params(name, rest, "c")["c"])
     if name == "poly":
         coeffs = [float(x) for x in rest.split(",") if x.strip()]
         if not coeffs:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from designbounds import bounds, codes, innerprod
+from designbounds import bounds, codes, innerprod, levenshtein
 from designbounds.errors import ConvergenceError, RangeError
 from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_poly
@@ -133,6 +133,17 @@ def test_upper_cubic_tau3_needs_u():
     assert rep.value >= 13.5 - 1e-9
     with pytest.raises(RangeError):
         bounds.upper_cubic(3, 4, 5, R2)
+
+
+@pytest.mark.parametrize("n, N, tau, u", [
+    (9, 54, 4, -0.6),  # at or below ell = l_bound(9, 54, 4) = -0.5888...
+    (3, 7, 3, -1.0),  # ell = -1 at tau = 3
+    (3, 7, 3, 1.0),
+    (5, 20, 4, 1.0),
+])
+def test_upper_cubic_u_must_lie_between_ell_and_1(n, N, tau, u):
+    with pytest.raises(RangeError, match=rf"u = {u} must lie strictly between ell = .* and 1"):
+        bounds.upper_cubic(n, N, tau, R2, u_override=u)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 24])
@@ -272,3 +283,47 @@ def test_strip_ordering_across_methods():
     e = codes.energy(codes.orthogonal_simplices(3, 3), R2)
     assert bounds.lower_2design(4, 6, R2).value <= e + 1e-9
     assert e <= bounds.upper_2design(4, 6, R2).value + 1e-9
+
+
+# each site of the admissibility check: the ends of its N range, the
+# strengths it takes, those of them at which it also needs n >= 3, the call
+ADMISSIBILITY_SITES = {
+    "solve_cardinality": ("[]", range(1, 7), (),
+                          lambda n, tau, N: levenshtein.solve_cardinality(n, tau, N)),
+    "gamma0_times_N": ("[]", (2, 4, 6), (),
+                       lambda n, tau, N: levenshtein.gamma0_times_N(n, tau // 2, N)),
+    "u_bound": ("[]", (2, 4), (2, 4), lambda n, tau, N: innerprod.u_bound(n, N, tau)),
+    "l_bound": ("[)", (2, 4), (2, 4), lambda n, tau, N: innerprod.l_bound(n, N, tau)),
+    "even_range": ("()", (2, 4, 6), (), lambda n, tau, N: innerprod.even_range(n, N, tau // 2)),
+    "improved_even_lower": ("()", (2, 4, 6), (),
+                            lambda n, tau, N: bounds.improved_even_lower(n, N, tau // 2, R2)),
+    "lower_2design": ("[]", (2,), (), lambda n, tau, N: bounds.lower_2design(n, N, R2)),
+    "upper_2design": ("[)", (2,), (2,), lambda n, tau, N: bounds.upper_2design(n, N, R2)),
+    "upper_cubic": ("[)", (3, 4), (4,),
+                    lambda n, tau, N: bounds.upper_cubic(n, N, tau, R2, 0.0 if tau == 3 else None)),
+}
+
+
+def _admissibility_cases():
+    for name, (ends, taus, needs_n3, _) in ADMISSIBILITY_SITES.items():
+        for n in (2, 3, 5, 8):
+            for tau in taus:
+                lo, hi = levenshtein.dgs_bound(n, tau), levenshtein.dgs_bound(n, tau + 1)
+                for N in sorted({lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}) + [math.nan]:
+                    inside = (lo <= N if ends[0] == "[" else lo < N) and (
+                        N <= hi if ends[1] == "]" else N < hi
+                    )
+                    accepts = inside and not (n < 3 and tau in needs_n3)
+                    yield pytest.param(name, n, tau, N, accepts, id=f"{name}-{n}-{tau}-{N}")
+
+
+@pytest.mark.parametrize("name, n, tau, N, accepts", list(_admissibility_cases()))
+def test_admissibility_decisions(name, n, tau, N, accepts):
+    # each site accepts N between D(n, tau) and D(n, tau + 1) with its own
+    # ends, and rejects everything else, NaN included, with a RangeError
+    call = ADMISSIBILITY_SITES[name][3]
+    if accepts:
+        call(n, tau, N)
+    else:
+        with pytest.raises(RangeError):
+            call(n, tau, N)

@@ -157,12 +157,53 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
         ("bound --n 3 --N 6 --tau 3 --potential poly:nan --side lower", "poly:nan"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:inf,1 --side lower", "poly:inf,1"),
         ("bound --n 3 --N 5 --tau 2 --potential poly:1,nan", "poly:1,nan"),
+        ("bound --n 3 --N 5 --tau 2 --potential riesz:s=2,c=1", "unknown parameter 'c'"),
+        ("bound --n 3 --N 5 --tau 2 --potential gauss:c=1,d=2", "unknown parameter 'd'"),
+        ("bound --n 3 --N 5 --tau 2 --potential log:c=7", "unknown parameter 'c'"),
+        ("bound --n 3 --N 5 --tau 2 --potential riesz:s=1,s=3", "repeated parameter 's'"),
     ],
 )
 def test_bad_input_exit_1_names_it(capsys, argv, names):
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert names in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --n 3 --N 2 --tau 0 --potential log",
+    "bound --n 3 --N 2 --tau 0 --potential log --side upper",
+    "quadrature --n 3 --N 2 --tau 0",
+])
+def test_tau_0_gets_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err == "range error: need tau >= 1, got 0\n"
+    assert out == ""
+
+
+def test_sweep_tau_0_rows_get_one_message(capsys):
+    code, out, _ = run(capsys, "sweep", "--n", "3", "--tau", "0", "--potential", "log",
+                       "--format", "json")
+    assert code == 0
+    assert [row["error"] for row in json.loads(out)] == ["need tau >= 1, got 0"] * 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # no method at this strength, with or without --u
+    ("--n 3 --N 18 --tau 6", "no upper-bound method exists for tau = 6"),
+    ("--n 3 --N 18 --tau 6 --u 0.5", "no upper-bound method exists for tau = 6"),
+    ("--n 3 --N 14 --tau 5", "no upper-bound method exists for tau = 5 without --u"),
+    # the tried methods' own reasons
+    ("--n 9 --N 54 --tau 4 --u -0.6", "upper_cubic: u = -0.6 must lie strictly between ell = "),
+    ("--n 3 --N 7 --tau 3 --u 1", "upper_cubic: u = 1.0 must lie strictly between ell = -1.0"
+                                  " and 1; strip_odd: u must be < 1"),
+    ("--n 3 --N 7 --tau 3", "upper_cubic: tau = 3 requires a caller-supplied"),
+])
+def test_bound_upper_says_why_no_method_applies(capsys, argv, reason):
+    code, out, err = run(capsys, "bound", *argv.split(), "--potential", "log", "--side", "upper")
+    assert code == 2
+    assert reason in err
     assert out == ""
 
 

@@ -63,6 +63,11 @@ def test_solve_cardinality_range_error_names_interval():
         lev.solve_cardinality(3, 2, 99)
 
 
+def test_int_past_the_doubles_is_outside():
+    with pytest.raises(RangeError, match="outside admissible interval"):
+        lev.solve_cardinality(3, 2, 2**1024)
+
+
 def test_solve_cardinality_bad_bracket_is_range_error(monkeypatch):
     # round-off can leave L_tau - N without a sign change on the interval
     monkeypatch.setattr(lev, "lev_bound_m", lambda n, m, s: 0.0)

@@ -76,6 +76,13 @@ def test_spec_string():
     assert pot.make_log().spec_string().startswith("log:")
 
 
+def test_log_spec_takes_only_the_offset_it_prints():
+    # stored reports name their potential by spec_string and are parsed back
+    assert pot.parse_potential(pot.make_log().spec_string()).name == "log"
+    with pytest.raises(RangeError, match="offset"):
+        pot.parse_potential("log:offset=1")
+
+
 def test_check_abs_monotone():
     rep = pot.check_abs_monotone(pot.make_riesz(1.0), 4)
     assert rep.passes

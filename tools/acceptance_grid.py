@@ -35,6 +35,15 @@ The sets:
   potentials, with ``--u`` in {-0.6, -0.3, 0, 0.5, 0.95}; tau 4 also runs
   once without ``--u``. This covers ``upper_cubic``'s closed-form and
   grid-searched tangency points.
+- ``edges`` (300 cases): the admissibility edges. tau = 0 for ``bound``
+  (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
+  (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
+  lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
+  ``quadrature`` and ``testfn --jmax tau+3`` at the same points; ``bound
+  --potential log --side upper|strip --u u`` over n in {3, 9}, tau in {3, 4},
+  N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1}; and ``bound`` with the
+  potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7, riesz:s=1,s=3,
+  log:offset=0.6931471805599453 and log:offset=1.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -136,8 +145,41 @@ def cubic_cases():
                                "--potential", pot, "--side", "upper", *extra]
 
 
+EDGE_POTENTIALS = ("riesz:s=2,c=1", "gauss:c=1,d=2", "log:c=7", "riesz:s=1,s=3",
+                   "log:offset=0.6931471805599453", "log:offset=1")
+
+
+def edges_cases():
+    for side in ("lower", "upper", "strip"):
+        yield ["bound", "--n", "3", "--N", "2", "--tau", "0", "--potential", "log", "--side", side]
+    for N in ("1", "2"):
+        yield ["quadrature", "--n", "3", "--tau", "0", "--N", N]
+    yield ["sweep", "--n", "3", "--tau", "0", "--potential", "log"]
+    for n in (3, 8):
+        for tau in (2, 3, 4, 6):
+            lo, hi = _bounds(n, tau)
+            u = ["--u", "0"] if tau % 2 else []
+            for N in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+                spec = ["--n", str(n), "--tau", str(tau), "--N", str(N)]
+                for pot in POTENTIALS:
+                    yield ["bound", *spec, "--potential", pot, "--side", "strip", *u]
+                yield ["quadrature", *spec]
+                yield ["testfn", *spec, "--jmax", str(tau + 3)]
+    for n in (3, 9):
+        for tau in (3, 4):
+            lo, hi = _bounds(n, tau)
+            for N in (lo, (lo + hi) // 2):
+                for u in ("-1", "-0.6", "1"):
+                    for side in ("upper", "strip"):
+                        yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                               "--potential", "log", "--side", side, "--u", u]
+    for pot in EDGE_POTENTIALS:
+        yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot]
+
+
 SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
-        "sweep": sweep_cases, "rules": rules_cases, "cubic": cubic_cases}
+        "sweep": sweep_cases, "rules": rules_cases, "cubic": cubic_cases,
+        "edges": edges_cases}
 
 
 def run_case(argv: list[str]) -> tuple[str, str]:
