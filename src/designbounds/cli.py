@@ -53,7 +53,7 @@ def _int_list(text: str) -> list[int]:
 def _potential_or_usage(spec: str):
     try:
         return parse_potential(spec)
-    except (RangeError, KeyError, ValueError) as e:
+    except (RangeError, ValueError) as e:
         _usage(f"invalid potential spec {spec!r}: {e}")
 
 
@@ -200,8 +200,8 @@ def _sweep_one(point, h, u):
         row["error"] = str(e)
         row["failed"] = not isinstance(e, RangeError)
         return row
-    # the reports built this point's rule, so its s solves without error
-    row["s"] = levenshtein.solve_cardinality(n, tau, N)
+    # the reports built this point's rule, so this is a memo hit
+    row["s"] = levenshtein.quadrature_rule(n, tau, N).s
     for side, reports, pick in (("lower", lowers, max), ("upper", uppers, min)):
         best = _best(reports, pick)
         if best is not None:

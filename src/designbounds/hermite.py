@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import RangeError
 from .orthopoly import Poly
@@ -54,12 +53,16 @@ def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
                 table[i, j] = float(h.derivative(z[i], 1))
             else:
                 table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / dz
-    # expand the Newton form into the monomial basis
-    coeffs = np.array([table[0, n - 1]])
+    # expand the Newton form in one buffer: times (t - z_i), c'[j] = c[j-1]
+    # + (-z_i) c[j], then c[0] += table[0, i]. buf[0] stays 0 as c[-1], and
+    # each c'[j] sums the two products np.convolve sums in npoly.polymul,
+    # so the coefficients are polymul/polyadd's bit for bit
+    buf = np.zeros(n + 1)
+    buf[1] = table[0, n - 1]
     for i in range(n - 2, -1, -1):
-        coeffs = npoly.polymul(coeffs, [-z[i], 1.0])
-        coeffs = npoly.polyadd(coeffs, [table[0, i]])
-    return Poly(coeffs)
+        buf[1 : n - i + 1] = buf[: n - i] + -z[i] * buf[1 : n - i + 1]
+        buf[1] += table[0, i]
+    return Poly(buf[1:])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ normalized sphere weight exactly for polynomials of degree <= tau.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -44,8 +45,10 @@ def dgs_bound(n: int, tau: int) -> int:
     return math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1)
 
 
+@functools.lru_cache(maxsize=op.MEMO_SIZE)
 def interval(n: int, m: int) -> tuple[float, float]:
-    """Endpoints of the m-th branch interval of the Levenshtein bound."""
+    """Endpoints of the m-th branch interval of the Levenshtein bound;
+    memoised on (n, m)."""
     if m < 1:
         raise RangeError(f"branch index must be >= 1, got {m}")
     k = (m + 1) // 2
@@ -156,7 +159,22 @@ class QuadratureRule:
 
 
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
-    """Levenshtein quadrature for the (n, tau, N) triple, exact to degree tau."""
+    """Levenshtein quadrature for the (n, tau, N) triple, exact to degree
+    tau. The rule is memoised on (n, tau, N), typed, so an int and a float N
+    keep their own spec; its arrays are read-only. The exactness check runs
+    on every call, so a rule is checked against the DEB_TOL of the call."""
+    rule = _rule(n, tau, N)
+    if np.max(np.abs(rule.exactness_residuals)) > _tol():
+        raise InternalConsistencyError(
+            f"exactness check failed for (n={n}, tau={tau}, N={N}):"
+            f" residuals {rule.exactness_residuals}"
+        )
+    return rule
+
+
+@functools.lru_cache(maxsize=op.MEMO_SIZE, typed=True)
+def _rule(n: int, tau: int, N: float) -> QuadratureRule:
+    """The rule before its exactness check; an error is raised, not kept."""
     k = (tau + 1) // 2
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
@@ -186,10 +204,8 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         raise InternalConsistencyError(f"nonpositive quadrature weight: {weights}")
     res = 1.0 / N + table @ weights
     res[0] -= 1.0
-    if np.max(np.abs(res)) > _tol():
-        raise InternalConsistencyError(
-            f"exactness check failed for (n={n}, tau={tau}, N={N}): residuals {res}"
-        )
+    for a in (nodes, weights, res):
+        a.setflags(write=False)
     return QuadratureRule(
         spec=DesignSpec(n=n, tau=tau, N=N),
         s=s,

@@ -14,6 +14,7 @@ its weighted mean.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ from .errors import RangeError
 
 MAX_DEGREE = 60
 CONDITIONING_DEGREE = 30
+# entries kept by each memo here and in levenshtein; every repeat a sweep
+# point makes falls within that point, so a few dozen keep every hit
+MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -233,18 +237,23 @@ class WeightRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def weight_rule(n: int, m: int) -> WeightRule:
     """m-point Gauss rule, exact on polynomials of degree <= 2m-1 (Golub and
     Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
     Jacobi matrix, and the weights the squared first components of its unit
-    eigenvectors, which sum to 1."""
+    eigenvectors, which sum to 1. Memoised on (n, m); the arrays are
+    read-only."""
     _check_dimension(n)
     if m < 1:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
     a, b = _jacobi_recurrence(lam, lam, m)
     nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
-    return WeightRule(nodes=nodes, weights=vecs[0] ** 2)
+    weights = vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return WeightRule(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -271,10 +280,21 @@ class GegExpansion:
 
 def gegenbauer_expand(n: int, p: Poly) -> GegExpansion:
     """Exact-degree expansion of p over the Gegenbauer basis by projection
-    with the (d+1)-point Gauss rule; P_0..P_d are evaluated in one pass."""
+    with the (d+1)-point Gauss rule."""
     _check_dimension(n)
-    d = p.degree
+    nodes, weights, table, norms = _projection(n, p.degree)
+    coeffs = (table @ (weights * p(nodes))) / norms
+    return GegExpansion(n=n, coeffs=tuple(float(c) for c in coeffs))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _projection(n: int, d: int):
+    """The (d+1)-point Gauss rule's nodes and weights, P_0..P_d at the nodes
+    (one recurrence pass) and the norms sum_j w_j P_i(x_j)^2; memoised on
+    (n, d), read-only."""
     rule = weight_rule(n, d + 1)
     table = gegenbauer_table(n, d, rule.nodes)
-    coeffs = (table @ (rule.weights * p(rule.nodes))) / (table**2 @ rule.weights)
-    return GegExpansion(n=n, coeffs=tuple(float(c) for c in coeffs))
+    norms = table**2 @ rule.weights
+    table.setflags(write=False)
+    norms.setflags(write=False)
+    return rule.nodes, rule.weights, table, norms

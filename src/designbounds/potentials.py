@@ -100,8 +100,9 @@ def make_poly(p: Poly) -> Potential:
     )
 
 
-def _params(name: str, rest: str, known: str) -> dict[str, float]:
-    """The name=value items of a spec, each name known and given once."""
+def _param(name: str, rest: str, known: str, default: float | None = None) -> float:
+    """The value of a spec's one parameter, known, given at most once and
+    no other name beside it; default when it is absent, if there is one."""
     kv = {}
     for item in filter(None, rest.split(",")):
         key, _, value = item.partition("=")
@@ -110,7 +111,11 @@ def _params(name: str, rest: str, known: str) -> dict[str, float]:
         if key in kv:
             raise RangeError(f"repeated parameter {key!r}")
         kv[key] = float(value)
-    return kv
+    if known in kv:
+        return kv[known]
+    if default is None:
+        raise RangeError(f"missing parameter {known!r} for {name}")
+    return default
 
 
 def parse_potential(spec: str) -> Potential:
@@ -119,14 +124,14 @@ def parse_potential(spec: str) -> Potential:
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     if name == "riesz":
-        return make_riesz(_params(name, rest, "s")["s"])
+        return make_riesz(_param(name, rest, "s"))
     if name == "log":
-        offset = _params(name, rest, "offset").get("offset", LOG_OFFSET)
+        offset = _param(name, rest, "offset", LOG_OFFSET)
         if offset != LOG_OFFSET:
             raise RangeError(f"log offset is fixed at {LOG_OFFSET}, got {offset}")
         return make_log()
     if name == "gauss":
-        return make_gauss(_params(name, rest, "c")["c"])
+        return make_gauss(_param(name, rest, "c"))
     if name == "poly":
         coeffs = [float(x) for x in rest.split(",") if x.strip()]
         if not coeffs:

@@ -161,6 +161,8 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
         ("bound --n 3 --N 5 --tau 2 --potential gauss:c=1,d=2", "unknown parameter 'd'"),
         ("bound --n 3 --N 5 --tau 2 --potential log:c=7", "unknown parameter 'c'"),
         ("bound --n 3 --N 5 --tau 2 --potential riesz:s=1,s=3", "repeated parameter 's'"),
+        ("bound --n 3 --N 5 --tau 2 --potential riesz", "missing parameter 's' for riesz"),
+        ("bound --n 3 --N 5 --tau 2 --potential gauss:", "missing parameter 'c' for gauss"),
     ],
 )
 def test_bad_input_exit_1_names_it(capsys, argv, names):

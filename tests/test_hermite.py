@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from designbounds import cli
 from designbounds.errors import RangeError
 from designbounds.hermite import HermiteScheme, interpolate, verify_one_sided
 from designbounds.orthopoly import Poly
-from designbounds.potentials import Potential, make_poly, make_riesz
+from designbounds.potentials import Potential, make_gauss, make_log, make_poly, make_riesz
 
 
 def test_scheme_validation():
@@ -40,6 +41,42 @@ def test_interpolate_matches_values_and_derivatives():
         assert g(t0) == pytest.approx(float(h.eval(t0)), abs=1e-12)
         if m == 2:
             assert g.deriv()(t0) == pytest.approx(float(h.derivative(t0, 1)), rel=1e-10)
+
+
+
+def _interpolate_reference(scheme, h):
+    """interpolate with the Newton form expanded by npoly.polymul and
+    npoly.polyadd, one new array per step."""
+    z = np.asarray([t for t, m in scheme.nodes for _ in range(m)])
+    n = len(z)
+    table = np.zeros((n, n))
+    table[:, 0] = h.eval(z)
+    for j in range(1, n):
+        for i in range(n - j):
+            dz = z[i + j] - z[i]
+            if dz == 0.0:
+                table[i, j] = float(h.derivative(z[i], 1))
+            else:
+                table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / dz
+    coeffs = np.array([table[0, n - 1]])
+    for i in range(n - 2, -1, -1):
+        coeffs = npoly.polymul(coeffs, [-z[i], 1.0])
+        coeffs = npoly.polyadd(coeffs, [table[0, i]])
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize("h", [make_riesz(2.0), make_riesz(0.5), make_log(), make_gauss(1.0)],
+                         ids=["riesz2", "riesz0.5", "log", "gauss1"])
+def test_interpolate_expansion_is_polymul_bit_for_bit(h):
+    rng = np.random.default_rng(20261018)
+    for _ in range(150):
+        k = int(rng.integers(1, 18))
+        ts = np.sort(rng.uniform(-1.0, 0.95, k))
+        if k > 1 and np.min(np.diff(ts)) < 1e-6:
+            continue
+        scheme = HermiteScheme(zip(ts, rng.integers(1, 3, k)))
+        got, want = interpolate(scheme, h), _interpolate_reference(scheme, h)
+        assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), scheme
 
 
 def test_hermite_below_convex_potential():

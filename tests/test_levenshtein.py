@@ -5,7 +5,7 @@ import pytest
 
 from designbounds import levenshtein as lev
 from designbounds import orthopoly as op
-from designbounds.errors import RangeError
+from designbounds.errors import InternalConsistencyError, RangeError
 
 
 def test_dgs_bound_values():
@@ -142,3 +142,36 @@ def test_gamma0_monotone_in_N():
     vals = [lev.gamma0_times_N(4, 2, N) for N in np.linspace(14.5, 19.5, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(0 < v < 1 for v in vals)
+
+
+def test_memoised_rule_arrays_are_read_only():
+    rule = lev.quadrature_rule(3, 3, 7)
+    for arr in (rule.nodes, rule.weights, rule.exactness_residuals):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert lev.quadrature_rule(3, 3, 7) is rule
+
+
+def test_memoised_rule_is_checked_at_each_calls_tolerance(monkeypatch):
+    # the residuals are nonzero (max about 1e-16), so DEB_TOL = 0 rejects
+    # the rule that the default accepted and memoised
+    rule = lev.quadrature_rule(4, 5, 30)
+    assert 0 < np.max(np.abs(rule.exactness_residuals)) <= 1e-9
+    monkeypatch.setenv("DEB_TOL", "0")
+    with pytest.raises(InternalConsistencyError, match="exactness check failed"):
+        lev.quadrature_rule(4, 5, 30)
+    monkeypatch.delenv("DEB_TOL")
+    assert lev.quadrature_rule(4, 5, 30) is rule
+
+
+def test_int_and_float_N_keep_their_own_spec():
+    as_int, as_float = lev.quadrature_rule(3, 3, 7), lev.quadrature_rule(3, 3, 7.0)
+    assert as_int.to_json() == as_float.to_json()
+    assert type(as_int.spec.N) is int and type(as_float.spec.N) is float
+
+
+@pytest.mark.parametrize("n, tau, N", [(3, 2, 99), (3, 2, 1.0), (3, 61, 10**40)])
+def test_range_error_is_not_memoised(n, tau, N):
+    for _ in range(2):
+        with pytest.raises(RangeError):
+            lev.quadrature_rule(n, tau, N)

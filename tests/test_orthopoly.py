@@ -222,3 +222,26 @@ def test_poly_call_is_polyval_bit_for_bit():
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (p.degree, t)
 
+
+
+def test_memoised_weight_rule_arrays_are_read_only():
+    rule = op.weight_rule(5, 7)
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert op.weight_rule(5, 7) is rule
+
+
+def test_expand_is_the_projection_formula_bit_for_bit():
+    # the memoised table and norms give the coefficients a fresh
+    # projection gives
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 9, 24):
+        for d in (0, 1, 5, 17, 30):
+            p = op.Poly(rng.standard_normal(d + 1))
+            rule = op.weight_rule(n, d + 1)
+            table = op.gegenbauer_table(n, d, rule.nodes)
+            want = (table @ (rule.weights * p(rule.nodes))) / (table**2 @ rule.weights)
+            for _ in range(2):
+                got = op.gegenbauer_expand(n, p).coeffs
+                assert np.array(got).tobytes() == want.tobytes()

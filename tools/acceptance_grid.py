@@ -1,9 +1,12 @@
 """Equivalence harness: run fixed case sets through ``cli.main`` in-process
-and print one line per case, ``<argv>\\t<exit>\\t<sha1 of stdout>``.
+and print one line per case,
+``<argv>\\t<exit>\\t<sha1 of stdout>\\t<sha1 of stderr>``.
 
 An exception that escapes ``cli.main`` is recorded as ``TB:<name>`` in the
-exit column. Two trees give the same answers on a set when their outputs
-are identical, so a refactor is checked with one ``diff``::
+exit column. Python warnings are ignored, so they reach neither digest; the
+stderr digest covers the error messages, so a changed reason shows. Two
+trees give the same answers on a set when their outputs are identical, so a
+refactor is checked with one ``diff``::
 
     PYTHONPATH=src python tools/acceptance_grid.py --set grid > new.txt
     PYTHONPATH=/path/to/other/src python tools/acceptance_grid.py --set grid > old.txt
@@ -182,8 +185,9 @@ SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
         "edges": edges_cases}
 
 
-def run_case(argv: list[str]) -> tuple[str, str]:
-    """Exit code (or TB:<exception name>) and the SHA-1 of stdout."""
+def run_case(argv: list[str]) -> tuple[str, str, str]:
+    """Exit code (or TB:<exception name>) and the SHA-1 of stdout and of
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -192,7 +196,8 @@ def run_case(argv: list[str]) -> tuple[str, str]:
             code = str(cli.main(argv))
         except Exception as e:  # noqa: BLE001 - every escape is a finding
             code = f"TB:{type(e).__name__}"
-    return code, hashlib.sha1(out.getvalue().encode()).hexdigest()
+    digest = lambda buf: hashlib.sha1(buf.getvalue().encode()).hexdigest()
+    return code, digest(out), digest(err)
 
 
 def main(argv=None) -> int:
@@ -200,8 +205,8 @@ def main(argv=None) -> int:
     p.add_argument("--set", choices=sorted(SETS), required=True)
     args = p.parse_args(argv)
     for case in SETS[args.set]():
-        code, digest = run_case(case)
-        print(f"{' '.join(case)}\t{code}\t{digest}", flush=True)
+        code, out, err = run_case(case)
+        print(f"{' '.join(case)}\t{code}\t{out}\t{err}", flush=True)
     return 0
 
 
