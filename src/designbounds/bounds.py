@@ -278,16 +278,20 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
 
 def a0_upper_cubic(n: int, N: float, ell: float, u: float) -> float:
     """Optimal tangency point for the cubic upper-bound interpolant."""
+    num = N * (ell + u) + n * (1.0 - ell) * (1.0 - u)
     den = n * (1.0 - ell) * (1.0 - u) - N * (1.0 + ell * u * n)
     if den == 0.0:
-        return math.nan
-    return (N * (ell + u) + n * (1.0 - ell) * (1.0 - u)) / den
+        # 0/0 at N = 2n, tau = 3, u = 0, where the value does not depend on a0
+        return (ell + u) / 2.0 if num == 0.0 else math.nan
+    return num / den
 
 
 def upper_cubic(
     n: int, N: float, tau: int, h: Potential, u_override: float | None = None
 ) -> BoundReport:
-    """Cubic-interpolant upper bound for 3- and 4-designs."""
+    """Cubic-interpolant upper bound for 3- and 4-designs whose largest inner
+    product is u. u must be at least the rule's largest node s: no N-point
+    code has a smaller one (Levenshtein's bound)."""
     if tau not in (3, 4):
         raise RangeError(f"upper_cubic supports tau in (3, 4), got {tau}")
     _admissible(n, tau, N, "[)")
@@ -300,37 +304,19 @@ def upper_cubic(
         ell, u = -1.0, float(u_override)
     if not ell < u < 1.0:
         raise RangeError(f"u = {u} must lie strictly between ell = {ell} and 1")
+    s = quadrature_rule(n, tau, N).s
+    if u < s - 1e-12:
+        raise RangeError(f"u = {u} must be at least the largest node {s}")
 
     a0 = a0_upper_cubic(n, N, ell, u)
-    fallback = not (math.isfinite(a0) and ell < a0 < u)
-    if fallback:
-        a0 = _optimize_cubic_tangency(n, N, h, ell, u)
-    scheme = HermiteScheme([(ell, 1), (a0, 2), (u, 1)])
-    g = interpolate(scheme, h)
+    if not ell < a0 < u:
+        raise RangeError(f"tangency point a0 = {a0} not inside ({ell}, {u})")
+    g = interpolate(HermiteScheme([(ell, 1), (a0, 2), (u, 1)]), h)
     report = _certify(g, n, tau, (ell, u), h, N, side="upper", method="upper_cubic")
-    if fallback:
-        report.notes.append(
-            f"closed-form tangency point unusable; grid-optimized a = {a0:.12g}"
-        )
     report.margins["ell"] = ell
     report.margins["u"] = u
     report.margins["a0"] = a0
     return report
-
-
-def _optimize_cubic_tangency(n, N, h, ell, u) -> float:
-    """Grid search for the tangency point minimizing the certified value.
-    Where the value is flat to DEB_TOL (as at N = 2n, tau = 3, u = 0), the
-    middle of the near-minimal points is taken, not one picked by round-off."""
-    pad = 1e-6 * (u - ell)
-    grid = np.linspace(ell + pad, u - pad, 201)
-    values = []
-    for a in grid:
-        g = interpolate(HermiteScheme([(ell, 1), (float(a), 2), (u, 1)]), h)
-        values.append(_lp_value(N, g, gegenbauer_expand(n, g).coeffs[0]))
-    best = np.nanmin(values)
-    near = [i for i, v in enumerate(values) if _close(v, best, _tol())]
-    return float(grid[near[(len(near) - 1) // 2]])
 
 
 def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport:
@@ -340,7 +326,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
         raise RangeError(f"strip_odd requires odd tau, got {tau}")
     rule = quadrature_rule(n, tau, N)
     alphas = rule.nodes
-    if u >= 1.0:
+    if not u < 1.0:
         raise RangeError(f"u must be < 1, got {u}")
     if u < alphas[-1] - 1e-12:
         raise RangeError(f"u = {u} must be at least the largest node {alphas[-1]}")

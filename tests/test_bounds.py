@@ -150,12 +150,41 @@ def test_upper_cubic_u_must_lie_between_ell_and_1(n, N, tau, u):
 @pytest.mark.parametrize("h", [R2, make_log(), G1], ids=["riesz", "log", "gauss"])
 def test_upper_cubic_flat_tangency_is_deterministic(n, h):
     # at N = 2n, tau = 3, u = 0 the certified value does not depend on the
-    # tangency point; the middle of the flat grid is taken, not a round-off pick
+    # tangency point; (ℓ + u)/2 is taken, not a round-off pick
     rep = bounds.upper_cubic(n, 2 * n, 3, h, u_override=0.0)
     assert rep.margins["a0"] == -0.5
     assert rep.accepted and rep.verify()
     exact = codes.energy(codes.cross_polytope(n), h)
     assert rep.value == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, N, tau", [(3, 7, 3), (5, 13, 3), (4, 14, 4), (7, 35, 4)])
+def test_upper_cubic_u_starts_at_the_largest_node(n, N, tau):
+    # every N-point code has u >= s (Levenshtein), so below s there is no design
+    s = quadrature_rule(n, tau, N).s
+    rep = bounds.upper_cubic(n, N, tau, R2, u_override=s)
+    assert rep.accepted and rep.verify()
+    with pytest.raises(RangeError, match=r"must be at least the largest node"):
+        bounds.upper_cubic(n, N, tau, R2, u_override=s - 1e-9)
+
+
+def _feasible_cubic_cases():
+    for n in (3, 4, 5, 8, 24):
+        for tau in (3, 4):
+            lo, hi = levenshtein.dgs_bound(n, tau), levenshtein.dgs_bound(n, tau + 1)
+            for N in sorted({lo, (lo + hi) // 2, hi - 1}):
+                s = quadrature_rule(n, tau, N).s
+                for u in (s, (s + 1.0) / 2.0):
+                    yield pytest.param(n, N, tau, u, id=f"{n}-{N}-{tau}-{u:.6g}")
+
+
+@pytest.mark.parametrize("n, N, tau, u", list(_feasible_cubic_cases()))
+@pytest.mark.parametrize("h", [R2, make_log(), G1], ids=["riesz", "log", "gauss"])
+def test_upper_cubic_closed_form_on_feasible_set(n, N, tau, u, h):
+    # u in [s, 1): the closed-form tangency point always applies
+    rep = bounds.upper_cubic(n, N, tau, h, u_override=u)
+    assert rep.accepted and rep.verify()
+    assert rep.notes == []
 
 
 def test_strip_odd_collapse_at_octahedron():
@@ -178,6 +207,8 @@ def test_strip_odd_rejects_bad_u():
         bounds.strip_odd(4, 10, 3, R2, rule.nodes[-1] - 0.05)
     with pytest.raises(RangeError):
         bounds.strip_odd(4, 10, 3, R2, 1.0)
+    with pytest.raises(RangeError, match="u must be < 1, got nan"):
+        bounds.strip_odd(3, 7, 3, R2, math.nan)
     with pytest.raises(RangeError):
         bounds.strip_odd(3, 5, 2, R2, 0.5)
 
@@ -300,7 +331,7 @@ ADMISSIBILITY_SITES = {
     "lower_2design": ("[]", (2,), (), lambda n, tau, N: bounds.lower_2design(n, N, R2)),
     "upper_2design": ("[)", (2,), (2,), lambda n, tau, N: bounds.upper_2design(n, N, R2)),
     "upper_cubic": ("[)", (3, 4), (4,),
-                    lambda n, tau, N: bounds.upper_cubic(n, N, tau, R2, 0.0 if tau == 3 else None)),
+                    lambda n, tau, N: bounds.upper_cubic(n, N, tau, R2, 0.5 if tau == 3 else None)),
 }
 
 

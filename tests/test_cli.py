@@ -201,6 +201,8 @@ def test_sweep_tau_0_rows_get_one_message(capsys):
     ("--n 3 --N 7 --tau 3 --u 1", "upper_cubic: u = 1.0 must lie strictly between ell = -1.0"
                                   " and 1; strip_odd: u must be < 1"),
     ("--n 3 --N 7 --tau 3", "upper_cubic: tau = 3 requires a caller-supplied"),
+    # below the rule's largest node no 35-point code exists
+    ("--n 7 --N 35 --tau 4 --u -0.6", "upper_cubic: u = -0.6 must be at least the largest node"),
 ])
 def test_bound_upper_says_why_no_method_applies(capsys, argv, reason):
     code, out, err = run(capsys, "bound", *argv.split(), "--potential", "log", "--side", "upper")

@@ -36,15 +36,17 @@ The sets:
 - ``cubic`` (1,386 cases): ``bound --side upper`` over odd n from 3 to 29,
   tau in {3, 4}, N in {lo, lo + (hi-lo)//4, (lo+hi)//2} and the three
   potentials, with ``--u`` in {-0.6, -0.3, 0, 0.5, 0.95}; tau 4 also runs
-  once without ``--u``. This covers ``upper_cubic``'s closed-form and
-  grid-searched tangency points.
-- ``edges`` (300 cases): the admissibility edges. tau = 0 for ``bound``
+  once without ``--u``. This covers ``upper_cubic`` on both sides of the
+  rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
+  closed-form tangency point is 0/0.
+- ``edges`` (332 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
   ``quadrature`` and ``testfn --jmax tau+3`` at the same points; ``bound
   --potential log --side upper|strip --u u`` over n in {3, 9}, tau in {3, 4},
-  N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1}; and ``bound`` with the
+  N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1, s, s - 1e-9}, with s the
+  rule's largest node (passed as ``repr(u)``); and ``bound`` with the
   potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7, riesz:s=1,s=3,
   log:offset=0.6931471805599453 and log:offset=1.
 
@@ -172,7 +174,8 @@ def edges_cases():
         for tau in (3, 4):
             lo, hi = _bounds(n, tau)
             for N in (lo, (lo + hi) // 2):
-                for u in ("-1", "-0.6", "1"):
+                s = levenshtein.solve_cardinality(n, tau, N)
+                for u in ("-1", "-0.6", "1", repr(s), repr(s - 1e-9)):
                     for side in ("upper", "strip"):
                         yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
                                "--potential", "log", "--side", side, "--u", u]
