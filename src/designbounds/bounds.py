@@ -4,9 +4,10 @@ upper bounds, odd-strength strips, test functions with the degree-raising
 improvement, and asymptotic evaluators.
 
 Every bound is returned as a BoundReport carrying a polynomial certificate.
-_conditions alone decides acceptance, and BoundReport.verify re-runs it from
-the certificate; a method's own value (closed form, quadrature, strip) must
-match the certificate's to the same DEB_TOL, so accepted reports re-verify.
+_conditions alone decides acceptance at DEB_TOL, and a method's own value
+(closed form, quadrature, strip) must match its certificate's to the same
+DEB_TOL, so an accepted report is verified. BoundReport.verify, the read
+path for stored reports, re-runs _conditions from the certificate alone.
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ class BoundReport:
         c = self.certificate
         return _lp_value(self.spec.N, c.poly, c.gegenbauer.coeffs[0])
 
-    def verify(self, tol: float | None = None) -> bool:
-        """Re-run the checks that accepted the report (_conditions) at tol,
-        default DEB_TOL, and check that the stored value agrees with the
+    def verify(self) -> bool:
+        """Re-run the checks that accepted the report (_conditions) at
+        DEB_TOL, and check that the stored value agrees with the
         certificate's."""
         if not self.accepted or self.certificate is None:
             return False
-        tol = _tol() if tol is None else tol
+        tol = _tol()
         _, _, violations = _conditions(self.certificate, self.h, self.spec.tau, tol)
         return not violations and _close(self.recompute_value(), self.value, tol)
 

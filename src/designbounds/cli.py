@@ -7,6 +7,9 @@ they are used, by levenshtein's one admissibility check. Exit codes: 0 ok,
 internal-consistency or convergence failure.
 A sweep prints every row, and a point that fails gets an error row; the sweep
 exits 3 if any point failed internally, and 0 otherwise.
+``--verify`` is accepted and ignored, as ``sweep --jobs`` is: acceptance
+runs the checks of BoundReport.verify at the same DEB_TOL, so a printed
+report has nothing left to re-check.
 """
 
 from __future__ import annotations
@@ -57,32 +60,9 @@ def _potential_or_usage(spec: str):
         _usage(f"invalid potential spec {spec!r}: {e}")
 
 
-def _lower_reports(n, N, tau, h, l_override=None):
-    out = []
-    out.append(bounds.ulb(n, N, tau, h))
-    if tau == 2:
-        try:
-            out.append(bounds.lower_2design(n, N, h))
-        except RangeError:
-            pass
-    if tau % 2 == 0 and tau >= 2:
-        try:
-            out.append(bounds.improved_even_lower(n, N, tau // 2, h, ell=l_override))
-        except RangeError:
-            pass
-    return out
-
-
-def _upper_reports(n, N, tau, h, u_override=None):
-    """The reports of the upper-bound methods tried at tau, and the
-    RangeError of each tried method that does not apply."""
-    tried = []
-    if tau == 2:
-        tried.append(("upper_2design", lambda: bounds.upper_2design(n, N, h)))
-    if tau in (3, 4):
-        tried.append(("upper_cubic", lambda: bounds.upper_cubic(n, N, tau, h, u_override)))
-    if tau % 2 == 1 and u_override is not None:
-        tried.append(("strip_odd", lambda: bounds.strip_odd(n, N, tau, h, u_override)))
+def _collect(tried):
+    """The reports of the tried (method, call) pairs, and the RangeError of
+    each tried method that does not apply."""
     out, errors = [], []
     for method, call in tried:
         try:
@@ -90,6 +70,31 @@ def _upper_reports(n, N, tau, h, u_override=None):
         except RangeError as e:
             errors.append(f"{method}: {e}")
     return out, errors
+
+
+def _lower_reports(n, N, tau, h, l_override=None):
+    """ulb (its RangeError reaches the caller) and the other lower-bound methods that apply."""
+    first = bounds.ulb(n, N, tau, h)
+    tried = []
+    if tau == 2:
+        tried.append(("lower_2design", lambda: bounds.lower_2design(n, N, h)))
+    if tau % 2 == 0:
+        tried.append(("improved_even_lower",
+                      lambda: bounds.improved_even_lower(n, N, tau // 2, h, ell=l_override)))
+    reports, _ = _collect(tried)
+    return [first, *reports]
+
+
+def _upper_reports(n, N, tau, h, u_override=None):
+    """_collect over the upper-bound methods tried at tau."""
+    tried = []
+    if tau == 2:
+        tried.append(("upper_2design", lambda: bounds.upper_2design(n, N, h)))
+    if tau in (3, 4):
+        tried.append(("upper_cubic", lambda: bounds.upper_cubic(n, N, tau, h, u_override)))
+    if tau % 2 == 1 and u_override is not None:
+        tried.append(("strip_odd", lambda: bounds.strip_odd(n, N, tau, h, u_override)))
+    return _collect(tried)
 
 
 def _best(reports, pick):
@@ -107,34 +112,25 @@ def _side_json(reports, pick):
     }
 
 
-def _verify(reports):
-    for r in reports:
-        if r.accepted and not r.verify():
-            raise InternalConsistencyError(
-                f"certificate re-verification failed for method {r.method} at"
-                f" (n={r.spec.n}, N={r.spec.N}, tau={r.spec.tau})"
-            )
-
-
 def cmd_bound(args) -> int:
     h = _potential_or_usage(args.potential)
     result = {}
-    lowers, uppers = [], []
     if args.side in ("lower", "strip"):
-        lowers = _lower_reports(args.n, args.N, args.tau, h, args.l)
-        result["lower"] = _side_json(lowers, max)
+        result["lower"] = _side_json(_lower_reports(args.n, args.N, args.tau, h, args.l), max)
     if args.side in ("upper", "strip"):
         uppers, errors = _upper_reports(args.n, args.N, args.tau, h, args.u)
-        if not uppers and args.side == "upper":
+        if not uppers:
             where = f"(n={args.n}, N={args.N}, tau={args.tau})"
             if errors:
-                raise RangeError(f"no upper-bound method applies to {where}: {'; '.join(errors)}")
-            levenshtein._admissible(args.n, args.tau, args.N)  # bad input is named first
-            without = " without --u" if args.tau % 2 else ""
-            raise RangeError(f"no upper-bound method exists for tau = {args.tau}{without}")
+                reason = f"no upper-bound method applies to {where}: {'; '.join(errors)}"
+            else:
+                levenshtein._admissible(args.n, args.tau, args.N)  # bad input is named first
+                without = " without --u" if args.tau % 2 else ""
+                reason = f"no upper-bound method exists for tau = {args.tau}{without}"
+            if args.side == "upper":
+                raise RangeError(reason)
+            print(f"designbounds: note: {reason}", file=sys.stderr)
         result["upper"] = _side_json(uppers, min)
-    if args.verify:
-        _verify(lowers + uppers)
     print(jsonio.dumps(result))
     return EXIT_OK
 
@@ -208,7 +204,6 @@ def _sweep_one(point, h, u):
             row[f"{side}_best"] = best.value
             row[f"{side}_method"] = best.method
             row[f"{side}_margin"] = best.margins.get("sign_margin")
-    row["reports"] = lowers + uppers
     return row
 
 
@@ -218,10 +213,7 @@ def cmd_sweep(args) -> int:
     if not points:
         _usage("empty sweep grid")
     rows = [_sweep_one(p, h, args.u) for p in points]
-    reports = [r for row in rows for r in row.pop("reports", [])]
     failed = sum(row.pop("failed", False) for row in rows)
-    if args.verify:
-        _verify(reports)
     if failed:
         print(f"internal failure at {failed} of {len(rows)} sweep points; see their error rows",
               file=sys.stderr)
@@ -255,7 +247,7 @@ def build_parser() -> _Parser:
     b.add_argument("--side", choices=["lower", "upper", "strip"], default="strip")
     b.add_argument("--u", type=_inner_product, help="largest admissible inner product")
     b.add_argument("--l", type=_inner_product, help="smallest admissible inner product")
-    b.add_argument("--verify", action="store_true", help="re-check certificates before output")
+    b.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     b.set_defaults(func=cmd_bound)
 
     q = sub.add_parser("quadrature", help="Levenshtein quadrature rule")
@@ -290,7 +282,7 @@ def build_parser() -> _Parser:
     s.add_argument("--u", type=_inner_product)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--jobs", type=int, default=1, help="ignored; points run one after another")
-    s.add_argument("--verify", action="store_true")
+    s.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     s.set_defaults(func=cmd_sweep)
     return p
 

@@ -41,6 +41,9 @@ class Potential:
         return self._derivative(np.asarray(t, dtype=float), order)
 
     def spec_string(self) -> str:
+        """The spec that parse_potential reads back into this potential."""
+        if self.name == "poly":
+            return "poly:" + ",".join(repr(c) for c in self.params["coeffs"])
         if not self.params:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())

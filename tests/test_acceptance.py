@@ -191,7 +191,7 @@ def test_criterion_08_certificate_integrity():
             if not rep.accepted:
                 continue
             checked += 1
-            if not rep.verify(tol=1e-9):
+            if not rep.verify():
                 failed += 1
     _report(8, failed == 0, f"{checked} certificates re-verified, {failed} failures")
 

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from designbounds import cli, jsonio
-from designbounds.levenshtein import dgs_bound
+from designbounds.bounds import BoundReport, Certificate
+from designbounds.levenshtein import DesignSpec, dgs_bound, solve_cardinality
+from designbounds.orthopoly import GegExpansion, Poly
+from designbounds.potentials import parse_potential
 
 
 def run(capsys, *argv):
@@ -96,8 +99,8 @@ def test_ulb_value_check_uses_verify_tolerance(
     capsys, monkeypatch, n, N, tau, potential, tol, expected
 ):
     # the ulb certificate and quadrature values differ by 1e-9..1e-8
-    # relative: the value check at creation and --verify both use DEB_TOL,
-    # so the exit code does not depend on --verify
+    # relative: the value check at creation uses DEB_TOL and --verify adds
+    # no check, so the exit code does not depend on --verify
     if tol is not None:
         monkeypatch.setenv("DEB_TOL", tol)
     argv = ["bound", "--n", str(n), "--N", N, "--tau", str(tau),
@@ -203,12 +206,20 @@ def test_sweep_tau_0_rows_get_one_message(capsys):
     ("--n 3 --N 7 --tau 3", "upper_cubic: tau = 3 requires a caller-supplied"),
     # below the rule's largest node no 35-point code exists
     ("--n 7 --N 35 --tau 4 --u -0.6", "upper_cubic: u = -0.6 must be at least the largest node"),
+    ("--n 3 --N 7 --tau 3 --u 0", "upper_cubic: u = 0.0 must be at least the largest node"
+                                  " 0.13807118745769834; strip_odd: u = 0.0 must be at least"
+                                  " the largest node"),
 ])
 def test_bound_upper_says_why_no_method_applies(capsys, argv, reason):
     code, out, err = run(capsys, "bound", *argv.split(), "--potential", "log", "--side", "upper")
     assert code == 2
     assert reason in err
     assert out == ""
+    # --side strip prints an empty upper side, exits 0 and notes the reason
+    code, out, note = run(capsys, "bound", *argv.split(), "--potential", "log", "--side", "strip")
+    assert code == 0
+    assert json.loads(out)["upper"] == {"best_method": None, "best_value": None, "methods": []}
+    assert note == err.replace("range error: ", "designbounds: note: ")
 
 
 @pytest.mark.parametrize(
@@ -337,6 +348,55 @@ def test_sweep_keeps_rows_when_points_fail_internally(capsys):
         )
         assert code == 3
         assert err == f"internal consistency failure: {row['error']}\n"
+
+
+def _report_from_json(d) -> BoundReport:
+    """A method report rebuilt from its printed JSON alone."""
+    spec = DesignSpec(**d["spec"])
+    c = d["certificate"]
+    return BoundReport(
+        spec=spec,
+        side=d["side"],
+        value=d["value"],
+        method=d["method"],
+        certificate=Certificate(
+            poly=Poly(c["poly"]),
+            gegenbauer=GegExpansion(n=spec.n, coeffs=tuple(c["gegenbauer"])),
+            lo=c["interval"][0],
+            hi=c["interval"][1],
+            relation=c["relation"],
+        ),
+        h=parse_potential(d["potential"]),
+        accepted=d["accepted"],
+    )
+
+
+@pytest.mark.parametrize(
+    "k, potential", enumerate(["riesz:s=2", "log", "gauss:c=1", "poly:1,0,2"])
+)
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_printed_reports_reverify_from_their_json(capsys, n, k, potential):
+    # acceptance is the check: every accepted report that bound prints
+    # re-verifies from its JSON text, and --verify changes no byte. One N of
+    # lo, mid, hi per (n, tau, potential); the potentials cover all three.
+    accepted = 0
+    for tau in range(1, 9):
+        lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
+        N = (lo, (lo + hi) // 2, hi)[(n + tau + k) % 3]
+        argv = ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                "--potential", potential, "--side", "strip"]
+        if tau % 2:
+            argv += ["--u", repr((solve_cardinality(n, tau, N) + 1) / 2)]
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--verify")[:2] == (code, out)
+        if code != 0:
+            continue
+        for side in json.loads(out).values():
+            for d in side["methods"]:
+                if d["accepted"]:
+                    assert _report_from_json(d).verify(), (argv, d["method"])
+                    accepted += 1
+    assert accepted > 0
 
 
 def test_bound_json_deterministic(capsys):

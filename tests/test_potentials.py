@@ -74,6 +74,17 @@ def test_parse_potential_round_trip():
 def test_spec_string():
     assert pot.parse_potential("riesz:s=2").spec_string() == "riesz:s=2.0"
     assert pot.make_log().spec_string().startswith("log:")
+    assert pot.parse_potential("poly:1,0,2").spec_string() == "poly:1.0,0.0,2.0"
+    # stored reports name their potential by spec_string and are parsed back
+    t = np.linspace(-1.0, 0.9, 7)
+    for spec in ("riesz:s=2", "riesz:s=0.1", "log", "gauss:c=1", "gauss:c=3.7",
+                 "poly:1,0,2", "poly:0,-1", "poly:0.1,-3e-20,1e300"):
+        h = pot.parse_potential(spec)
+        back = pot.parse_potential(h.spec_string())
+        assert back.spec_string() == h.spec_string(), spec
+        assert back.params == h.params, spec
+        for order in range(3):
+            assert np.array_equal(back.derivative(t, order), h.derivative(t, order)), spec
 
 
 def test_log_spec_takes_only_the_offset_it_prints():

@@ -39,7 +39,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (332 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (334 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -48,7 +48,9 @@ The sets:
   N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1, s, s - 1e-9}, with s the
   rule's largest node (passed as ``repr(u)``); and ``bound`` with the
   potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7, riesz:s=1,s=3,
-  log:offset=0.6931471805599453 and log:offset=1.
+  log:offset=0.6931471805599453 and log:offset=1; and ``bound --side
+  strip`` at (3, 5, 2) with the polynomial potentials poly:1,0,2 and
+  poly:0,-1, whose printed spec is in the report.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -181,6 +183,8 @@ def edges_cases():
                                "--potential", "log", "--side", side, "--u", u]
     for pot in EDGE_POTENTIALS:
         yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot]
+    for pot in ("poly:1,0,2", "poly:0,-1"):
+        yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot, "--side", "strip"]
 
 
 SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
