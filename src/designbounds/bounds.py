@@ -30,7 +30,7 @@ from .orthopoly import (
     gegenbauer_poly,
     gegenbauer_table,
 )
-from .potentials import MONOTONE_GRID, Potential, check_abs_monotone
+from .potentials import MONOTONE_GRID, Potential, check_abs_monotone, parse_potential
 
 A1_GRID = 20_001
 
@@ -92,6 +92,31 @@ class BoundReport:
             "margins": self.margins,
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_json(cls, d: dict) -> "BoundReport":
+        """The report that to_json printed, rebuilt from the parsed JSON
+        alone; its to_json gives d back."""
+        spec = DesignSpec(**d["spec"])
+        c = d["certificate"]
+        cert = None if c is None else Certificate(
+            poly=Poly(c["poly"]),
+            gegenbauer=GegExpansion(n=spec.n, coeffs=tuple(c["gegenbauer"])),
+            lo=c["interval"][0],
+            hi=c["interval"][1],
+            relation=c["relation"],
+        )
+        return cls(
+            spec=spec,
+            side=d["side"],
+            value=d["value"],
+            method=d["method"],
+            certificate=cert,
+            h=parse_potential(d["potential"]),
+            accepted=d["accepted"],
+            margins=dict(d["margins"]),
+            notes=list(d["notes"]),
+        )
 
 
 def _lp_value(N: float, f: Poly, f0: float) -> float:

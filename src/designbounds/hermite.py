@@ -3,6 +3,9 @@ one-sided verification of interpolants against potentials."""
 
 from __future__ import annotations
 
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,32 +39,32 @@ class HermiteScheme:
 
 def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
     """Newton divided differences with repeated abscissae; multiplicity-2
-    nodes also match h'."""
-    z = []
-    for t, m in scheme.nodes:
-        z.extend([t] * m)
-    z = np.asarray(z)
+    nodes also match h'. Both the table and the expansion run in Python
+    floats, which round as numpy's scalars and arrays do."""
+    z = [t for t, m in scheme.nodes for _ in range(m)]
     n = len(z)
-    # divided-difference table; multiplicities are at most 2, so equal
-    # abscissae meet only at j = 1, where they take h'
-    table = np.zeros((n, n))
-    table[:, 0] = h.eval(z)
+    # the table's top row in place, one column j at a time: c[i] becomes
+    # table[i - j, j]. Multiplicities are at most 2, so equal abscissae meet
+    # only at j = 1, where they take h' at that node
+    c = np.asarray(h.eval(np.asarray(z)), dtype=float).tolist()
     for j in range(1, n):
-        for i in range(n - j):
-            dz = z[i + j] - z[i]
+        for i in range(n - 1, j - 1, -1):
+            dz = z[i] - z[i - j]
             if dz == 0.0:
-                table[i, j] = float(h.derivative(z[i], 1))
+                c[i] = float(h.derivative(z[i], 1))
             else:
-                table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / dz
+                c[i] = (c[i] - c[i - 1]) / dz
     # expand the Newton form in one buffer: times (t - z_i), c'[j] = c[j-1]
-    # + (-z_i) c[j], then c[0] += table[0, i]. buf[0] stays 0 as c[-1], and
-    # each c'[j] sums the two products np.convolve sums in npoly.polymul,
-    # so the coefficients are polymul/polyadd's bit for bit
-    buf = np.zeros(n + 1)
-    buf[1] = table[0, n - 1]
+    # + (-z_i) c[j], then c[0] += c_i. buf[0] stays 0 as c[-1], and each
+    # c'[j] sums the two products np.convolve sums in npoly.polymul, so the
+    # coefficients are polymul/polyadd's bit for bit
+    buf = [0.0] * (n + 1)
+    buf[1] = c[n - 1]
     for i in range(n - 2, -1, -1):
-        buf[1 : n - i + 1] = buf[: n - i] + -z[i] * buf[1 : n - i + 1]
-        buf[1] += table[0, i]
+        step = -z[i]
+        for j in range(n - i, 0, -1):
+            buf[j] = buf[j - 1] + step * buf[j]
+        buf[1] += c[i]
     return Poly(buf[1:])
 
 
@@ -84,25 +87,76 @@ def verify_one_sided(
     """Sampled check that f stays below (f <= h) or above (f >= h) on [lo, hi]."""
     if relation not in ("below", "above"):
         raise RangeError(f"relation must be 'below' or 'above', got {relation!r}")
-    grid = np.linspace(lo, hi, grid_size)
-    diff = _gap(f, h, grid, relation)
-    # refine locally around the sampled minimum
+    grid, h_grid = _sampled(h, lo, hi, grid_size)
+    diff = _gap(f(grid), h_grid, relation)
     i = int(np.argmin(diff))
+    coarse = diff[i]
+    # the refinement allocates; keep the peak at one grid array
+    del diff
+    # refine locally around the sampled minimum
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
     fine = np.linspace(a, b, 2001)
-    fdiff = _gap(f, h, fine, relation)
+    fdiff = _gap(f(fine), h.eval(fine), relation)
     j = int(np.argmin(fdiff))
-    m = min(float(diff[i]), float(fdiff[j]))
-    arg = float(fine[j]) if fdiff[j] <= diff[i] else float(grid[i])
+    m = min(float(coarse), float(fdiff[j]))
+    arg = float(fine[j]) if fdiff[j] <= coarse else float(grid[i])
     return MarginReport(min_margin=m, argmin=arg, passes=m >= -tol)
 
 
-def _gap(f: Poly, h: Potential, t: np.ndarray, relation: str) -> np.ndarray:
-    """h - f at t ("below"), or f - h ("above"), written into the fresh array
-    f(t) returns; never into h's result, which the potential may share."""
-    ht = h.eval(t)
-    gap = f(t)
-    np.subtract(ht, gap, out=gap)
+def _gap(ft: np.ndarray, ht: np.ndarray, relation: str) -> np.ndarray:
+    """h - f ("below"), or f - h ("above"), written into ft, the fresh array
+    f(t) returned; never into h's values, which the potential or the sample
+    memo may share."""
+    np.subtract(ht, ft, out=ft)
     if relation == "above":
-        np.negative(gap, out=gap)
-    return gap
+        np.negative(ft, out=ft)
+    return ft
+
+
+# a sweep checks one potential on one interval many times over (every ulb
+# certificate on (-1, 1 - 1e-9), every strip_odd candidate on (-1, u)), so
+# the grid and h on it are sampled once. Keyed on h's identity: each entry
+# holds its potential, so the id cannot be reused while the entry lives. A
+# spec string would be no key, since shifted potentials share their name and
+# params; and a cache on the potential would live as long as every report
+# that holds one. A sample is kept from its second use on: a check that is
+# never repeated (re-verifying one stored report, one bound per call) keeps
+# nothing, because holding the arrays of the last few checks costs a
+# one-off check more than the sample it would save.
+_SAMPLES: OrderedDict = OrderedDict()  # key -> (h, grid, h on the grid)
+_SEEN: OrderedDict = OrderedDict()  # key -> h, for keys sampled once
+_SAMPLES_KEPT = 4  # bounds _SEEN too
+_SAMPLES_LOCK = threading.Lock()
+
+
+def _sampled(h: Potential, lo: float, hi: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """linspace(lo, hi, size) and h on it, read-only once kept. The memo
+    keeps the _SAMPLES_KEPT most recently used samples of keys seen before,
+    and the _SAMPLES_KEPT keys seen last. The key holds the bits of lo and
+    hi, so -0.0 and 0.0 are two intervals, as linspace makes them."""
+    key = (id(h), struct.pack("<dd", lo, hi), size)
+    with _SAMPLES_LOCK:
+        entry = _SAMPLES.get(key)
+        if entry is not None:
+            _SAMPLES.move_to_end(key)
+            return entry[1], entry[2]
+        seen = _SEEN.pop(key, None) is not None
+        if not seen:
+            _SEEN[key] = h
+            if len(_SEEN) > _SAMPLES_KEPT:
+                _SEEN.popitem(last=False)
+    grid = np.linspace(lo, hi, size)
+    h_grid = h.eval(grid)
+    if not seen:
+        return grid, h_grid
+    grid.setflags(write=False)
+    # a read-only view, not a copy: h's own array keeps its flags
+    h_grid = np.asarray(h_grid).view()
+    h_grid.setflags(write=False)
+    with _SAMPLES_LOCK:
+        # another thread may have stored the same key meanwhile
+        _SAMPLES[key] = (h, grid, h_grid)
+        _SAMPLES.move_to_end(key)
+        while len(_SAMPLES) > _SAMPLES_KEPT:
+            _SAMPLES.popitem(last=False)
+    return grid, h_grid

@@ -54,14 +54,20 @@ class Poly:
     def __call__(self, t):
         """Horner's rule into one output buffer; bit-identical to
         ``npoly.polyval``, which starts from ``t*0 + c[-1]`` so that inf and
-        NaN in t propagate. A scalar or 0-d t gives a numpy scalar."""
-        t = np.asarray(t, dtype=float)
-        out = t * 0
-        out += self.coeffs[-1]
+        NaN in t propagate. A scalar or 0-d t runs the same operations in
+        Python floats and gives a numpy scalar."""
+        t = _scalar_or_array(t)
+        if isinstance(t, np.ndarray):
+            out = t * 0
+            out += self.coeffs[-1]
+            for c in self.coeffs[-2::-1]:
+                out *= t
+                out += c
+            return out
+        out = t * 0 + self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
-            out *= t
-            out += c
-        return out
+            out = out * t + c
+        return np.float64(out)
 
     def deriv(self, order: int = 1) -> "Poly":
         return Poly(npoly.polyder(self.coeffs, order)) if order else self
@@ -81,6 +87,16 @@ class Poly:
 
     def to_json(self) -> list[float]:
         return list(self.coeffs)
+
+
+def _scalar_or_array(t):
+    """t as a Python float when it is a scalar or 0-d, else as a float
+    array. Python float arithmetic rounds as numpy's does, so the scalar
+    path gives the same bits without numpy's per-operation cost."""
+    if isinstance(t, float):  # np.float64 is a float
+        return float(t)
+    t = np.asarray(t, dtype=float)
+    return t if t.ndim else float(t)
 
 
 def poly_from_roots(roots) -> Poly:
@@ -128,13 +144,14 @@ def gegenbauer_derivative(n: int, i: int, t, order: int):
     # an order above i stops at the factor m = i, which is 0, so the result is +0
     c = math.prod((i - m) * (i + m + n - 2) / (n + 2 * m - 1) for m in range(min(order, i + 1)))
     out = c * _recurrence_rows(n + 2 * order, max(i - order, 0), t)[-1]
-    return out if out.ndim else float(out)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _recurrence_rows(n: int, d: int, t) -> list:
-    """P_0..P_d at t, one array per degree."""
-    t = np.asarray(t, dtype=float)
-    rows = [np.ones_like(t), t]
+    """P_0..P_d at t, one array per degree; a scalar or 0-d t runs the same
+    operations in Python floats, one float per degree."""
+    t = _scalar_or_array(t)
+    rows = [np.ones_like(t), t] if isinstance(t, np.ndarray) else [1.0, t]
     for deg in range(1, d):
         a, b = 2 * deg + n - 2, deg + n - 2
         rows.append((a * (t * rows[-1]) - deg * rows[-2]) / b)

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from designbounds import bounds, codes, innerprod, levenshtein
+from designbounds import bounds, codes, innerprod, jsonio, levenshtein
 from designbounds.errors import ConvergenceError, RangeError
 from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_poly
-from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz
+from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz, parse_potential
 
 R1 = make_riesz(1.0)
 R2 = make_riesz(2.0)
@@ -358,3 +359,39 @@ def test_admissibility_decisions(name, n, tau, N, accepts):
     else:
         with pytest.raises(RangeError):
             call(n, tau, N)
+
+
+# one call per method; the no-gain improve_with_degree report has no
+# certificate, and the lp_certify_lower call is rejected for most potentials
+ROUND_TRIP_METHODS = {
+    "ulb": lambda h: bounds.ulb(4, 16, 4, h),
+    "improved_even_lower": lambda h: bounds.improved_even_lower(4, 17, 2, h),
+    "lower_2design": lambda h: bounds.lower_2design(4, 6, h),
+    "upper_2design": lambda h: bounds.upper_2design(4, 6, h),
+    "upper_cubic": lambda h: bounds.upper_cubic(4, 16, 4, h),
+    "strip_odd": lambda h: bounds.strip_odd(4, 10, 3, h, 0.4),
+    # the poly below has no positive shift at j = 9, and log none at j = 6
+    "improve_with_degree": lambda h: (
+        bounds.improve_with_degree(3, 7.5, 3, h, 6) if h.name == "poly"
+        else bounds.improve_with_degree(5, 40, 5, h, 9)
+    ),
+    "improve_with_degree_no_gain": lambda h: bounds.improve_with_degree(3, 4, 1, h, 3),
+    "lp_certify_lower": lambda h: bounds.lp_certify_lower(Poly([0.5]), 4, 2, (-1.0, 0.5), h, 6),
+    "lp_certify_upper": lambda h: bounds.lp_certify_upper(Poly([100.0]), 4, 2, (-1.0, 0.5), h, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ["riesz:s=2", "log", "gauss:c=1", "poly:1,1,0.5,0.25,0.0625,0.015625,0.00390625"]
+)
+@pytest.mark.parametrize("method", ROUND_TRIP_METHODS)
+def test_report_from_json_round_trip(method, spec):
+    # to_json -> from_json -> to_json gives the same text, and an accepted
+    # report rebuilt from its JSON alone verifies
+    report = ROUND_TRIP_METHODS[method](parse_potential(spec))
+    text = jsonio.dumps(report.to_json())
+    again = bounds.BoundReport.from_json(json.loads(text))
+    assert jsonio.dumps(again.to_json()) == text
+    assert again.verify() is report.accepted
+    if method not in ("improve_with_degree_no_gain", "lp_certify_lower"):
+        assert report.accepted

@@ -3,10 +3,8 @@ import json
 import pytest
 
 from designbounds import cli, jsonio
-from designbounds.bounds import BoundReport, Certificate
-from designbounds.levenshtein import DesignSpec, dgs_bound, solve_cardinality
-from designbounds.orthopoly import GegExpansion, Poly
-from designbounds.potentials import parse_potential
+from designbounds.bounds import BoundReport
+from designbounds.levenshtein import dgs_bound, solve_cardinality
 
 
 def run(capsys, *argv):
@@ -350,27 +348,6 @@ def test_sweep_keeps_rows_when_points_fail_internally(capsys):
         assert err == f"internal consistency failure: {row['error']}\n"
 
 
-def _report_from_json(d) -> BoundReport:
-    """A method report rebuilt from its printed JSON alone."""
-    spec = DesignSpec(**d["spec"])
-    c = d["certificate"]
-    return BoundReport(
-        spec=spec,
-        side=d["side"],
-        value=d["value"],
-        method=d["method"],
-        certificate=Certificate(
-            poly=Poly(c["poly"]),
-            gegenbauer=GegExpansion(n=spec.n, coeffs=tuple(c["gegenbauer"])),
-            lo=c["interval"][0],
-            hi=c["interval"][1],
-            relation=c["relation"],
-        ),
-        h=parse_potential(d["potential"]),
-        accepted=d["accepted"],
-    )
-
-
 @pytest.mark.parametrize(
     "k, potential", enumerate(["riesz:s=2", "log", "gauss:c=1", "poly:1,0,2"])
 )
@@ -394,7 +371,7 @@ def test_printed_reports_reverify_from_their_json(capsys, n, k, potential):
         for side in json.loads(out).values():
             for d in side["methods"]:
                 if d["accepted"]:
-                    assert _report_from_json(d).verify(), (argv, d["method"])
+                    assert BoundReport.from_json(d).verify(), (argv, d["method"])
                     accepted += 1
     assert accepted > 0
 

@@ -1,15 +1,19 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from designbounds import cli
+from designbounds import bounds, cli, hermite
 from designbounds.errors import RangeError
 from designbounds.hermite import HermiteScheme, interpolate, verify_one_sided
 from designbounds.orthopoly import Poly
-from designbounds.potentials import Potential, make_gauss, make_log, make_poly, make_riesz
+from designbounds.potentials import (
+    Potential, make_gauss, make_log, make_poly, make_riesz, parse_potential,
+)
 
 
 def test_scheme_validation():
@@ -68,13 +72,16 @@ def _interpolate_reference(scheme, h):
 @pytest.mark.parametrize("h", [make_riesz(2.0), make_riesz(0.5), make_log(), make_gauss(1.0)],
                          ids=["riesz2", "riesz0.5", "log", "gauss1"])
 def test_interpolate_expansion_is_polymul_bit_for_bit(h):
+    # single-node schemes first: one value, or one value and one slope
     rng = np.random.default_rng(20261018)
+    schemes = [HermiteScheme([(-1.0, 1)]), HermiteScheme([(0.3, 2)])]
     for _ in range(150):
         k = int(rng.integers(1, 18))
         ts = np.sort(rng.uniform(-1.0, 0.95, k))
         if k > 1 and np.min(np.diff(ts)) < 1e-6:
             continue
-        scheme = HermiteScheme(zip(ts, rng.integers(1, 3, k)))
+        schemes.append(HermiteScheme(zip(ts, rng.integers(1, 3, k))))
+    for scheme in schemes:
         got, want = interpolate(scheme, h), _interpolate_reference(scheme, h)
         assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), scheme
 
@@ -200,3 +207,119 @@ def test_a1_check_allocation_budget():
     for relation in ("below", "above"):
         check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
         assert _peak_in_grid_arrays(check, size) <= 3.1
+
+
+def test_sample_memo_hit_is_a_fresh_sample_bit_for_bit():
+    # the first use keeps nothing, the second keeps its sample, and a hit
+    # hands back those arrays, read-only, with the bits a fresh linspace and
+    # h.eval give; -0.0 and 0.0 are two intervals
+    h = make_riesz(1.7)
+    for lo, hi in ((-1.0, 1.0 - 1e-9), (0.5, -0.0), (0.5, 0.0)):
+        first = hermite._sampled(h, lo, hi, 20_001)
+        grid, h_grid = hermite._sampled(h, lo, hi, 20_001)
+        assert grid is not first[0]
+        again = hermite._sampled(h, lo, hi, 20_001)
+        assert again[0] is grid and again[1] is h_grid
+        fresh = np.linspace(lo, hi, 20_001)
+        assert grid.tobytes() == fresh.tobytes()
+        assert h_grid.tobytes() == h.eval(fresh).tobytes()
+        for arr in (grid, h_grid):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert hermite._sampled(h, 0.5, -0.0, 20_001)[0][-1].tobytes() == np.float64(-0.0).tobytes()
+    # the check on a held sample reports what a check on a fresh one does
+    f = interpolate(HermiteScheme([(-0.6, 2), (0.2, 2), (0.7, 2)]), h)
+    held = verify_one_sided(f, h, -1.0, 1.0 - 1e-9, "below", 20_001)
+    assert verify_one_sided(f, make_riesz(1.7), -1.0, 1.0 - 1e-9, "below", 20_001) == held
+
+
+def test_sample_memo_keeps_nothing_from_a_check_made_once():
+    # re-verifying one stored report checks its potential once: holding
+    # that sample would cost the check and save nothing
+    f = Poly([0.1, 0.2])
+    hs = [make_riesz(2.0) for _ in range(8)]
+    for h in hs:
+        verify_one_sided(f, h, -1.0, 0.5, "below", 2001)
+    assert not any(entry[0] is h for entry in hermite._SAMPLES.values() for h in hs)
+
+
+def test_sample_memo_leaves_potential_arrays_writable():
+    # the memo's read-only view must not change the flags of h's own array
+    cache = {}
+    h = _potential(lambda t: cache.setdefault(t.shape, np.full(t.shape, 5.0)))
+    for _ in range(3):
+        assert verify_one_sided(Poly([1.0]), h, -1.0, 0.5, "below", 1001).passes
+    assert all(a.flags.writeable for a in cache.values())
+
+
+def test_a1_check_on_a_held_sample_allocation_budget():
+    # once h has been sampled on the grid, a check allocates f's one buffer
+    # and the 2001-point refinement, which runs after that buffer is freed
+    size = 20_001
+    rng = np.random.default_rng(3)
+    f = Poly(rng.standard_normal(31) * 1e-3)
+    h = make_riesz(2.0)
+    for relation in ("below", "above"):
+        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
+        check()  # a sample is kept from its second use on
+        assert _peak_in_grid_arrays(check, size) <= 1.1
+    # a miss (a fresh potential) still keeps to the budget of a fresh check
+    miss = lambda: verify_one_sided(f, make_riesz(2.0), -1.0, 0.9, "below", size)
+    assert _peak_in_grid_arrays(miss, size) <= 3.1
+
+
+def test_sample_memo_keeps_four_entries_while_reports_live():
+    # reports keep their potentials alive; the memo must not keep a grid
+    # per report, only its four most recent entries (2 grid arrays each).
+    # Each report checks twice here, so its sample is kept
+    def report():
+        h = parse_potential("riesz:s=2")
+        r = bounds.ulb(4, 16, 4, h)
+        assert r.verify()
+        return r
+
+    report()  # fill the rule memos
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = [report() for _ in range(50)]
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.accepted for r in reports)
+    assert len(hermite._SAMPLES) <= 4
+    held = sum(a.nbytes for _, grid, h_grid in hermite._SAMPLES.values() for a in (grid, h_grid))
+    assert held <= 4 * 2 * 8 * bounds.A1_GRID
+    assert grown <= 1.5e6
+
+
+def test_sample_memo_is_safe_across_threads():
+    # four threads, more potentials than memo entries and a short switch
+    # interval: no lookup loses its entry to another thread's eviction, and
+    # every sample has the bits of a fresh one
+    hs = [make_riesz(1.0 + 0.25 * k) for k in range(6)]
+    grid = np.linspace(-1.0, 0.5, 3)
+    want = [h.eval(grid).tobytes() for h in hs]
+    errors = []
+
+    def work(seed):
+        try:
+            for k in np.random.default_rng(seed).integers(0, len(hs), 3000):
+                got = hermite._sampled(hs[k], -1.0, 0.5, 3)
+                assert got[0].tobytes() == grid.tobytes() and got[1].tobytes() == want[k]
+        except Exception as e:  # surfaced in the main thread below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(hermite._SAMPLES) <= 4

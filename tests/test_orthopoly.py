@@ -199,29 +199,57 @@ _SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
 def _poly_inputs():
-    """Python scalars, 0-d, 1-d and 2-d arrays, with signed zeros, infinities
-    and NaN among the values."""
+    """Python scalars, numpy scalars, 0-d, 1-d and 2-d arrays, with signed
+    zeros, infinities, NaN, subnormals and values past 1 among them."""
     row = np.concatenate((np.linspace(-1.0, 1.0, 9), _SPECIAL, [2.5, -3.0]))
     yield from (0.3, -0.7, 1, *_SPECIAL)
     yield from (np.asarray(x) for x in (0.3, *_SPECIAL))
+    yield from (np.float64(x) for x in (0.3, -0.7, 5e-324, -1e-310, 1e10, -3e300, *_SPECIAL))
     yield row
     yield row.reshape(2, -1)
 
 
 def test_poly_call_is_polyval_bit_for_bit():
+    # the scalar path runs in Python floats and the array path in numpy;
+    # coefficients up to 1e+-300 make Horner overflow midway
     rng = np.random.default_rng(7)
-    polys = [op.Poly([0.0])] + [
+    polys = [op.Poly([0.0]), op.Poly([-0.0]), op.Poly([1.0, np.nan, -2.0])] + [
         op.Poly(rng.standard_normal(d + 1) * 10.0 ** rng.integers(-3, 4, d + 1)) for d in range(61)
+    ] + [
+        op.Poly(rng.standard_normal(d + 1) * 10.0 ** rng.integers(-300, 301, d + 1))
+        for d in range(1, 61, 3)
     ]
     for p in polys:
         for t in _poly_inputs():
-            with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
                 got = p(t)
                 want = npoly.polyval(np.asarray(t, dtype=float), p.coeffs)
             assert type(got) is type(want), (p.degree, t)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (p.degree, t)
 
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_gegenbauer_scalar_path_is_array_path_bit_for_bit():
+    # a scalar t runs the recurrence in Python floats; it must give the bits
+    # and the types (ndarray table, float derivative) a 1-element array
+    # gives. The degree-60 array table holds every lower degree's rows
+    rng = np.random.default_rng(13)
+    for n in range(2, 201):
+        ds = range(61) if n in (2, 3, 24, 200) else (0, 1, int(rng.integers(2, 60)), 60)
+        for x in (1.0, -1.0, 0.0, -0.0, np.nan, *rng.uniform(-1.0, 1.0, 2)):
+            rows = op.gegenbauer_table(n, 60, np.array([x]))[:, 0]
+            i, order = int(rng.integers(0, 61)), int(rng.integers(0, 4))
+            deriv = op.gegenbauer_derivative(n, i, np.array([x]), order)
+            for t in (x, np.float64(x), np.asarray(x)):
+                for d in ds:
+                    got = op.gegenbauer_table(n, d, t)
+                    assert type(got) is np.ndarray and got.shape == (d + 1,), (n, d, t)
+                    assert got.tobytes() == rows[: d + 1].tobytes(), (n, d, t)
+                got = op.gegenbauer_derivative(n, i, t, order)
+                assert type(got) is float, (n, i, order, t)
+                assert np.float64(got).tobytes() == deriv.tobytes(), (n, i, order, t)
 
 
 def test_memoised_weight_rule_arrays_are_read_only():
