@@ -62,7 +62,7 @@ def lev_bound_m(n: int, m: int, s: float) -> float:
     if s >= 1:
         raise RangeError(f"s must be < 1, got {s}")
     k = (m + 1) // 2
-    P = op.gegenbauer_table(n, k + 1 - m % 2, s)
+    (P,) = op._checked_rows(n, k + 1 - m % 2, (s,))
     if m % 2 == 1:
         Pk, Pk1 = P[k], P[k - 1]
         return math.comb(k + n - 3, k - 1) * (
@@ -163,8 +163,8 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     tau. The rule is memoised on (n, tau, N), typed, so an int and a float N
     keep their own spec; its arrays are read-only. The exactness check runs
     on every call, so a rule is checked against the DEB_TOL of the call."""
-    rule = _rule(n, tau, N)
-    if np.max(np.abs(rule.exactness_residuals)) > _tol():
+    rule, worst = _rule(n, tau, N)
+    if worst > _tol():
         raise InternalConsistencyError(
             f"exactness check failed for (n={n}, tau={tau}, N={N}):"
             f" residuals {rule.exactness_residuals}"
@@ -173,8 +173,9 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
 
 
 @functools.lru_cache(maxsize=op.MEMO_SIZE, typed=True)
-def _rule(n: int, tau: int, N: float) -> QuadratureRule:
-    """The rule before its exactness check; an error is raised, not kept."""
+def _rule(n: int, tau: int, N: float) -> tuple[QuadratureRule, float]:
+    """The rule before its exactness check, and its largest residual in
+    magnitude; an error is raised, not kept."""
     k = (tau + 1) // 2
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
@@ -183,21 +184,21 @@ def _rule(n: int, tau: int, N: float) -> QuadratureRule:
     lam = (n - 3) / 2.0
     if tau % 2 == 1:
         # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel
-        nodes = op.kernel_zeros(lam + 1, lam, k, s)
+        xs = op.kernel_zeros(lam + 1, lam, k, s).tolist()
         parity = "odd"
     else:
         # -1, the interior double nodes beta_1 < ... < beta_{k-1} from the
         # (1, 1)-adjacent kernel, and beta_k = s
-        roots = op.kernel_zeros(lam + 1, lam + 1, k, s)
-        nodes = np.concatenate(([-1.0], roots[roots != s], [s]))
+        roots = op.kernel_zeros(lam + 1, lam + 1, k, s).tolist()
+        xs = [-1.0, *(x for x in roots if x != s), s]
         parity = "even"
-    # P_0..P_tau at the nodes: the weights make the first len(nodes) rows
-    # exact, and every row gives an exactness residual
-    table = op.gegenbauer_table(n, tau, nodes)
-    rhs = -1.0 / N * np.ones(len(nodes))
-    rhs[0] += 1.0
-    weights = np.linalg.solve(table[: len(nodes)], rhs)
-    if np.any(np.diff(nodes) <= 0):
+    nodes = np.array(xs)
+    # the weights make the first len(nodes) rows exact, and every row gives
+    # an exactness residual
+    table = _node_table(n, tau, xs)
+    c = -1.0 / N
+    weights = np.linalg.solve(table[: len(xs)], np.array([1.0 + c] + [c] * (len(xs) - 1)))
+    if any(y <= x for x, y in zip(xs, xs[1:])):
         raise InternalConsistencyError(f"nodes not strictly increasing: {nodes}")
     wmin = weights.min()
     if wmin <= 0 and not (boundary and wmin > -1e-12):
@@ -206,7 +207,7 @@ def _rule(n: int, tau: int, N: float) -> QuadratureRule:
     res[0] -= 1.0
     for a in (nodes, weights, res):
         a.setflags(write=False)
-    return QuadratureRule(
+    rule = QuadratureRule(
         spec=DesignSpec(n=n, tau=tau, N=N),
         s=s,
         nodes=nodes,
@@ -215,6 +216,15 @@ def _rule(n: int, tau: int, N: float) -> QuadratureRule:
         exactness_residuals=res,
         boundary=boundary,
     )
+    return rule, float(np.max(np.abs(res)))
+
+
+def _node_table(n: int, tau: int, xs: list[float]) -> np.ndarray:
+    """P_0..P_tau at the nodes xs, one row per degree, from one scalar
+    recurrence per node: gegenbauer_table's bits, in its C order, which the
+    weights' solve and the residuals' product need to sum in the same
+    order."""
+    return np.array(list(zip(*op._checked_rows(n, tau, xs))))
 
 
 def levenshtein_polynomial(n: int, tau: int, N: float) -> op.Poly:

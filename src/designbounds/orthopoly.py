@@ -4,7 +4,12 @@ and Gegenbauer expansions.
 Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
 zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), and the zeros
 of the kernel P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) from the same matrix with
-its last diagonal entry shifted.
+its last diagonal entry shifted. The matrices are at most 61 x 61, so each
+solve calls LAPACK dstevd directly (``_jacobi_eigh``): it is the driver
+scipy's tridiagonal eigensolver picks for a full spectrum, so the bits are
+the same, without the wrapper's argument handling, which at a sweep's sizes
+(k <= 8) costs about ten times the solve itself. The recurrence
+coefficients are Python floats.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import special
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, lapack
 
 from .errors import RangeError
 
@@ -128,9 +133,17 @@ def gegenbauer_eval(n: int, i: int, t):
 
 def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
     """P_0..P_d at t, one row per degree, from one pass of the recurrence."""
+    return np.array(_checked_rows(n, d, (t,))[0])
+
+
+def _checked_rows(n: int, d: int, ts) -> list[list]:
+    """P_0..P_d at each t in ts, one list per t, after one check of n and
+    d for them all, so a table's degree warning is emitted once and from one
+    place. At a scalar t the rows are Python floats, for callers that read a
+    few values and need no array."""
     _check_dimension(n)
     _check_degree(d)
-    return np.array(_recurrence_rows(n, d, t))
+    return [_recurrence_rows(n, d, t) for t in ts]
 
 
 def gegenbauer_derivative(n: int, i: int, t, order: int):
@@ -181,29 +194,51 @@ def jacobi_eval(alpha: float, beta: float, k: int, t):
     return special.eval_jacobi(k, alpha, beta, np.asarray(t, dtype=float))
 
 
-def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
     """Coefficients a_0..a_{k-1}, b_1..b_{k-1} of the monic Jacobi recurrence
-    p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t)."""
+    p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t), as fresh lists of
+    floats."""
     if alpha <= -1 or beta <= -1:
         raise RangeError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
     if k < 1:
         raise RangeError(f"degree must be >= 1, got {k}")
     ab = alpha + beta
-    j = np.arange(1, k, dtype=float)
-    s = 2 * j + ab
-    a = np.concatenate(([(beta - alpha) / (ab + 2)], (beta**2 - alpha**2) / (s * (s + 2))))
+    diff = beta**2 - alpha**2
+    a = [(beta - alpha) / (ab + 2)]
     # b_1 is written out: the general form is 0/0 at alpha + beta = -1
-    b1 = 4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))
-    j, s = j[1:], s[1:]
-    b = 4 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1) * (s - 1))
-    return a, np.concatenate(([b1], b))[: k - 1]
+    b = [4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))]
+    for j in range(1, k):
+        s = 2 * j + ab
+        a.append(diff / (s * (s + 2)))
+        if j > 1:
+            b.append(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s + 1) * (s - 1)))
+    return a, b[: k - 1]
+
+
+def _jacobi_eigh(a: list, b: list, vectors: bool = False):
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal a and off-diagonal sqrt(b); with vectors, also its unit
+    eigenvectors as columns. LAPACK dstevd, called as scipy's tridiagonal
+    solver calls it, with the wrapper's checks that can fail here: a
+    non-finite entry is the same ValueError, LAPACK's info a LinAlgError,
+    and a 1 x 1 matrix (which dstevd rejects for its empty off-diagonal) is
+    answered directly."""
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(a) == 1:
+        w, v, info = np.array(a, dtype=float), np.ones((1, 1)), 0
+    else:
+        w, v, info = lapack.dstevd(a, [math.sqrt(x) for x in b], compute_v=vectors)
+    if info != 0:
+        raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return (w, v) if vectors else w
 
 
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
     """All k zeros of P_k^(alpha,beta), ascending: the eigenvalues of the
     k x k Jacobi matrix."""
     a, b = _jacobi_recurrence(alpha, beta, k)
-    return eigvalsh_tridiagonal(a, np.sqrt(b))
+    return _jacobi_eigh(a, b)
 
 
 def kernel_zeros(alpha: float, beta: float, k: int, s: float) -> np.ndarray:
@@ -216,8 +251,9 @@ def kernel_zeros(alpha: float, beta: float, k: int, s: float) -> np.ndarray:
     p_prev, p = 1.0, s - a[0]
     for j in range(1, k):
         p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
-    a[-1] += p / p_prev
-    roots = eigvalsh_tridiagonal(a, np.sqrt(b))
+    # at p_{k-1}(s) = 0 the shift is infinite, and the solve rejects it
+    a[-1] += p / p_prev if p_prev else math.inf
+    roots = _jacobi_eigh(a, b)
     roots[np.argmin(np.abs(roots - s))] = s
     return roots
 
@@ -266,7 +302,7 @@ def weight_rule(n: int, m: int) -> WeightRule:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
     a, b = _jacobi_recurrence(lam, lam, m)
-    nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
+    nodes, vecs = _jacobi_eigh(a, b, vectors=True)
     weights = vecs[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)

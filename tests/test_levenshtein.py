@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from designbounds import cli
 from designbounds import levenshtein as lev
 from designbounds import orthopoly as op
 from designbounds.errors import InternalConsistencyError, RangeError
@@ -175,3 +177,45 @@ def test_range_error_is_not_memoised(n, tau, N):
     for _ in range(2):
         with pytest.raises(RangeError):
             lev.quadrature_rule(n, tau, N)
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 200])
+def test_rule_is_what_the_array_table_gives_bit_for_bit(n):
+    # the rule's table is built one node at a time in Python floats; it must
+    # be gegenbauer_table's, in C order, so the solve and the product sum in
+    # the same order and the weights and residuals keep their bits
+    for tau in (1, 2, 3, 4, 5, 8, 9, 13):
+        lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+        for N in (lo, (lo + hi) // 2, hi):
+            rule = lev.quadrature_rule(n, tau, N)
+            table = lev._node_table(n, tau, rule.nodes.tolist())
+            want = op.gegenbauer_table(n, tau, rule.nodes)
+            assert table.flags.c_contiguous, (tau, N)
+            assert table.shape == want.shape and table.tobytes() == want.tobytes(), (tau, N)
+            rhs = -1.0 / N * np.ones(len(rule.nodes))
+            rhs[0] += 1.0
+            weights = np.linalg.solve(want[: len(rule.nodes)], rhs)
+            res = 1.0 / N + want @ weights
+            res[0] -= 1.0
+            assert weights.tobytes() == rule.weights.tobytes(), (tau, N)
+            assert res.tobytes() == rule.exactness_residuals.tobytes(), (tau, N)
+            assert lev._rule(n, tau, N)[1] == np.max(np.abs(res))
+
+
+def _degree_warning(d):
+    return f"^{re.escape(f'degree {d} > 30: double-precision conditioning degrades')}$"
+
+
+def test_high_degree_rule_warns(capsys):
+    lev._rule.cache_clear()
+    lo, hi = lev.dgs_bound(5, 59), lev.dgs_bound(5, 60)
+    with pytest.warns(UserWarning, match=_degree_warning(59)):
+        assert cli.main(["quadrature", "--n", "5", "--tau", "59", "--N", str((lo + hi) // 2)]) == 0
+    assert capsys.readouterr().out
+
+
+def test_solve_cardinality_warns_at_k_30():
+    # tau = 60 reads P_0..P_31 at each step of the root finder
+    lo, hi = lev.dgs_bound(5, 60), lev.dgs_bound(5, 61)
+    with pytest.warns(UserWarning, match=_degree_warning(31)):
+        lev.solve_cardinality(5, 60, (lo + hi) // 2)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import roots_jacobi
 
 from designbounds import orthopoly as op
@@ -273,3 +276,122 @@ def test_expand_is_the_projection_formula_bit_for_bit():
             for _ in range(2):
                 got = op.gegenbauer_expand(n, p).coeffs
                 assert np.array(got).tobytes() == want.tobytes()
+
+
+def _numpy_recurrence(alpha, beta, k):
+    """The recurrence coefficients by the numpy formula the package used
+    before it ran them in Python floats: the oracle for the float path."""
+    ab = alpha + beta
+    j = np.arange(1, k, dtype=float)
+    s = 2 * j + ab
+    a = np.concatenate(([(beta - alpha) / (ab + 2)], (beta**2 - alpha**2) / (s * (s + 2))))
+    b1 = 4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))
+    j, s = j[1:], s[1:]
+    b = 4 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1) * (s - 1))
+    return a, np.concatenate(([b1], b))[: k - 1]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the sphere's parameter lam = (n - 3)/2 for n in {3, 4, 24, 200}, with the
+# (0, 0)-, (1, 0)- and (1, 1)-adjacent pairs the package solves, and a few
+# pairs off that lattice
+_LAMS = [(n - 3) / 2.0 for n in (3, 4, 24, 200)]
+_PARAMS = [(lam + a, lam + b) for lam in _LAMS for a, b in ((0, 0), (1, 0), (1, 1))] + [
+    (-0.5, -0.5), (0.5, -0.5), (-0.9, 2.3), (7.25, -0.75),
+]
+_KS = (1, 2, 3, 5, 8, 17, 31)
+
+
+@pytest.mark.parametrize("alpha, beta", _PARAMS)
+def test_jacobi_recurrence_is_the_numpy_formula_bit_for_bit(alpha, beta):
+    for k in _KS:
+        a, b = op._jacobi_recurrence(alpha, beta, k)
+        want_a, want_b = _numpy_recurrence(alpha, beta, k)
+        assert type(a) is list and type(b) is list
+        assert all(type(x) is float for x in a + b)
+        assert _same_bits(a, want_a) and _same_bits(b, want_b), k
+
+
+@pytest.mark.parametrize("alpha, beta", _PARAMS)
+def test_zeros_are_scipys_tridiagonal_solve_bit_for_bit(alpha, beta):
+    # scipy's eigvalsh_tridiagonal picks dstevd for a full spectrum, so the
+    # direct call must give its bits, k = 1 (no LAPACK call) included
+    for k in _KS:
+        a, b = _numpy_recurrence(alpha, beta, k)
+        assert _same_bits(op.jacobi_zeros(alpha, beta, k), eigvalsh_tridiagonal(a, np.sqrt(b))), k
+
+
+@pytest.mark.parametrize("alpha, beta", _PARAMS)
+def test_kernel_zeros_are_the_shifted_scipy_solve_bit_for_bit(alpha, beta):
+    # the shift p_k(s)/p_{k-1}(s) is added to the last diagonal entry
+    for k in _KS:
+        for s in (-0.37, 0.3, 0.71, float(op.jacobi_zeros(alpha, beta, k)[-1]) + 1e-3):
+            a, b = _numpy_recurrence(alpha, beta, k)
+            p_prev, p = 1.0, s - a[0]
+            for j in range(1, k):
+                p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
+            a[-1] += p / p_prev
+            want = eigvalsh_tridiagonal(a, np.sqrt(b))
+            want[np.argmin(np.abs(want - s))] = s
+            assert _same_bits(op.kernel_zeros(alpha, beta, k, s), want), (k, s)
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 200])
+def test_weight_rule_is_scipys_eigenvectors_bit_for_bit(n):
+    lam = (n - 3) / 2.0
+    for m in _KS:
+        a, b = _numpy_recurrence(lam, lam, m)
+        nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
+        rule = op.weight_rule(n, m)
+        assert _same_bits(rule.nodes, nodes) and _same_bits(rule.weights, vecs[0] ** 2), m
+        fa, fb = op._jacobi_recurrence(lam, lam, m)
+        got_nodes, got_vecs = op._jacobi_eigh(fa, fb, vectors=True)
+        assert _same_bits(got_nodes, nodes) and _same_bits(got_vecs, vecs), m
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([np.nan, 1.0], [0.25]), ([np.inf, 1.0, 2.0], [0.25, 0.25]), ([1.0, 2.0], [np.inf]),
+     ([1.0, 2.0], [np.nan]), ([np.nan], [])],
+)
+def test_non_finite_matrix_is_scipys_value_error(a, b):
+    with pytest.raises(ValueError) as want:
+        eigvalsh_tridiagonal(a, np.sqrt(b))
+    for vectors in (False, True):
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            op._jacobi_eigh(a, b, vectors=vectors)
+
+
+def test_kernel_at_a_zero_of_p_k_minus_1_is_the_same_value_error():
+    # s = a_0 is the zero of p_1, so the shift p_2(s)/p_1(s) divides by 0
+    s = op._jacobi_recurrence(1.0, 0.0, 2)[0][0]
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        op.kernel_zeros(1.0, 0.0, 2, s)
+
+
+def test_lapack_failure_is_lin_alg_error(monkeypatch):
+    monkeypatch.setattr(op.lapack, "dstevd", lambda d, e, compute_v: (np.zeros(2), np.eye(2), 2))
+    with pytest.raises(LinAlgError, match="info=2"):
+        op.jacobi_zeros(0.0, 0.0, 2)
+    with pytest.raises(LinAlgError, match="info=2"):
+        op.kernel_zeros(1.0, 0.0, 2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: op.jacobi_zeros(-1.0, 0.0, 3),
+        lambda: op.jacobi_zeros(0.0, -1.5, 3),
+        lambda: op.kernel_zeros(-1.0, 0.0, 3, 0.5),
+        lambda: op.jacobi_zeros(0.0, 0.0, 0),
+        lambda: op.kernel_zeros(1.0, 0.0, 0, 0.5),
+        lambda: op._jacobi_recurrence(0.5, 0.5, -2),
+    ],
+)
+def test_bad_jacobi_parameters_are_range_errors(call):
+    with pytest.raises(RangeError):
+        call()

@@ -5,8 +5,17 @@ and print one line per case,
 An exception that escapes ``cli.main`` is recorded as ``TB:<name>`` in the
 exit column. Python warnings are ignored, so they reach neither digest; the
 stderr digest covers the error messages, so a changed reason shows. Two
-trees give the same answers on a set when their outputs are identical, so a
-refactor is checked with one ``diff``::
+trees give the same answers on a set when their outputs are identical.
+``--set all`` runs the seven sets in turn, in the order listed below.
+``--against OTHER_SRC`` compares two trees in one command: it runs the set
+in two subprocesses at once, one with ``PYTHONPATH=OTHER_SRC`` and one on
+the ``src`` this script imports, prints only the cases whose lines differ
+(``-`` the other tree's line, ``+`` this tree's) and then their count, and
+exits with 1 when any case differs (2 when either run fails)::
+
+    PYTHONPATH=src python tools/acceptance_grid.py --set all --against ../parent/src
+
+The same check by hand, one tree at a time::
 
     PYTHONPATH=src python tools/acceptance_grid.py --set grid > new.txt
     PYTHONPATH=/path/to/other/src python tools/acceptance_grid.py --set grid > old.txt
@@ -61,8 +70,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
+import os
+import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 from designbounds import cli, levenshtein
 
@@ -207,13 +221,46 @@ def run_case(argv: list[str]) -> tuple[str, str, str]:
     return code, digest(out), digest(err)
 
 
+def compare(name: str, other_src: str) -> int:
+    """Run the set under other_src and under this tree's src, each in its
+    own subprocess and both at once; print the cases that differ and their
+    count. 1 when any case differs, 2 when a run fails."""
+    srcs = (other_src, str(Path(cli.__file__).resolve().parents[1]))
+    with tempfile.TemporaryFile("w+") as old_out, tempfile.TemporaryFile("w+") as new_out:
+        outs = (old_out, new_out)
+        runs = [subprocess.Popen([sys.executable, __file__, "--set", name], stdout=out, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+                for src, out in zip(srcs, outs)]
+        codes = [run.wait() for run in runs]
+        for src, code in zip(srcs, codes):
+            if code != 0:
+                print(f"the run under {src} exited with {code}", file=sys.stderr)
+                return 2
+        for out in outs:
+            out.seek(0)
+        old, new = (out.read().splitlines() for out in outs)
+    differ = 0
+    for a, b in itertools.zip_longest(old, new):
+        if a != b:
+            differ += 1
+            print(f"- {a}" if a is not None else "- (no case)")
+            print(f"+ {b}" if b is not None else "+ (no case)")
+    print(f"{differ} of {max(len(old), len(new))} cases differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--set", choices=sorted(SETS), required=True)
+    p.add_argument("--set", choices=[*sorted(SETS), "all"], required=True)
+    p.add_argument("--against", metavar="OTHER_SRC",
+                   help="another tree's src directory; print only the cases that differ")
     args = p.parse_args(argv)
-    for case in SETS[args.set]():
-        code, out, err = run_case(case)
-        print(f"{' '.join(case)}\t{code}\t{out}\t{err}", flush=True)
+    if args.against:
+        return compare(args.set, args.against)
+    for name in SETS if args.set == "all" else [args.set]:
+        for case in SETS[name]():
+            code, out, err = run_case(case)
+            print(f"{' '.join(case)}\t{code}\t{out}\t{err}", flush=True)
     return 0
 
 
