@@ -3,6 +3,7 @@ one-sided verification of interpolants against potentials."""
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 from collections import OrderedDict
@@ -88,11 +89,9 @@ def verify_one_sided(
     if relation not in ("below", "above"):
         raise RangeError(f"relation must be 'below' or 'above', got {relation!r}")
     grid, h_grid = _sampled(h, lo, hi, grid_size)
-    diff = _gap(f(grid), h_grid, relation)
+    diff = _gap(f(grid, out=_scratch(grid_size)[1]), h_grid, relation)
     i = int(np.argmin(diff))
     coarse = diff[i]
-    # the refinement allocates; keep the peak at one grid array
-    del diff
     # refine locally around the sampled minimum
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
     fine = np.linspace(a, b, 2001)
@@ -104,9 +103,9 @@ def verify_one_sided(
 
 
 def _gap(ft: np.ndarray, ht: np.ndarray, relation: str) -> np.ndarray:
-    """h - f ("below"), or f - h ("above"), written into ft, the fresh array
-    f(t) returned; never into h's values, which the potential or the sample
-    memo may share."""
+    """h - f ("below"), or f - h ("above"), written into ft, the array f(t)
+    was written into; never into h's values, which the potential or the
+    sample memo may share."""
     np.subtract(ht, ft, out=ft)
     if relation == "above":
         np.negative(ft, out=ft)
@@ -133,7 +132,9 @@ def _sampled(h: Potential, lo: float, hi: float, size: int) -> tuple[np.ndarray,
     """linspace(lo, hi, size) and h on it, read-only once kept. The memo
     keeps the _SAMPLES_KEPT most recently used samples of keys seen before,
     and the _SAMPLES_KEPT keys seen last. The key holds the bits of lo and
-    hi, so -0.0 and 0.0 are two intervals, as linspace makes them."""
+    hi, so -0.0 and 0.0 are two intervals, as linspace makes them. A grid
+    that is not kept is this thread's scratch array, valid until its next
+    check."""
     key = (id(h), struct.pack("<dd", lo, hi), size)
     with _SAMPLES_LOCK:
         entry = _SAMPLES.get(key)
@@ -145,10 +146,11 @@ def _sampled(h: Potential, lo: float, hi: float, size: int) -> tuple[np.ndarray,
             _SEEN[key] = h
             if len(_SEEN) > _SAMPLES_KEPT:
                 _SEEN.popitem(last=False)
-    grid = np.linspace(lo, hi, size)
+    grid = _linspace(float(lo), float(hi), _scratch(size)[0])
     h_grid = h.eval(grid)
     if not seen:
         return grid, h_grid
+    grid = grid.copy()
     grid.setflags(write=False)
     # a read-only view, not a copy: h's own array keeps its flags
     h_grid = np.asarray(h_grid).view()
@@ -160,3 +162,44 @@ def _sampled(h: Potential, lo: float, hi: float, size: int) -> tuple[np.ndarray,
         while len(_SAMPLES) > _SAMPLES_KEPT:
             _SAMPLES.popitem(last=False)
     return grid, h_grid
+
+
+# each thread's two work arrays of the coarse grid's size: the grid, and f
+# on it. A grid of A1 points is above the size from which the allocator
+# maps and unmaps each array, so reusing them saves the page faults of two
+# fresh arrays per check
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's grid and f work arrays, of the given size."""
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None or bufs[0].size != size:
+        bufs = _SCRATCH.bufs = (np.empty(size), np.empty(size))
+    return bufs
+
+
+@functools.lru_cache(maxsize=4)
+def _index(size: int) -> np.ndarray:
+    """0.0, 1.0, ..., size - 1, read-only."""
+    idx = np.arange(size, dtype=float)
+    idx.setflags(write=False)
+    return idx
+
+
+def _linspace(lo: float, hi: float, out: np.ndarray) -> np.ndarray:
+    """np.linspace(lo, hi, out.size) written into out by linspace's own
+    arithmetic, so with its bits: index * step + lo, and hi as the last
+    point. A step that underflows to 0 scales index / (size - 1) by
+    hi - lo instead, as linspace does."""
+    size = out.size
+    delta, div = hi - lo, size - 1
+    if div > 0 and delta / div == 0:
+        np.divide(_index(size), div, out=out)
+        out *= delta
+    else:
+        np.multiply(_index(size), delta / div if div > 0 else delta, out=out)
+    out += lo
+    if size > 1:
+        out[-1] = hi
+    return out

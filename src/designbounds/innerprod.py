@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import InfeasibleRange, RangeError
-from .levenshtein import _admissible, quadrature_rule
+from .levenshtein import _admissible, _brentq, quadrature_rule
 from .orthopoly import poly_from_roots
 
 OPEN_UPPER_EPS = 1e-9
@@ -59,8 +57,8 @@ def even_range(n: int, N: float, k: int) -> tuple[float, float]:
 def _root_or(g, a: float, b: float, trivial: float) -> float:
     """Root of g on [a, b], or trivial when g has no sign change there."""
     try:
-        return brentq(g, a, b, xtol=1e-15)
-    except ValueError:  # brentq's only ValueError with these arguments
+        return _brentq(g, a, b, xtol=1e-15)
+    except ValueError:  # no sign change, or a NaN value of g
         return trivial
 
 

@@ -4,6 +4,12 @@ and the associated quadrature rules for (n, tau, N) triples.
 The quadrature rule pairs a node at t = 1 with weight 1/N against interior
 nodes alpha_i / beta_i and weights rho_i / gamma_i, and integrates the
 normalized sphere weight exactly for polynomials of degree <= tau.
+
+The cardinality equation L_tau(n, s) = N, and the even-range equation in
+innerprod, are solved by ``_brentq``: Brent's method (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4), ported step for step from
+the C ``brentq`` of Python's numerical stack, with its defaults and errors,
+so each root is that routine's to the bit; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import orthopoly as op
 from .errors import InternalConsistencyError, RangeError
@@ -86,13 +91,83 @@ def solve_cardinality(n: int, tau: int, N: float) -> float:
         return -1.0 / (N - 1)
     f = lambda s: lev_bound_m(n, tau, s) - N
     try:
-        s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        s = _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     except ValueError as e:
         raise RangeError(
             f"L_{tau}(n={n}, s) - N has no sign change on [{lo}, {hi}] for N = {N}:"
             " round-off in L_tau exceeds the distance to an endpoint"
         ) from e
     return float(s)
+
+
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100
+
+
+def _brentq(f, a: float, b: float, xtol: float = _XTOL, rtol: float = _RTOL,
+            maxiter: int = _MAXITER) -> float:
+    """A root of f on [a, b], where f(a) and f(b) differ in sign, to within
+    xtol + rtol |x|. An end where f is 0 is returned as it is. A ValueError
+    when f has the same sign at both ends or a NaN value; a RuntimeError
+    when maxiter steps do not converge.
+
+    Brent's method: xcur is the best estimate, xblk the other end of the
+    bracket and xpre the previous estimate. Each step takes the secant
+    (two points) or inverse quadratic (three points) step when it is short
+    enough, and bisects otherwise."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _at_bound(N: float, D: int) -> bool:

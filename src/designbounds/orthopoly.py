@@ -5,11 +5,10 @@ Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
 zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), and the zeros
 of the kernel P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) from the same matrix with
 its last diagonal entry shifted. The matrices are at most 61 x 61, so each
-solve calls LAPACK dstevd directly (``_jacobi_eigh``): it is the driver
-scipy's tridiagonal eigensolver picks for a full spectrum, so the bits are
-the same, without the wrapper's argument handling, which at a sweep's sizes
-(k <= 8) costs about ten times the solve itself. The recurrence
-coefficients are Python floats.
+solve is numpy's dense symmetric one (``_jacobi_eigh``) on the k x k matrix
+with its lower triangle filled: on a tridiagonal matrix it gives the same
+bits as LAPACK's tridiagonal dstevd, and the package needs nothing beyond
+numpy at run time. The recurrence coefficients are Python floats.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -26,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import special
-from scipy.linalg import LinAlgError, lapack
 
 from .errors import RangeError
 
@@ -56,14 +53,15 @@ class Poly:
         # the zero polynomial has degree 0 by convention
         return max(len(self.coeffs) - 1, 0)
 
-    def __call__(self, t):
-        """Horner's rule into one output buffer; bit-identical to
-        ``npoly.polyval``, which starts from ``t*0 + c[-1]`` so that inf and
-        NaN in t propagate. A scalar or 0-d t runs the same operations in
-        Python floats and gives a numpy scalar."""
+    def __call__(self, t, out=None):
+        """Horner's rule into one output buffer, a fresh array or out, an
+        array of t's shape; bit-identical to ``npoly.polyval``, which starts
+        from ``t*0 + c[-1]`` so that inf and NaN in t propagate. A scalar or
+        0-d t runs the same operations in Python floats and gives a numpy
+        scalar."""
         t = _scalar_or_array(t)
         if isinstance(t, np.ndarray):
-            out = t * 0
+            out = np.multiply(t, 0, out=out)
             out += self.coeffs[-1]
             for c in self.coeffs[-2::-1]:
                 out *= t
@@ -185,15 +183,6 @@ def gegenbauer_poly(n: int, i: int) -> Poly:
     return cur
 
 
-def jacobi_eval(alpha: float, beta: float, k: int, t):
-    """Standard Jacobi polynomial P_k^(alpha,beta), P_k(1) = binom(k+alpha, k)."""
-    if alpha <= -1 or beta <= -1:
-        raise RangeError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    if k < 0:
-        raise RangeError(f"degree must be >= 0, got {k}")
-    return special.eval_jacobi(k, alpha, beta, np.asarray(t, dtype=float))
-
-
 def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
     """Coefficients a_0..a_{k-1}, b_1..b_{k-1} of the monic Jacobi recurrence
     p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t), as fresh lists of
@@ -218,20 +207,21 @@ def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
 def _jacobi_eigh(a: list, b: list, vectors: bool = False):
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
     diagonal a and off-diagonal sqrt(b); with vectors, also its unit
-    eigenvectors as columns. LAPACK dstevd, called as scipy's tridiagonal
-    solver calls it, with the wrapper's checks that can fail here: a
-    non-finite entry is the same ValueError, LAPACK's info a LinAlgError,
-    and a 1 x 1 matrix (which dstevd rejects for its empty off-diagonal) is
-    answered directly."""
+    eigenvectors as columns. numpy's eigvalsh and eigh read the lower
+    triangle of the dense matrix, filled by flat index. A non-finite entry
+    is a ValueError, raised before the solve, which would return NaNs for
+    it; a solver failure is numpy's LinAlgError."""
     if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
         raise ValueError("array must not contain infs or NaNs")
-    if len(a) == 1:
-        w, v, info = np.array(a, dtype=float), np.ones((1, 1)), 0
-    else:
-        w, v, info = lapack.dstevd(a, [math.sqrt(x) for x in b], compute_v=vectors)
-    if info != 0:
-        raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
-    return (w, v) if vectors else w
+    k = len(a)
+    m = np.zeros(k * k)
+    m[:: k + 1] = a
+    m[k :: k + 1] = [math.sqrt(x) for x in b]
+    m = m.reshape(k, k)
+    if vectors:
+        w, v = np.linalg.eigh(m, UPLO="L")
+        return w, v
+    return np.linalg.eigvalsh(m, UPLO="L")
 
 
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
@@ -270,13 +260,6 @@ def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
     alpha = a + (n - 3) / 2.0
     beta = b + (n - 3) / 2.0
     return float(jacobi_zeros(alpha, beta, k)[-1])
-
-
-def weight_moment(n: int, j: int) -> float:
-    """Exact monomial moment of the normalized sphere weight (Beta function)."""
-    if j % 2 == 1:
-        return 0.0
-    return float(special.beta((j + 1) / 2.0, (n - 1) / 2.0) / special.beta(0.5, (n - 1) / 2.0))
 
 
 @dataclass(frozen=True)

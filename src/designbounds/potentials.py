@@ -24,6 +24,19 @@ MONOTONE_GRID = np.linspace(-1.0, 1.0 - 1e-6, 2001)
 MONOTONE_GRID.setflags(write=False)
 
 
+def _into(y):
+    """The out argument that has a ufunc overwrite y: y when it is an
+    array, None when it is a numpy scalar, which a 0-d t gives and which
+    cannot be written into.
+
+    The built-in potentials evaluate in place this way: at an array t,
+    1 - t or c t is the one array made, and each later step, ** included,
+    overwrites it. ``y **= e`` keeps the scalar-exponent special cases
+    (square, sqrt, reciprocal) that ``y ** e`` takes, so the bits are those
+    of the expression written out."""
+    return y if isinstance(y, np.ndarray) else None
+
+
 @dataclass(frozen=True)
 class Potential:
     """Potential h with derivatives of every order."""
@@ -58,7 +71,10 @@ def make_riesz(s: float) -> Potential:
     def deriv(t, order):
         # each differentiation of (1-t)^(-s/2) brings down (s/2 + j)
         factor = 2.0 ** (-s / 2.0) * math.prod(s / 2.0 + j for j in range(order))
-        return factor * (1.0 - t) ** (-s / 2.0 - order)
+        y = 1.0 - t
+        y **= -s / 2.0 - order
+        y *= factor
+        return y
 
     return Potential(name="riesz", params={"s": s}, _derivative=deriv)
 
@@ -67,9 +83,15 @@ def make_log() -> Potential:
     """h(t) = (1/2) log(2/(1-t)); the log kernel shifted so h(-1) = 0."""
 
     def deriv(t, order):
+        y = 1.0 - t
         if order == 0:
-            return 0.5 * np.log(2.0 / (1.0 - t))
-        return 0.5 * math.factorial(order - 1) * (1.0 - t) ** (-order)
+            y = np.divide(2.0, y, out=_into(y))
+            y = np.log(y, out=_into(y))
+            y *= 0.5
+            return y
+        y **= -order
+        y *= 0.5 * math.factorial(order - 1)
+        return y
 
     return Potential(name="log", params={"offset": LOG_OFFSET}, _derivative=deriv)
 
@@ -80,7 +102,10 @@ def make_gauss(c: float) -> Potential:
         raise RangeError(f"Gaussian parameter must be positive and finite, got {c}")
 
     def deriv(t, order):
-        return c**order * np.exp(c * t)
+        y = c * t
+        y = np.exp(y, out=_into(y))
+        y *= c**order
+        return y
 
     return Potential(name="gauss", params={"c": c}, _derivative=deriv)
 

@@ -196,17 +196,23 @@ def _peak_in_grid_arrays(fn, size):
 
 def test_a1_check_allocation_budget():
     # the sign check runs inside every bound and every re-verification; at
-    # degree 30 on a 20001-point grid, Horner into one buffer and h - f
-    # written into f's buffer keep the peak at 1 and 3 grid arrays
+    # degree 30 on a 20001-point grid, Horner runs in one buffer, f's own or
+    # one it is given. The grid and f on it are the thread's scratch
+    # arrays, and h - f is written into f's, so a check that keeps its
+    # sample allocates the grid's copy and h on it, plus the 2001-point
+    # refinement (0.3 grid arrays)
     size = 20_001
     rng = np.random.default_rng(3)
     f = Poly(rng.standard_normal(31) * 1e-3)
     h = make_riesz(2.0)
     grid = np.linspace(-1.0, 0.9, size)
     assert _peak_in_grid_arrays(lambda: f(grid), size) <= 1.1
+    buf = np.empty(size)
+    assert _peak_in_grid_arrays(lambda: f(grid, out=buf), size) <= 0.01
+    assert f(grid, out=buf) is buf and buf.tobytes() == f(grid).tobytes()
     for relation in ("below", "above"):
         check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
-        assert _peak_in_grid_arrays(check, size) <= 3.1
+        assert _peak_in_grid_arrays(check, size) <= 2.4
 
 
 def test_sample_memo_hit_is_a_fresh_sample_bit_for_bit():
@@ -233,6 +239,33 @@ def test_sample_memo_hit_is_a_fresh_sample_bit_for_bit():
     assert verify_one_sided(f, make_riesz(1.7), -1.0, 1.0 - 1e-9, "below", 20_001) == held
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-1.0, 1.0 - 1e-9), (0.5, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.3, 0.3), (-1, 1),
+     (0.0, 5e-324), (0.0, 1e-310), (-1e-320, 1e-320), (-math.inf, 0.5), (0.0, math.nan),
+     (np.float64(-0.75), np.float64(0.25))],
+)
+def test_scratch_grid_is_linspace_bit_for_bit(lo, hi):
+    # the grid written into a scratch array is np.linspace's, at every size,
+    # an interval of one point, signed zeros and a step that underflows
+    for size in (0, 1, 2, 3, 10, 2001, 20_001):
+        with np.errstate(invalid="ignore"):  # inf - inf, as in linspace
+            got = hermite._linspace(float(lo), float(hi), np.full(size, 7.0))
+            want = np.linspace(lo, hi, size)
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_scratch_arrays_are_per_thread():
+    # the sweep's threads check at once, so each has its own grid and f
+    mine = hermite._scratch(101)
+    assert hermite._scratch(101) is mine
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(hermite._scratch(101)))
+    worker.start()
+    worker.join()
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs[0])
+
+
 def test_sample_memo_keeps_nothing_from_a_check_made_once():
     # re-verifying one stored report checks its potential once: holding
     # that sample would cost the check and save nothing
@@ -253,8 +286,8 @@ def test_sample_memo_leaves_potential_arrays_writable():
 
 
 def test_a1_check_on_a_held_sample_allocation_budget():
-    # once h has been sampled on the grid, a check allocates f's one buffer
-    # and the 2001-point refinement, which runs after that buffer is freed
+    # once h has been sampled on the grid, a check allocates only the
+    # 2001-point refinement; a miss adds h on the grid
     size = 20_001
     rng = np.random.default_rng(3)
     f = Poly(rng.standard_normal(31) * 1e-3)
@@ -262,10 +295,10 @@ def test_a1_check_on_a_held_sample_allocation_budget():
     for relation in ("below", "above"):
         check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
         check()  # a sample is kept from its second use on
-        assert _peak_in_grid_arrays(check, size) <= 1.1
-    # a miss (a fresh potential) still keeps to the budget of a fresh check
+        assert _peak_in_grid_arrays(check, size) <= 0.4
+    # a miss (a fresh potential) keeps nothing
     miss = lambda: verify_one_sided(f, make_riesz(2.0), -1.0, 0.9, "below", size)
-    assert _peak_in_grid_arrays(miss, size) <= 3.1
+    assert _peak_in_grid_arrays(miss, size) <= 1.4
 
 
 def test_sample_memo_keeps_four_entries_while_reports_live():

@@ -1,0 +1,39 @@
+"""The runtime needs numpy only: no command imports scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from designbounds import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+COMMANDS = {
+    "bound": ["bound", "--n", "3", "--N", "6", "--tau", "3", "--potential", "riesz:s=2",
+              "--u", "0"],
+    "sweep": ["sweep", "--n", "3,4", "--tau", "2,3,4", "--potential", "log"],
+    "quadrature": ["quadrature", "--n", "4", "--tau", "5", "--N", "24"],
+    "testfn": ["testfn", "--n", "4", "--tau", "5", "--N", "24", "--jmax", "8"],
+    "code": ["code", "--builder", "simplex", "--n", "3", "--potential", "gauss:c=1"],
+}
+
+_SCRIPT = """\
+import contextlib, io, sys
+from designbounds import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_runs_without_scipy(command):
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT.format(argv=COMMANDS[command])],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]

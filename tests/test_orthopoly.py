@@ -3,11 +3,26 @@ import re
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy import special
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import roots_jacobi
 
 from designbounds import orthopoly as op
 from designbounds.errors import RangeError
+
+
+def _jacobi_eval(alpha, beta, k, t):
+    """Standard Jacobi polynomial P_k^(alpha,beta), P_k(1) = binom(k+alpha, k):
+    the oracle for the package's Jacobi matrices."""
+    return special.eval_jacobi(k, alpha, beta, np.asarray(t, dtype=float))
+
+
+def _weight_moment(n, j):
+    """Exact monomial moment of the normalized sphere weight (Beta function):
+    the oracle for the package's Gauss rules."""
+    if j % 2 == 1:
+        return 0.0
+    return float(special.beta((j + 1) / 2.0, (n - 1) / 2.0) / special.beta(0.5, (n - 1) / 2.0))
 
 
 def test_gegenbauer_base_cases():
@@ -125,16 +140,11 @@ def test_kernel_zeros(a, b, k, s):
     assert len(roots) == k
     assert np.all(np.diff(roots) > 0)
     assert s in roots
-    Pk_s, Pk1_s = op.jacobi_eval(a, b, k, s), op.jacobi_eval(a, b, k - 1, s)
-    Pk_t, Pk1_t = op.jacobi_eval(a, b, k, roots), op.jacobi_eval(a, b, k - 1, roots)
+    Pk_s, Pk1_s = _jacobi_eval(a, b, k, s), _jacobi_eval(a, b, k - 1, s)
+    Pk_t, Pk1_t = _jacobi_eval(a, b, k, roots), _jacobi_eval(a, b, k - 1, roots)
     kernel = Pk_t * Pk1_s - Pk_s * Pk1_t
     scale = np.abs(Pk_t * Pk1_s) + np.abs(Pk_s * Pk1_t)
     assert np.max(np.abs(kernel) / scale) < 1e-12
-
-
-def test_jacobi_rejects_bad_parameters():
-    with pytest.raises(RangeError):
-        op.jacobi_eval(-1.0, 0.0, 3, 0.5)
 
 
 def test_adjacent_largest_zero_special_case():
@@ -144,11 +154,11 @@ def test_adjacent_largest_zero_special_case():
 
 
 def test_weight_moment_exact():
-    # n=3: uniform weight on [-1,1], even moment j -> 1/(j+1)
+    # the oracle itself. n=3: uniform weight on [-1,1], even moment j -> 1/(j+1)
     for j in (0, 2, 4, 6):
-        assert op.weight_moment(3, j) == pytest.approx(1.0 / (j + 1), abs=1e-14)
-    assert op.weight_moment(5, 1) == 0.0
-    assert op.weight_moment(5, 2) == pytest.approx(1.0 / 5.0, abs=1e-14)
+        assert _weight_moment(3, j) == pytest.approx(1.0 / (j + 1), abs=1e-14)
+    assert _weight_moment(5, 1) == 0.0
+    assert _weight_moment(5, 2) == pytest.approx(1.0 / 5.0, abs=1e-14)
 
 
 def test_weight_rule_integrates_moments():
@@ -156,7 +166,7 @@ def test_weight_rule_integrates_moments():
         rule = op.weight_rule(n, 6)
         for j in range(11):
             got = rule.integrate(lambda t: t**j)
-            assert got == pytest.approx(op.weight_moment(n, j), abs=1e-13)
+            assert got == pytest.approx(_weight_moment(n, j), abs=1e-13)
 
 
 def test_gegenbauer_orthogonality():
@@ -303,7 +313,7 @@ _LAMS = [(n - 3) / 2.0 for n in (3, 4, 24, 200)]
 _PARAMS = [(lam + a, lam + b) for lam in _LAMS for a, b in ((0, 0), (1, 0), (1, 1))] + [
     (-0.5, -0.5), (0.5, -0.5), (-0.9, 2.3), (7.25, -0.75),
 ]
-_KS = (1, 2, 3, 5, 8, 17, 31)
+_KS = (1, 2, 3, 5, 8, 17, 31, 61)
 
 
 @pytest.mark.parametrize("alpha, beta", _PARAMS)
@@ -318,8 +328,9 @@ def test_jacobi_recurrence_is_the_numpy_formula_bit_for_bit(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", _PARAMS)
 def test_zeros_are_scipys_tridiagonal_solve_bit_for_bit(alpha, beta):
-    # scipy's eigvalsh_tridiagonal picks dstevd for a full spectrum, so the
-    # direct call must give its bits, k = 1 (no LAPACK call) included
+    # scipy's eigvalsh_tridiagonal picks LAPACK's tridiagonal dstevd for a
+    # full spectrum; numpy's dense solve on the same matrix must give its
+    # bits, k = 1 included
     for k in _KS:
         a, b = _numpy_recurrence(alpha, beta, k)
         assert _same_bits(op.jacobi_zeros(alpha, beta, k), eigvalsh_tridiagonal(a, np.sqrt(b))), k
@@ -373,12 +384,38 @@ def test_kernel_at_a_zero_of_p_k_minus_1_is_the_same_value_error():
         op.kernel_zeros(1.0, 0.0, 2, s)
 
 
+class _NonConvergingSolver:
+    """numpy's eigen-solver gufuncs, failing as a LAPACK solve that does not
+    converge fails: NaN results and the floating-point invalid flag, which
+    numpy's eigvalsh and eigh turn into LinAlgError."""
+
+    def __init__(self, real):
+        self._real = real
+
+    def __getattr__(self, name):
+        gufunc = getattr(self._real, name)
+
+        def failing(*args, **kwargs):
+            out = gufunc(*args, **kwargs)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr[...] = np.nan
+            np.sqrt(-np.ones(1))  # sets the invalid flag
+            return out
+
+        return failing
+
+
 def test_lapack_failure_is_lin_alg_error(monkeypatch):
-    monkeypatch.setattr(op.lapack, "dstevd", lambda d, e, compute_v: (np.zeros(2), np.eye(2), 2))
-    with pytest.raises(LinAlgError, match="info=2"):
-        op.jacobi_zeros(0.0, 0.0, 2)
-    with pytest.raises(LinAlgError, match="info=2"):
-        op.kernel_zeros(1.0, 0.0, 2, 0.5)
+    linalg = np.linalg._linalg
+    monkeypatch.setattr(linalg, "_umath_linalg", _NonConvergingSolver(linalg._umath_linalg))
+    for call in (
+        lambda: op.jacobi_zeros(0.0, 0.0, 2),
+        lambda: op.kernel_zeros(1.0, 0.0, 2, 0.5),
+        lambda: op.weight_rule.__wrapped__(5, 3),
+        lambda: op.adjacent_largest_zero(4, 1, 0, 3),
+    ):
+        with pytest.raises(LinAlgError, match="did not converge"):
+            call()
 
 
 @pytest.mark.parametrize(

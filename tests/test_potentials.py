@@ -49,6 +49,44 @@ def test_gauss_derivatives():
     assert np.allclose(h.derivative(t, 3), 8 * np.exp(2 * t))
 
 
+# the built-in potentials as written before they evaluated in place
+_WRITTEN = {
+    "riesz": lambda s, t, order: 2.0 ** (-s / 2.0) * math.prod(s / 2.0 + j for j in range(order))
+    * (1.0 - t) ** (-s / 2.0 - order),
+    "log": lambda _, t, order: 0.5 * np.log(2.0 / (1.0 - t)) if order == 0
+    else 0.5 * math.factorial(order - 1) * (1.0 - t) ** (-order),
+    "gauss": lambda c, t, order: c**order * np.exp(c * t),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, param",
+    [("riesz:s=1", 1.0), ("riesz:s=2", 2.0), ("riesz:s=3", 3.0), ("riesz:s=4", 4.0),
+     ("riesz:s=1.5", 1.5), ("riesz:s=0.5", 0.5), ("log", None), ("gauss:c=1", 1.0),
+     ("gauss:c=2.5", 2.5)],
+)
+def test_in_place_potentials_are_the_written_expression_bit_for_bit(spec, param):
+    # an array t gives a fresh array and leaves t alone; a scalar or 0-d t
+    # gives a numpy scalar; both with the bits of the expression written out,
+    # whose ** takes numpy's scalar-exponent special cases
+    h = pot.parse_potential(spec)
+    written = _WRITTEN[h.name]
+    arrays = [np.linspace(-1.0, 1.0 - 1e-9, 2001), np.array([[0.3, -0.2], [0.9, 0.1]])]
+    for order in range(5):
+        for t in arrays:
+            before = t.tobytes()
+            got = h.derivative(t, order)
+            want = written(param, t, order)
+            assert type(got) is np.ndarray and not np.shares_memory(got, t)
+            assert t.tobytes() == before
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), order
+        for t in (0.3, -1.0, np.float64(0.7), np.asarray(0.25)):
+            got = h.derivative(t, order)
+            want = written(param, np.asarray(t, dtype=float), order)
+            assert type(got) is type(want) is np.float64
+            assert got.tobytes() == want.tobytes(), (order, t)
+
+
 def test_poly_potential_and_negativity_flag():
     h = pot.make_poly(Poly([1.0, 0.0, 2.0]))
     assert h.eval(0.5) == pytest.approx(1.5)

@@ -1,11 +1,14 @@
 """Equivalence harness: run fixed case sets through ``cli.main`` in-process
 and print one line per case,
-``<argv>\\t<exit>\\t<sha1 of stdout>\\t<sha1 of stderr>``.
+``<argv>\\t<exit>\\t<sha1 of stdout>\\t<sha1 of stderr>\\t<sha1 of warnings>``.
 
 An exception that escapes ``cli.main`` is recorded as ``TB:<name>`` in the
-exit column. Python warnings are ignored, so they reach neither digest; the
-stderr digest covers the error messages, so a changed reason shows. Two
-trees give the same answers on a set when their outputs are identical.
+exit column. The stderr digest covers the error messages, so a changed
+reason shows. The warnings digest covers every Python warning the case
+emits, under the "always" filter so that a repeat is not hidden, as its
+category name and message in the order emitted; file and line are left
+out, since they move with every edit. Two trees give the same answers on
+a set when their outputs are identical.
 ``--set all`` runs the seven sets in turn, in the order listed below.
 ``--against OTHER_SRC`` compares two trees in one command: it runs the set
 in two subprocesses at once, one with ``PYTHONPATH=OTHER_SRC`` and one on
@@ -206,19 +209,21 @@ SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
         "edges": edges_cases}
 
 
-def run_case(argv: list[str]) -> tuple[str, str, str]:
-    """Exit code (or TB:<exception name>) and the SHA-1 of stdout and of
-    stderr."""
+def run_case(argv: list[str]) -> tuple[str, str, str, str]:
+    """Exit code (or TB:<exception name>) and the SHA-1 of stdout, of
+    stderr and of the warnings emitted, one ``<category>: <message>`` line
+    each."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = str(cli.main(argv))
         except Exception as e:  # noqa: BLE001 - every escape is a finding
             code = f"TB:{type(e).__name__}"
-    digest = lambda buf: hashlib.sha1(buf.getvalue().encode()).hexdigest()
-    return code, digest(out), digest(err)
+    emitted = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    digest = lambda text: hashlib.sha1(text.encode()).hexdigest()
+    return code, digest(out.getvalue()), digest(err.getvalue()), digest(emitted)
 
 
 def compare(name: str, other_src: str) -> int:
@@ -259,8 +264,7 @@ def main(argv=None) -> int:
         return compare(args.set, args.against)
     for name in SETS if args.set == "all" else [args.set]:
         for case in SETS[name]():
-            code, out, err = run_case(case)
-            print(f"{' '.join(case)}\t{code}\t{out}\t{err}", flush=True)
+            print("\t".join([" ".join(case), *run_case(case)]), flush=True)
     return 0
 
 
