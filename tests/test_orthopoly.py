@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy import special
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.special import roots_jacobi
 
 from designbounds import orthopoly as op
 from designbounds.errors import RangeError
@@ -116,7 +115,7 @@ def test_conditioning_warning():
 def test_jacobi_zeros_increasing_and_accurate(a, b, k):
     # scipy builds its own Jacobi matrix and Newton-polishes, so it is an
     # independent reference for the package's eigenproblem
-    x, w = roots_jacobi(k, a, b)
+    x, w = special.roots_jacobi(k, a, b)
     z = op.jacobi_zeros(a, b, k)
     assert len(z) == k
     assert np.all(np.diff(z) > 0)
