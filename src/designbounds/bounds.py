@@ -1,7 +1,7 @@
 """Energy bounds and certificates: universal lower bounds, certified LP
 checks, improved even-strength lower bounds, 2-design closed forms, cubic
-upper bounds, odd-strength strips, test functions with the degree-raising
-improvement, and asymptotic evaluators.
+upper bounds, odd-strength strips, test functions and asymptotic
+evaluators.
 
 Every bound is returned as a BoundReport carrying a polynomial certificate.
 _conditions alone decides acceptance at DEB_TOL, and a method's own value
@@ -22,15 +22,8 @@ from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
 from .levenshtein import DesignSpec, QuadratureRule, _admissible, _tol, quadrature_rule
-from .orthopoly import (
-    GegExpansion,
-    Poly,
-    gegenbauer_derivative,
-    gegenbauer_expand,
-    gegenbauer_poly,
-    gegenbauer_table,
-)
-from .potentials import MONOTONE_GRID, Potential, check_abs_monotone, parse_potential
+from .orthopoly import GegExpansion, Poly, gegenbauer_expand, gegenbauer_table
+from .potentials import Potential, parse_potential
 
 A1_GRID = 20_001
 
@@ -58,7 +51,7 @@ class BoundReport:
     side: str  # "lower" | "upper"
     value: float
     method: str
-    certificate: Certificate | None
+    certificate: Certificate
     h: Potential
     accepted: bool
     margins: dict = field(default_factory=dict)
@@ -73,7 +66,7 @@ class BoundReport:
         """Re-run the checks that accepted the report (_conditions) at
         DEB_TOL, and check that the stored value agrees with the
         certificate's."""
-        if not self.accepted or self.certificate is None:
+        if not self.accepted:
             return False
         tol = _tol()
         _, _, violations = _conditions(self.certificate, self.h, self.spec.tau, tol)
@@ -88,7 +81,7 @@ class BoundReport:
             "value": self.value,
             "potential": self.h.spec_string(),
             "accepted": self.accepted,
-            "certificate": self.certificate.to_json() if self.certificate else None,
+            "certificate": self.certificate.to_json(),
             "margins": self.margins,
             "notes": list(self.notes),
         }
@@ -99,19 +92,18 @@ class BoundReport:
         alone; its to_json gives d back."""
         spec = DesignSpec(**d["spec"])
         c = d["certificate"]
-        cert = None if c is None else Certificate(
-            poly=Poly(c["poly"]),
-            gegenbauer=GegExpansion(n=spec.n, coeffs=tuple(c["gegenbauer"])),
-            lo=c["interval"][0],
-            hi=c["interval"][1],
-            relation=c["relation"],
-        )
         return cls(
             spec=spec,
             side=d["side"],
             value=d["value"],
             method=d["method"],
-            certificate=cert,
+            certificate=Certificate(
+                poly=Poly(c["poly"]),
+                gegenbauer=GegExpansion(n=spec.n, coeffs=tuple(c["gegenbauer"])),
+                lo=c["interval"][0],
+                hi=c["interval"][1],
+                relation=c["relation"],
+            ),
             h=parse_potential(d["potential"]),
             accepted=d["accepted"],
             margins=dict(d["margins"]),
@@ -421,81 +413,6 @@ def k0_threshold(k: int) -> float:
     if k < 9:
         raise RangeError(f"threshold is defined for k >= 9, got {k}")
     return (k * k - 4 * k + 5 + math.sqrt(k**4 - 8 * k**3 - 6 * k**2 + 24 * k + 25)) / 4.0
-
-
-def _shifted_potential(h: Potential, n: int, j: int, eps: float) -> Potential:
-    """h(t) - eps * P_j(t) with derivatives of every order."""
-
-    def deriv(t, order):
-        base = h.derivative(t, order)
-        return base - eps * gegenbauer_derivative(n, j, t, order)
-
-    return Potential(name=f"{h.name}-shifted", params=dict(h.params), _derivative=deriv)
-
-
-def improve_with_degree(n: int, N: float, tau: int, h: Potential, j: int) -> BoundReport:
-    """Raise the certificate degree to j when Q_j < 0; the bound improves by
-    exactly eps * N^2 * |Q_j|."""
-    if tau % 2 != 1:
-        raise RangeError(f"improve_with_degree requires odd tau, got {tau}")
-    k = (tau + 1) // 2
-    if j < 2 * k:
-        raise RangeError(f"need j >= {2 * k}, got {j}")
-    qj = test_function(n, tau, N, j)
-    rule = quadrature_rule(n, tau, N)
-    ulb_val = _rule_value(rule, h, N)
-    if qj >= 0:
-        report = BoundReport(
-            spec=rule.spec,
-            side="lower",
-            value=ulb_val,
-            method="improve_with_degree",
-            certificate=None,
-            h=h,
-            accepted=False,
-        )
-        report.notes.append(
-            f"Q_{j} = {qj:.6g} >= 0: no degree-{j} improvement exists for this rule"
-        )
-        return report
-
-    # the shift keeps h^(m) - eps P_j^(m) >= 0 on the monotonicity grid;
-    # that binds only where P_j^(m) > 0
-    eps = math.inf
-    for m in range(2 * k + 1):
-        pj = gegenbauer_derivative(n, j, MONOTONE_GRID, m)
-        up = pj > 0
-        if up.any():
-            eps = min(eps, float(np.min(h.derivative(MONOTONE_GRID, m)[up] / pj[up])))
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConvergenceError("could not find a positive shift size")
-
-    pj_poly = gegenbauer_poly(n, j)
-    report = None
-    for _ in range(80):
-        shifted = _shifted_potential(h, n, j, eps)
-        if check_abs_monotone(shifted, 2 * k).passes:
-            g = interpolate(_ulb_scheme(rule), shifted)
-            f = g + eps * pj_poly
-            candidate = _certify(
-                f, n, tau, (-1.0, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="improve_with_degree"
-            )
-            if candidate.accepted:
-                report = candidate
-                break
-        eps *= 0.5
-    if report is None:
-        raise ConvergenceError("shift size search failed to produce a valid certificate")
-    margin = eps * N * N * abs(qj)
-    if not _close(report.value, ulb_val + margin, _tol()):
-        raise InternalConsistencyError(
-            f"improvement margin mismatch: value - ulb = {report.value - ulb_val}, expected {margin}"
-        )
-    report.margins["ulb_value"] = ulb_val
-    report.margins["eps"] = eps
-    report.margins["Q_j"] = qj
-    report.margins["improvement"] = margin
-    return report
 
 
 def strip2_asym(zeta: float, h: Potential, N: float) -> tuple[float, float]:

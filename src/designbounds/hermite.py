@@ -82,10 +82,11 @@ def verify_one_sided(
     lo: float,
     hi: float,
     relation: str,
-    grid_size: int = 10_001,
-    tol: float = 1e-9,
+    grid_size: int,
+    tol: float,
 ) -> MarginReport:
-    """Sampled check that f stays below (f <= h) or above (f >= h) on [lo, hi]."""
+    """Sampled check that f stays below (f <= h) or above (f >= h) on
+    [lo, hi], on a grid of grid_size points and to an absolute tol."""
     if relation not in ("below", "above"):
         raise RangeError(f"relation must be 'below' or 'above', got {relation!r}")
     grid, h_grid = _sampled(h, lo, hi, grid_size)
@@ -116,12 +117,12 @@ def _gap(ft: np.ndarray, ht: np.ndarray, relation: str) -> np.ndarray:
 # certificate on (-1, 1 - 1e-9), every strip_odd candidate on (-1, u)), so
 # the grid and h on it are sampled once. Keyed on h's identity: each entry
 # holds its potential, so the id cannot be reused while the entry lives. A
-# spec string would be no key, since shifted potentials share their name and
-# params; and a cache on the potential would live as long as every report
-# that holds one. A sample is kept from its second use on: a check that is
-# never repeated (re-verifying one stored report, one bound per call) keeps
-# nothing, because holding the arrays of the last few checks costs a
-# one-off check more than the sample it would save.
+# spec string would be no key, since a Potential built by hand may share
+# another's name and params; and a cache on the potential would live as long
+# as every report that holds one. A sample is kept from its second use on: a
+# check that is never repeated (re-verifying one stored report, one bound per
+# call) keeps nothing, because holding the arrays of the last few checks
+# costs a one-off check more than the sample it would save.
 _SAMPLES: OrderedDict = OrderedDict()  # key -> (h, grid, h on the grid)
 _SEEN: OrderedDict = OrderedDict()  # key -> h, for keys sampled once
 _SAMPLES_KEPT = 4  # bounds _SEEN too

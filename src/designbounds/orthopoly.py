@@ -75,19 +75,6 @@ class Poly:
     def deriv(self, order: int = 1) -> "Poly":
         return Poly(npoly.polyder(self.coeffs, order)) if order else self
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(npoly.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(npoly.polysub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return Poly(npoly.polymul(self.coeffs, other.coeffs))
-        return Poly(np.asarray(self.coeffs) * float(other))
-
-    __rmul__ = __mul__
-
     def to_json(self) -> list[float]:
         return list(self.coeffs)
 
@@ -167,20 +154,6 @@ def _recurrence_rows(n: int, d: int, t) -> list:
         a, b = 2 * deg + n - 2, deg + n - 2
         rows.append((a * (t * rows[-1]) - deg * rows[-2]) / b)
     return rows[: d + 1]
-
-
-def gegenbauer_poly(n: int, i: int) -> Poly:
-    """Monomial-basis coefficients of P_i for dimension n."""
-    _check_dimension(n)
-    _check_degree(i)
-    if i == 0:
-        return Poly([1.0])
-    prev, cur = Poly([1.0]), Poly([0.0, 1.0])
-    for deg in range(1, i):
-        a, b = 2 * deg + n - 2, deg + n - 2
-        shifted = npoly.polymul([0.0, 1.0], cur.coeffs)
-        cur, prev = Poly(npoly.polysub(a / b * np.asarray(shifted), deg / b * np.asarray(prev.coeffs))), cur
-    return cur
 
 
 def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
@@ -298,13 +271,6 @@ class GegExpansion:
 
     n: int
     coeffs: tuple[float, ...]
-
-    def reconstruct(self) -> Poly:
-        out = Poly([0.0])
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                out = out + c * gegenbauer_poly(self.n, i)
-        return out
 
     def __call__(self, t):
         table = gegenbauer_table(self.n, len(self.coeffs) - 1, t)

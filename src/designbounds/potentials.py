@@ -19,10 +19,6 @@ from .orthopoly import Poly
 # N(N-1)*log(2), reported via the potential's params
 LOG_OFFSET = math.log(2.0)
 
-# the sample points of the absolute-monotonicity check
-MONOTONE_GRID = np.linspace(-1.0, 1.0 - 1e-6, 2001)
-MONOTONE_GRID.setflags(write=False)
-
 
 def _into(y):
     """The out argument that has a ufunc overwrite y: y when it is an
@@ -166,15 +162,3 @@ def parse_potential(spec: str) -> Potential:
             raise RangeError("poly potential needs at least one coefficient")
         return make_poly(Poly(coeffs))
     raise RangeError(f"unknown potential spec {spec!r}")
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    min_per_order: tuple[float, ...]
-    passes: bool
-
-
-def check_abs_monotone(p: Potential, max_order: int) -> MonotonicityReport:
-    """Sampled absolute-monotonicity check on MONOTONE_GRID; not a proof."""
-    mins = tuple(float(np.min(p.derivative(MONOTONE_GRID, m))) for m in range(max_order + 1))
-    return MonotonicityReport(min_per_order=mins, passes=all(m >= 0.0 for m in mins))

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from designbounds import bounds, codes, innerprod, jsonio, levenshtein
-from designbounds.errors import ConvergenceError, RangeError
+from designbounds.errors import RangeError
 from designbounds.levenshtein import quadrature_rule
-from designbounds.orthopoly import Poly, gegenbauer_poly
+from designbounds.orthopoly import Poly
 from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz, parse_potential
 
 R1 = make_riesz(1.0)
 R2 = make_riesz(2.0)
 R3 = make_riesz(3.0)
 G1 = make_gauss(1.0)
+# P_3 in dimension 3, the Legendre polynomial (5t^3 - 3t)/2
+P3_N3 = [0.0, -1.5, 0.0, 2.5]
 
 
 def test_lp_certify_lower_accepts_ulb_interpolant():
@@ -30,7 +32,7 @@ def test_lp_certify_lower_rejections():
     assert not rep.accepted
     assert any("A1" in note for note in rep.notes)
     # a negative high-degree Gegenbauer coefficient fails the tail condition
-    rep = bounds.lp_certify_lower(-1.0 * gegenbauer_poly(3, 3), 3, 2, (-1.0, -0.99), R2, 5)
+    rep = bounds.lp_certify_lower(Poly([-c for c in P3_N3]), 3, 2, (-1.0, -0.99), R2, 5)
     assert not rep.accepted
     assert any("A2" in note for note in rep.notes)
 
@@ -41,7 +43,7 @@ def test_lp_certify_upper_mirror():
     assert rep.accepted
     rep = bounds.lp_certify_upper(Poly([-100.0]), 3, 2, (-0.5, 0.0), R2, 5)
     assert not rep.accepted and any("B1" in note for note in rep.notes)
-    rep = bounds.lp_certify_upper(gegenbauer_poly(3, 3), 3, 2, (0.99, 0.999), R2, 5)
+    rep = bounds.lp_certify_upper(Poly(P3_N3), 3, 2, (0.99, 0.999), R2, 5)
     assert not rep.accepted and any("B2" in note for note in rep.notes)
 
 
@@ -240,39 +242,6 @@ def test_k0_threshold():
         bounds.k0_threshold(8)
 
 
-def test_improve_with_degree_rejects_positive_Q():
-    rep = bounds.improve_with_degree(3, 4, 1, R2, 3)
-    assert not rep.accepted
-    assert any("Q_3" in note for note in rep.notes)
-
-
-def test_improve_with_degree_small_case():
-    n, tau, N, j = 3, 3, 7.5, 6
-    qj = bounds.test_function(n, tau, N, j)
-    assert qj < 0
-    rep = bounds.improve_with_degree(n, N, tau, G1, j)
-    assert rep.accepted
-    ulb_val = rep.margins["ulb_value"]
-    assert rep.value >= ulb_val
-    expect = rep.margins["eps"] * N * N * abs(qj)
-    assert rep.value - ulb_val == pytest.approx(expect, abs=1e-8 * max(1.0, abs(ulb_val)))
-
-
-def test_improve_with_degree_log_finds_positive_shift():
-    # h(-1) = 0 for log; the shift binds only where P_j^(m) > 0, and P_9 is
-    # odd, so a positive shift exists
-    rep = bounds.improve_with_degree(5, 40, 5, make_log(), 9)
-    assert rep.accepted
-    assert rep.verify()
-    assert rep.margins["eps"] > 0
-
-
-def test_improve_with_degree_log_even_j_has_no_shift():
-    # P_6(-1) = 1 and h(-1) = 0 leave no positive shift
-    with pytest.raises(ConvergenceError):
-        bounds.improve_with_degree(3, 7.5, 3, make_log(), 6)
-
-
 def test_strip2_asym_forms():
     lo, up = bounds.strip2_asym(1.5, R2, 100.0)
     h0, hm, hp = 0.5, float(R2.eval(-0.5)), float(R2.eval(0.5))
@@ -361,8 +330,8 @@ def test_admissibility_decisions(name, n, tau, N, accepts):
             call(n, tau, N)
 
 
-# one call per method; the no-gain improve_with_degree report has no
-# certificate, and the lp_certify_lower call is rejected for most potentials
+# one call per method; the lp_certify_lower call is rejected for most
+# potentials
 ROUND_TRIP_METHODS = {
     "ulb": lambda h: bounds.ulb(4, 16, 4, h),
     "improved_even_lower": lambda h: bounds.improved_even_lower(4, 17, 2, h),
@@ -370,12 +339,6 @@ ROUND_TRIP_METHODS = {
     "upper_2design": lambda h: bounds.upper_2design(4, 6, h),
     "upper_cubic": lambda h: bounds.upper_cubic(4, 16, 4, h),
     "strip_odd": lambda h: bounds.strip_odd(4, 10, 3, h, 0.4),
-    # the poly below has no positive shift at j = 9, and log none at j = 6
-    "improve_with_degree": lambda h: (
-        bounds.improve_with_degree(3, 7.5, 3, h, 6) if h.name == "poly"
-        else bounds.improve_with_degree(5, 40, 5, h, 9)
-    ),
-    "improve_with_degree_no_gain": lambda h: bounds.improve_with_degree(3, 4, 1, h, 3),
     "lp_certify_lower": lambda h: bounds.lp_certify_lower(Poly([0.5]), 4, 2, (-1.0, 0.5), h, 6),
     "lp_certify_upper": lambda h: bounds.lp_certify_upper(Poly([100.0]), 4, 2, (-1.0, 0.5), h, 6),
 }
@@ -393,5 +356,5 @@ def test_report_from_json_round_trip(method, spec):
     again = bounds.BoundReport.from_json(json.loads(text))
     assert jsonio.dumps(again.to_json()) == text
     assert again.verify() is report.accepted
-    if method not in ("improve_with_degree_no_gain", "lp_certify_lower"):
+    if method != "lp_certify_lower":
         assert report.accepted

@@ -91,29 +91,29 @@ def test_hermite_below_convex_potential():
     # stays below h on the whole interval
     h = make_riesz(2.0)
     g = interpolate(HermiteScheme([(-0.7, 2), (0.1, 2)]), h)
-    rep = verify_one_sided(g, h, -1.0, 0.9, "below")
+    rep = verify_one_sided(g, h, -1.0, 0.9, "below", 10_001, 1e-9)
     assert rep.passes
 
 
 def test_verify_one_sided_detects_violation():
     h = make_riesz(2.0)
     above = Poly([10.0])
-    rep = verify_one_sided(above, h, -1.0, 0.5, "below")
+    rep = verify_one_sided(above, h, -1.0, 0.5, "below", 10_001, 1e-9)
     assert not rep.passes
     assert rep.min_margin < -1
-    rep2 = verify_one_sided(above, h, -1.0, 0.5, "above")
+    rep2 = verify_one_sided(above, h, -1.0, 0.5, "above", 10_001, 1e-9)
     assert rep2.passes
 
 
 def test_verify_one_sided_rejects_bad_relation():
     with pytest.raises(RangeError):
-        verify_one_sided(Poly([0.0]), make_riesz(1.0), -1, 1, "sideways")
+        verify_one_sided(Poly([0.0]), make_riesz(1.0), -1, 1, "sideways", 10_001, 1e-9)
 
 
 def test_margin_report_fields():
     h = make_riesz(2.0)
     g = interpolate(HermiteScheme([(0.0, 2)]), h)
-    rep = verify_one_sided(g, h, -1.0, 0.5, "below")
+    rep = verify_one_sided(g, h, -1.0, 0.5, "below", 10_001, 1e-9)
     assert rep.passes
     # tangency point is where the margin vanishes
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
@@ -129,8 +129,8 @@ def test_verify_one_sided_keeps_negative_zero_margin():
     # f == h exactly: h - f is +0.0, and f - h ("above") is -0.0
     p = Poly([1.0, 2.0])
     h = make_poly(p)
-    below = verify_one_sided(p, h, -1.0, 0.5, "below")
-    above = verify_one_sided(p, h, -1.0, 0.5, "above")
+    below = verify_one_sided(p, h, -1.0, 0.5, "below", 10_001, 1e-9)
+    above = verify_one_sided(p, h, -1.0, 0.5, "above", 10_001, 1e-9)
     assert below.passes and above.passes
     assert math.copysign(1.0, below.min_margin) == 1.0
     assert math.copysign(1.0, above.min_margin) == -1.0
@@ -151,13 +151,13 @@ def test_verify_one_sided_fails_on_nan(relation, where):
     grid = np.linspace(-1.0, 0.5, 10_001)
     bad = grid[where]
     h = _potential(lambda t: np.where(t == bad, np.nan, 100.0 if relation == "below" else -100.0))
-    rep = verify_one_sided(Poly([0.0, 1.0]), h, -1.0, 0.5, relation)
+    rep = verify_one_sided(Poly([0.0, 1.0]), h, -1.0, 0.5, relation, 10_001, 1e-9)
     assert not rep.passes
     assert math.isnan(rep.min_margin)
 
 
 def test_verify_one_sided_nan_polynomial_fails():
-    rep = verify_one_sided(Poly([np.nan]), make_riesz(2.0), -1.0, 0.5, "below")
+    rep = verify_one_sided(Poly([np.nan]), make_riesz(2.0), -1.0, 0.5, "below", 10_001, 1e-9)
     assert not rep.passes
 
 
@@ -170,7 +170,7 @@ def test_verify_one_sided_leaves_shared_potential_values():
 
     h = _potential(shared)
     for relation in ("below", "above"):
-        rep = verify_one_sided(Poly([1.0, 2.0]), h, -1.0, 0.5, relation)
+        rep = verify_one_sided(Poly([1.0, 2.0]), h, -1.0, 0.5, relation, 10_001, 1e-9)
         assert rep.passes == (relation == "below")
     assert len(cache) == 2
     assert all(np.all(a == 5.0) for a in cache.values())
@@ -211,7 +211,7 @@ def test_a1_check_allocation_budget():
     assert _peak_in_grid_arrays(lambda: f(grid, out=buf), size) <= 0.01
     assert f(grid, out=buf) is buf and buf.tobytes() == f(grid).tobytes()
     for relation in ("below", "above"):
-        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
+        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size, 1e-9)
         assert _peak_in_grid_arrays(check, size) <= 2.4
 
 
@@ -235,8 +235,8 @@ def test_sample_memo_hit_is_a_fresh_sample_bit_for_bit():
     assert hermite._sampled(h, 0.5, -0.0, 20_001)[0][-1].tobytes() == np.float64(-0.0).tobytes()
     # the check on a held sample reports what a check on a fresh one does
     f = interpolate(HermiteScheme([(-0.6, 2), (0.2, 2), (0.7, 2)]), h)
-    held = verify_one_sided(f, h, -1.0, 1.0 - 1e-9, "below", 20_001)
-    assert verify_one_sided(f, make_riesz(1.7), -1.0, 1.0 - 1e-9, "below", 20_001) == held
+    held = verify_one_sided(f, h, -1.0, 1.0 - 1e-9, "below", 20_001, 1e-9)
+    assert verify_one_sided(f, make_riesz(1.7), -1.0, 1.0 - 1e-9, "below", 20_001, 1e-9) == held
 
 
 @pytest.mark.parametrize(
@@ -256,7 +256,8 @@ def test_scratch_grid_is_linspace_bit_for_bit(lo, hi):
 
 
 def test_scratch_arrays_are_per_thread():
-    # the sweep's threads check at once, so each has its own grid and f
+    # library callers may check from several threads at once, so each
+    # thread has its own grid and f
     mine = hermite._scratch(101)
     assert hermite._scratch(101) is mine
     theirs = []
@@ -272,7 +273,7 @@ def test_sample_memo_keeps_nothing_from_a_check_made_once():
     f = Poly([0.1, 0.2])
     hs = [make_riesz(2.0) for _ in range(8)]
     for h in hs:
-        verify_one_sided(f, h, -1.0, 0.5, "below", 2001)
+        verify_one_sided(f, h, -1.0, 0.5, "below", 2001, 1e-9)
     assert not any(entry[0] is h for entry in hermite._SAMPLES.values() for h in hs)
 
 
@@ -281,7 +282,7 @@ def test_sample_memo_leaves_potential_arrays_writable():
     cache = {}
     h = _potential(lambda t: cache.setdefault(t.shape, np.full(t.shape, 5.0)))
     for _ in range(3):
-        assert verify_one_sided(Poly([1.0]), h, -1.0, 0.5, "below", 1001).passes
+        assert verify_one_sided(Poly([1.0]), h, -1.0, 0.5, "below", 1001, 1e-9).passes
     assert all(a.flags.writeable for a in cache.values())
 
 
@@ -293,11 +294,11 @@ def test_a1_check_on_a_held_sample_allocation_budget():
     f = Poly(rng.standard_normal(31) * 1e-3)
     h = make_riesz(2.0)
     for relation in ("below", "above"):
-        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size)
+        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size, 1e-9)
         check()  # a sample is kept from its second use on
         assert _peak_in_grid_arrays(check, size) <= 0.4
     # a miss (a fresh potential) keeps nothing
-    miss = lambda: verify_one_sided(f, make_riesz(2.0), -1.0, 0.9, "below", size)
+    miss = lambda: verify_one_sided(f, make_riesz(2.0), -1.0, 0.9, "below", size, 1e-9)
     assert _peak_in_grid_arrays(miss, size) <= 1.4
 
 

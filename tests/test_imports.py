@@ -1,5 +1,8 @@
-"""The runtime needs numpy only: no command imports scipy."""
+"""The runtime needs numpy only: no command imports scipy. Every name the
+benchmark tracer wraps exists in the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +40,28 @@ def test_command_runs_without_scipy(command):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "[]"]
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_names_resolve():
+    # bench/run.py --trace 1 wraps each module.name and module.Class.method
+    # by name, and the sweep pool task in cli; a rename or deletion in the
+    # package would only show when the benchmark runs traced
+    tracer = _load_tracer()
+    traced = {module: list(names) for module, names in tracer.TRACED.items()}
+    traced.setdefault("cli", []).append(tracer.POOL_TASK)
+    for module, names in traced.items():
+        mod = importlib.import_module(f"designbounds.{module}")
+        for name in names:
+            obj = mod
+            for part in name.split("."):
+                assert hasattr(obj, part), f"designbounds.{module}.{name}"
+                obj = getattr(obj, part)
+            assert callable(obj), f"designbounds.{module}.{name}"

@@ -131,10 +131,3 @@ def test_log_spec_takes_only_the_offset_it_prints():
     with pytest.raises(RangeError, match="offset"):
         pot.parse_potential("log:offset=1")
 
-
-def test_check_abs_monotone():
-    rep = pot.check_abs_monotone(pot.make_riesz(1.0), 4)
-    assert rep.passes
-    assert all(m >= 0 for m in rep.min_per_order)
-    bad = pot.check_abs_monotone(pot.make_poly(Poly([0.0, -1.0])), 1)
-    assert not bad.passes
