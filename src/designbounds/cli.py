@@ -7,9 +7,13 @@ they are used, by levenshtein's one admissibility check. Exit codes: 0 ok,
 internal-consistency or convergence failure.
 A sweep prints every row, and a point that fails gets an error row; the sweep
 exits 3 if any point failed internally, and 0 otherwise.
-``--verify`` is accepted and ignored, as ``sweep --jobs`` is: acceptance
-runs the checks of BoundReport.verify at the same DEB_TOL, so a printed
-report has nothing left to re-check.
+``sweep --jobs J`` deals the sweep's (n, tau) groups round-robin over
+min(J, usable CPUs, groups) processes, this one and forked children, and
+prints the same bytes, with the same exit code, as ``--jobs 1``. It runs
+serially where ``os.fork`` is missing or another thread runs.
+``--verify`` is accepted and ignored: acceptance runs the checks of
+BoundReport.verify at the same DEB_TOL, so a printed report has nothing left
+to re-check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
+import os
+import pickle
+import signal
 import sys
+import threading
+import warnings
 
 from . import bounds, codes, jsonio, levenshtein
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
@@ -51,6 +61,16 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 def _potential_or_usage(spec: str):
@@ -207,12 +227,132 @@ def _sweep_one(point, h, u):
     return row
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_rows(points, h, u, jobs):
+    """_sweep_one at every point, rows in point order. With jobs > 1 the (n,
+    tau) groups are dealt round-robin over up to jobs processes, at most one
+    per usable CPU and per group: a group's N values share the (n, m) and
+    (n, d) memos. Serial where fork is missing or another thread runs, since
+    a child could inherit a lock that thread holds."""
+    if jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        groups = [list(i) for _, i in itertools.groupby(
+            range(len(points)), key=lambda i: (points[i][0], points[i][2]))]
+        procs = min(jobs, _usable_cpus(), len(groups))
+        if procs > 1:
+            shares = [list(itertools.chain(*groups[k::procs])) for k in range(procs)]
+            return _forked_rows(points, shares, h, u)
+    return [_sweep_one(p, h, u) for p in points]
+
+
+def _sweep_share(points, h, u):
+    """_sweep_one over points until one raises: a (row, warnings) pair per
+    point reached, with row None at the point that raised, and the exception
+    or None. Every warning is recorded ("always"), as (message, category,
+    filename, lineno), for _replay."""
+    done = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for point in points:
+            del caught[:]
+            row = error = None
+            try:
+                row = _sweep_one(point, h, u)
+            except Exception as e:
+                error = e
+            done.append((row, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+            if error is not None:
+                return done, error
+    return done, None
+
+
+def _share_in_child(fd, points, h, u):
+    """In a forked child: send _sweep_share's outcome down the pipe fd and
+    exit without returning, so nothing the parent holds is flushed or run
+    twice. An outcome that does not pickle is not sent."""
+    code = 1
+    try:
+        data = pickle.dumps(_sweep_share(points, h, u))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_rows(points, shares, h, u):
+    """Share 0 runs here and each other share in a forked child. Every child
+    is reaped before this returns or raises, and killed first unless every
+    outcome was read. Then each point's warnings are replayed in point
+    order, and the exception that stopped the earliest point, if any, is
+    raised after the warnings of the points before it, as the serial loop
+    raises it."""
+    children = []  # (pid, read end of its pipe)
+    read = False
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _share_in_child(w, [points[i] for i in share], h, u)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outcomes = [_sweep_share([points[i] for i in shares[0]], h, u)]
+        for pid, pipe in children:
+            try:
+                outcomes.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"sweep process {pid} ended without its rows") from None
+        read = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not read:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows, caught, first = [None] * len(points), {}, None  # first: (point, exception)
+    for share, (done, error) in zip(shares, outcomes):
+        for i, (row, warned) in zip(share, done):
+            rows[i], caught[i] = row, warned
+        if error is not None and (first is None or share[len(done) - 1] < first[0]):
+            first = (share[len(done) - 1], error)
+    last = first[0] if first else len(points) - 1
+    _replay([w for i in range(last + 1) for w in caught[i]])
+    if first:
+        raise first[1]
+    return rows
+
+
+def _replay(caught):
+    """Emit recorded warnings again, each from its file and line and against
+    the registry of the module there, as warnings.warn emitted it, so the
+    filters in force decide what shows (once per location by default). A
+    filter change resets the registries, so a location that warned in an
+    earlier call of this process may warn once more."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        env = getattr(modules.get(filename), "__dict__", None)
+        if env is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(message, category, filename, lineno, module=env["__name__"],
+                                   registry=env.setdefault("__warningregistry__", {}),
+                                   module_globals=env)
+
+
 def cmd_sweep(args) -> int:
     h = _potential_or_usage(args.potential)
     points = _sweep_points(args)
     if not points:
         _usage("empty sweep grid")
-    rows = [_sweep_one(p, h, args.u) for p in points]
+    rows = _sweep_rows(points, h, args.u, args.jobs)
     failed = sum(row.pop("failed", False) for row in rows)
     if failed:
         print(f"internal failure at {failed} of {len(rows)} sweep points; see their error rows",
@@ -281,7 +421,9 @@ def build_parser() -> _Parser:
     s.add_argument("--potential", required=True)
     s.add_argument("--u", type=_inner_product)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--jobs", type=int, default=1, help="ignored; points run one after another")
+    s.add_argument("--jobs", type=_positive_int, default=1,
+                   help="deal the (n, tau) groups over up to min(J, CPUs, groups) forked"
+                        " processes; same output as 1")
     s.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     s.set_defaults(func=cmd_sweep)
     return p

@@ -95,7 +95,7 @@ def verify_one_sided(
     coarse = diff[i]
     # refine locally around the sampled minimum
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
-    fine = np.linspace(a, b, 2001)
+    fine = _linspace(float(a), float(b), _fine_scratch())
     fdiff = _gap(f(fine), h.eval(fine), relation)
     j = int(np.argmin(fdiff))
     m = min(float(coarse), float(fdiff[j]))
@@ -168,8 +168,9 @@ def _sampled(h: Potential, lo: float, hi: float, size: int) -> tuple[np.ndarray,
 # each thread's two work arrays of the coarse grid's size: the grid, and f
 # on it. A grid of A1 points is above the size from which the allocator
 # maps and unmaps each array, so reusing them saves the page faults of two
-# fresh arrays per check
+# fresh arrays per check. The 2001-point refinement grid has a third
 _SCRATCH = threading.local()
+_REFINE_SIZE = 2001
 
 
 def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +179,14 @@ def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
     if bufs is None or bufs[0].size != size:
         bufs = _SCRATCH.bufs = (np.empty(size), np.empty(size))
     return bufs
+
+
+def _fine_scratch() -> np.ndarray:
+    """This thread's work array of the refinement grid."""
+    fine = getattr(_SCRATCH, "fine", None)
+    if fine is None:
+        fine = _SCRATCH.fine = np.empty(_REFINE_SIZE)
+    return fine
 
 
 @functools.lru_cache(maxsize=4)

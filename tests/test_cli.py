@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +161,9 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
         ("sweep --n 3 --tau 3,y --potential riesz:s=2", "--tau"),
         ("sweep --n 3 --tau 1 --N 5,y --potential riesz:s=2", "--N"),
         ("sweep --n 3 --tau 1 --N 5.5 --potential riesz:s=2", "--N"),
+        ("sweep --n 3 --tau 2 --potential log --jobs 0", "--jobs: not a positive integer: '0'"),
+        ("sweep --n 3 --tau 2 --potential log --jobs -1", "--jobs: not a positive integer: '-1'"),
+        ("sweep --n 3 --tau 2 --potential log --jobs x", "--jobs: not a positive integer: 'x'"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:nan --side lower", "poly:nan"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:inf,1 --side lower", "poly:inf,1"),
         ("bound --n 3 --N 5 --tau 2 --potential poly:1,nan", "poly:1,nan"),
@@ -346,6 +355,145 @@ def test_sweep_keeps_rows_when_points_fail_internally(capsys):
         )
         assert code == 3
         assert err == f"internal consistency failure: {row['error']}\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs and the pids of the forks made; after the test, no
+    child of this process is left, running or unreaped."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, code, says", [
+    ("--n 3,4 --tau 2,3,4,5 --potential riesz:s=2 --u 0.5", 0, "strip_odd"),
+    ("--n 3,4 --tau 5,61 --potential log", 0, "k = 31 exceeds cap 30"),
+    ("--n 60,200 --tau 2,3,13,17 --potential gauss:c=1", 3, "8 of 24"),
+])
+def test_sweep_jobs_2_prints_the_bytes_of_jobs_1(capsys, forks, fmt, argv, code, says):
+    # ordinary rows, range-error rows and internal-failure rows; the (n, tau)
+    # groups alternate between this process and one child
+    argv = ["sweep", *argv.split(), "--format", fmt]
+    serial = run(capsys, *argv, "--jobs", "1")
+    assert not forks
+    forked = run(capsys, *argv, "--jobs", "2")
+    assert len(forks) == 1
+    assert forked == serial
+    assert serial[0] == code
+    assert says in serial[1] + serial[2]
+
+
+@pytest.mark.parametrize("argv, count", [
+    ("--n 3,4,5 --tau 2,3 --jobs 64", 1),  # capped by the 2 CPUs
+    ("--n 3 --tau 2,3 --jobs 64", 1),
+    ("--n 3 --tau 2 --jobs 64", 0),  # one (n, tau) group
+])
+def test_sweep_forks_at_most_one_process_per_cpu_and_group(capsys, forks, argv, count):
+    assert run(capsys, "sweep", *argv.split(), "--potential", "log")[0] == 0
+    assert len(forks) == count
+
+
+def test_sweep_runs_serially_while_another_thread_runs(capsys, forks):
+    # a child could inherit a lock that the other thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        forked = run(capsys, "sweep", "--n", "3,4", "--tau", "2,3", "--potential", "log",
+                     "--jobs", "2")
+    finally:
+        release.set()
+        other.join()
+    assert not forks
+    assert forked == run(capsys, "sweep", "--n", "3,4", "--tau", "2,3", "--potential", "log")
+
+
+@pytest.mark.parametrize("planted, raised", [
+    ((3,), 3),  # in the child's share
+    ((2,), 2),  # in this process's share
+    ((3, 4), 3),  # in both: the earliest point's, from the child
+])
+def test_sweep_exception_reaches_the_caller_as_serially(capsys, forks, monkeypatch,
+                                                        planted, raised):
+    # groups (3, 2) and (3, 4) run here, (3, 3) in the child
+    lower = cli._lower_reports
+
+    def planted_lower(n, N, tau, h, l_override=None):
+        if tau in planted:
+            raise ValueError(f"planted at tau {tau}")
+        return lower(n, N, tau, h, l_override)
+
+    monkeypatch.setattr(cli, "_lower_reports", planted_lower)
+    for jobs in ("1", "2"):
+        with pytest.raises(ValueError, match=f"^planted at tau {raised}$"):
+            cli.main(["sweep", "--n", "3", "--tau", "2,3,4", "--potential", "log",
+                      "--jobs", jobs])
+    assert len(forks) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_interrupted_here_kills_and_reaps_the_child(capsys, forks, monkeypatch):
+    # the child's share would take a minute; the interrupt does not wait for it
+    lower = cli._lower_reports
+
+    def interrupted(n, N, tau, h, l_override=None):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return lower(n, N, tau, h, l_override)
+
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_lower_reports", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--n", "3", "--tau", "2,3", "--potential", "log", "--jobs", "2"])
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+
+
+def test_sweep_child_that_dies_is_an_error_not_missing_rows(capsys, forks, monkeypatch):
+    lower = cli._lower_reports
+
+    def dying(n, N, tau, h, l_override=None):
+        if tau == 3:
+            os._exit(5)
+        return lower(n, N, tau, h, l_override)
+
+    monkeypatch.setattr(cli, "_lower_reports", dying)
+    with pytest.raises(RuntimeError, match="ended without its rows"):
+        cli.main(["sweep", "--n", "3", "--tau", "2,3", "--potential", "log", "--jobs", "2"])
+    assert len(forks) == 1
+
+
+def test_sweep_jobs_2_in_a_fresh_process_prints_the_bytes_of_jobs_1():
+    # the degree warnings are replayed from the child, once per location as
+    # a serial run shows them, and stdout, a pipe here, is written once.
+    # Warnings are compared in fresh processes only: a rule-memo hit emits
+    # none, so what one process ran before changes what it warns. OpenBLAS
+    # runs no thread of its own here, as Python 3.12 warns when a process
+    # with other threads forks
+    argv = [sys.executable, "-m", "designbounds.cli", "sweep", "--n", "3,4", "--tau", "59,60",
+            "--potential", "riesz:s=2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    serial, forked = (subprocess.run([*argv, "--jobs", jobs], env=env, capture_output=True,
+                                     timeout=120) for jobs in ("1", "2"))
+    assert serial.stderr.count(b"UserWarning: degree") == 3
+    assert serial.stdout.count(b"\n") == 13
+    assert (forked.returncode, forked.stdout, forked.stderr) == (
+        serial.returncode, serial.stdout, serial.stderr)
 
 
 @pytest.mark.parametrize(

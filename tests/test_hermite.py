@@ -267,6 +267,29 @@ def test_scratch_arrays_are_per_thread():
     assert not any(np.shares_memory(a, b) for a in mine for b in theirs[0])
 
 
+def test_refinement_grid_is_linspace_bit_for_bit():
+    # the 2001-point refinement around the sampled minimum is written into
+    # this thread's third scratch array, with np.linspace's bits, so the
+    # margin and where it lies are those of the np.linspace refinement
+    h = make_log()
+    f = interpolate(HermiteScheme([(-0.5, 2), (0.3, 2)]), h)
+    for lo, hi, size in ((-1.0, 0.9, 1001), (-0.7, 0.6, 20_001)):
+        report = verify_one_sided(f, h, lo, hi, "below", size, 1e-9)
+        grid = np.linspace(lo, hi, size)
+        i = int(np.argmin(h.eval(grid) - f(grid)))
+        fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, size - 1)], 2001)
+        gap = h.eval(fine) - f(fine)
+        j = int(np.argmin(gap))
+        assert (report.min_margin, report.argmin) == (gap[j], fine[j])
+    mine = hermite._fine_scratch()
+    assert hermite._fine_scratch() is mine
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(hermite._fine_scratch()))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(mine, theirs[0])
+
+
 def test_sample_memo_keeps_nothing_from_a_check_made_once():
     # re-verifying one stored report checks its potential once: holding
     # that sample would cost the check and save nothing

@@ -37,11 +37,14 @@ The sets:
   8, 24}, odd tau 1..59, N in {lo, (lo+hi)//2}, u the largest rule node s
   and min(s + 0.05, 0.999) (passed as ``repr(u)``), and the three
   potentials.
-- ``sweep`` (96 cases): ``sweep --verify`` over four ``--n``/``--tau``
+- ``sweep`` (192 cases): ``sweep --verify`` over four ``--n``/``--tau``
   groups (3,4,5 with tau 1..10,61,62; 8,24 with tau 1..8; 60,200 with tau
   2,3,13,17; 2,3 with tau 1,2,3), each with no extra option, ``--u 0``,
   ``--u 0.5`` and ``--N 4,5,6,7,10,14,20,50``, in csv and json, and the
-  three potentials.
+  three potentials; each case runs once as it is and once more with
+  ``--jobs 2``, whose forked processes must print the same bytes. A tree
+  that ignores ``--jobs`` runs the second serially, so ``--against`` such a
+  tree compares the forked output with the serial one.
 - ``rules`` (1,620 cases): ``quadrature`` over n in {3, 4, 5, 8, 24, 60},
   tau 1..60 and N in {lo, (lo+hi)//2, hi}, plus ``testfn --jmax
   min(tau+9, 60)`` at odd tau.
@@ -140,8 +143,10 @@ def sweep_cases():
         for extra in SWEEP_OPTIONS:
             for fmt in ("csv", "json"):
                 for pot in POTENTIALS:
-                    yield ["sweep", "--n", ns, "--tau", taus, *extra, "--potential", pot,
-                           "--format", fmt, "--verify"]
+                    case = ["sweep", "--n", ns, "--tau", taus, *extra, "--potential", pot,
+                            "--format", fmt, "--verify"]
+                    yield case
+                    yield [*case, "--jobs", "2"]
 
 
 def rules_cases():
