@@ -170,12 +170,12 @@ def _certify(
 
 
 def _pin_value(report: BoundReport, value: float, source: str) -> None:
-    """Report the method's own value instead of the certificate's; the two
-    must agree to DEB_TOL, the tolerance verify() applies."""
-    cert_value = report.recompute_value()
-    if not _close(cert_value, value, _tol()):
+    """Report the method's own value instead of the certificate's, which a
+    report fresh from _certify holds; the two must agree to DEB_TOL, the
+    tolerance verify() applies."""
+    if not _close(report.value, value, _tol()):
         raise InternalConsistencyError(
-            f"certificate value {cert_value} disagrees with {source} value {value}"
+            f"certificate value {report.value} disagrees with {source} value {value}"
         )
     report.value = float(value)
 
@@ -219,7 +219,7 @@ def improved_even_lower(
     tau = 2 * k
     _admissible(n, tau, N, "()")
     if ell is None:
-        ell = innerprod.best_range(n, N, tau).lo
+        ell = innerprod.best_range(n, N, tau)
     if ell <= -1.0 + 1e-12:
         report = ulb(n, N, tau, h)
         report.notes.append("ell = -1 degenerates to the universal lower bound")

@@ -18,5 +18,5 @@ class InternalConsistencyError(DesignBoundsError):
 
 
 class InfeasibleRange(RangeError):
-    """Inner-product constraints have empty intersection; the message names
-    the conflicting endpoints and their sources."""
+    """Inner-product constraints have empty intersection. The package no
+    longer raises it; it is kept for code that imports it."""

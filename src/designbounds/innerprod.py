@@ -1,11 +1,12 @@
-"""Admissible inner-product ranges [lo, hi] for designs of given (n, N, tau)."""
+"""Bounds on the inner products of designs of given (n, N, tau): the closed
+forms u and l at tau in (2, 4), the even-strength roots (xi, eta), and the
+smallest admissible inner product ell that the improved lower bound reads."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import InfeasibleRange, RangeError
+from .errors import RangeError
 from .levenshtein import _admissible, _brentq, quadrature_rule
 from .orthopoly import poly_from_roots
 
@@ -62,51 +63,18 @@ def _root_or(g, a: float, b: float, trivial: float) -> float:
         return trivial
 
 
-@dataclass(frozen=True)
-class InnerProductRange:
-    lo: float
-    hi: float
-    lo_source: str
-    hi_source: str
-
-
-def best_range(
-    n: int,
-    N: float,
-    tau: int,
-    user_u: float | None = None,
-    user_l: float | None = None,
-) -> InnerProductRange:
-    """Intersection of all applicable inner-product bounds plus user overrides."""
-    lo, lo_src = -1.0, "trivial"
-    hi, hi_src = 1.0 - OPEN_UPPER_EPS, "trivial"
+def best_range(n: int, N: float, tau: int) -> float:
+    """The smallest admissible inner product ell: the largest of -1, l_bound
+    at tau in (2, 4) and xi at even tau, each where its (n, N) is in range."""
+    ell = -1.0
     if tau in (2, 4):
         try:
-            u = u_bound(n, N, tau)
-            if u < hi:
-                hi, hi_src = u, f"closed-form-u(tau={tau})"
-        except RangeError:
-            pass
-        try:
-            l = l_bound(n, N, tau)
-            if l > lo:
-                lo, lo_src = l, f"closed-form-l(tau={tau})"
+            ell = max(ell, l_bound(n, N, tau))
         except RangeError:
             pass
     if tau % 2 == 0 and tau >= 2:
-        k = tau // 2
         try:
-            xi, eta = even_range(n, N, k)
-            if xi > lo:
-                lo, lo_src = xi, "even-root-xi"
-            if eta < hi:
-                hi, hi_src = eta, "even-root-eta"
+            ell = max(ell, even_range(n, N, tau // 2)[0])
         except RangeError:
             pass
-    if user_l is not None and user_l > lo:
-        lo, lo_src = float(user_l), "user"
-    if user_u is not None and user_u < hi:
-        hi, hi_src = float(user_u), "user"
-    if lo > hi:
-        raise InfeasibleRange(f"empty inner-product range: lo={lo} ({lo_src}) > hi={hi} ({hi_src})")
-    return InnerProductRange(lo=lo, hi=hi, lo_source=lo_src, hi_source=hi_src)
+    return ell

@@ -246,23 +246,18 @@ class WeightRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def weight_rule(n: int, m: int) -> WeightRule:
     """m-point Gauss rule, exact on polynomials of degree <= 2m-1 (Golub and
     Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
     Jacobi matrix, and the weights the squared first components of its unit
-    eigenvectors, which sum to 1. Memoised on (n, m); the arrays are
-    read-only."""
+    eigenvectors, which sum to 1."""
     _check_dimension(n)
     if m < 1:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
     a, b = _jacobi_recurrence(lam, lam, m)
     nodes, vecs = _jacobi_eigh(a, b, vectors=True)
-    weights = vecs[0] ** 2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return WeightRule(nodes=nodes, weights=weights)
+    return WeightRule(nodes=nodes, weights=vecs[0] ** 2)
 
 
 @dataclass(frozen=True)
@@ -297,6 +292,7 @@ def _projection(n: int, d: int):
     rule = weight_rule(n, d + 1)
     table = gegenbauer_table(n, d, rule.nodes)
     norms = table**2 @ rule.weights
-    table.setflags(write=False)
-    norms.setflags(write=False)
-    return rule.nodes, rule.weights, table, norms
+    arrays = rule.nodes, rule.weights, table, norms
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays

@@ -107,21 +107,15 @@ def make_gauss(c: float) -> Potential:
 
 
 def make_poly(p: Poly) -> Potential:
-    """Polynomial potential; flags negativity on [-1, 1) without rejecting.
-    Coefficients must be finite."""
+    """Polynomial potential; coefficients must be finite. A polynomial that
+    is negative somewhere on [-1, 1) is accepted as it is."""
     if not all(math.isfinite(c) for c in p.coeffs):
         raise RangeError(f"polynomial coefficients must be finite, got {list(p.coeffs)}")
-    grid = np.linspace(-1.0, 1.0 - 1e-9, 2001)
-    negative = bool(np.min(p(grid)) < 0)
 
     def deriv(t, order):
         return p.deriv(order)(t) if order <= p.degree else np.zeros_like(t)
 
-    return Potential(
-        name="poly",
-        params={"coeffs": list(p.coeffs), "negative_on_interval": negative},
-        _derivative=deriv,
-    )
+    return Potential(name="poly", params={"coeffs": list(p.coeffs)}, _derivative=deriv)
 
 
 def _param(name: str, rest: str, known: str, default: float | None = None) -> float:

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -539,3 +541,20 @@ def test_jsonio_float_format():
     assert jsonio.dumps(2.0) == "2.0"
     assert jsonio.dumps({"b": 1, "a": [True, None]}) == '{\n  "a": [\n    true,\n    null\n  ],\n  "b": 1\n}'
     assert jsonio.dumps(float("nan")) == '"nan"'
+
+
+def _load_acceptance_grid():
+    path = Path(__file__).resolve().parents[1] / "tools" / "acceptance_grid.py"
+    spec = importlib.util.spec_from_file_location("acceptance_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
+def test_acceptance_grid_runs_every_command():
+    # a command that no set runs keeps no answer a change must reproduce
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    grid = _load_acceptance_grid()
+    run_first = {case[0] for cases in grid.SETS.values() for case in cases()}
+    assert run_first >= set(sub.choices), sorted(set(sub.choices) - run_first)

@@ -1,11 +1,12 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from designbounds import codes, innerprod
-from designbounds.errors import InfeasibleRange, RangeError
-from designbounds.levenshtein import quadrature_rule
+from designbounds.errors import RangeError
+from designbounds.levenshtein import dgs_bound, quadrature_rule
 from designbounds.orthopoly import poly_from_roots
 
 
@@ -58,44 +59,74 @@ def test_even_range_rejects_endpoints():
 
 
 def test_best_range_tau2_lemmas_win():
-    r = innerprod.best_range(3, 5, 2)
-    assert r.lo == pytest.approx(-2.0 / 3.0)
-    assert r.hi == pytest.approx(0.0)
-    assert "closed-form" in r.lo_source and "closed-form" in r.hi_source
+    assert innerprod.best_range(3, 5, 2) == pytest.approx(-2.0 / 3.0)
+
+
+def _upper_ends(n, N, tau):
+    """The largest admissible inner product's bounds that apply at (n, N,
+    tau): u_bound at tau in (2, 4) and eta at even tau."""
+    ends = []
+    if tau in (2, 4):
+        ends.append(innerprod.u_bound(n, N, tau))
+    if tau % 2 == 0:
+        try:
+            ends.append(innerprod.even_range(n, N, tau // 2)[1])
+        except RangeError:  # N on an endpoint
+            pass
+    return ends
+
+
+def _inside(dist, tau):
+    ell = innerprod.best_range(dist.n, dist.N, tau)
+    ts = np.array([t for t, _ in dist.entries])
+    assert np.all(ts >= ell - 1e-12)
+    for u in _upper_ends(dist.n, dist.N, tau):
+        assert np.all(ts <= u + 1e-12)
+    return ell
 
 
 def test_best_range_mimura_inner_products_inside():
-    r = innerprod.best_range(6, 8, 2)
-    assert r.lo == pytest.approx(-1.0 / 3.0)
-    assert r.hi == pytest.approx(0.0)
     dist = codes.orthogonal_simplices(4, 4)
-    for t, _ in dist.entries:
-        assert r.lo - 1e-12 <= t <= r.hi + 1e-12
+    assert (dist.n, dist.N) == (6, 8)
+    assert _inside(dist, 2) == pytest.approx(-1.0 / 3.0)
+    assert min(_upper_ends(6, 8, 2)) == pytest.approx(0.0)
 
 
 def test_best_range_trivial_for_tau1():
-    r = innerprod.best_range(4, 3, 1)
-    assert r.lo == -1.0
-    assert r.lo_source == "trivial"
-    assert r.hi == pytest.approx(1.0, abs=1e-8)
-
-
-def test_best_range_user_overrides_and_infeasibility():
-    r = innerprod.best_range(3, 5, 2, user_u=-0.1, user_l=-0.5)
-    assert r.lo == -0.5 and r.hi == -0.1
-    assert r.lo_source == "user" and r.hi_source == "user"
-    with pytest.raises(InfeasibleRange):
-        innerprod.best_range(3, 5, 2, user_l=0.4, user_u=-0.5)
+    assert innerprod.best_range(4, 3, 1) == -1.0
 
 
 def test_builtin_designs_within_best_range():
-    cases = [
-        (codes.simplex(4), 2),
-        (codes.orthogonal_simplices(3, 3), 2),
-        (codes.cross_polytope(4), 2),
-    ]
-    for dist, tau in cases:
-        r = innerprod.best_range(dist.n, dist.N, tau)
-        ts = np.array([t for t, _ in dist.entries])
-        assert np.all(ts >= r.lo - 1e-12)
-        assert np.all(ts <= r.hi + 1e-12)
+    for dist in (codes.simplex(4), codes.orthogonal_simplices(3, 3), codes.cross_polytope(4)):
+        _inside(dist, 2)
+
+
+def _ell_max(n, N, tau):
+    """max(-1, l_bound, xi) over the bounds that apply at (n, N, tau)."""
+    ends = [-1.0]
+    if tau in (2, 4):
+        with contextlib.suppress(RangeError):
+            ends.append(innerprod.l_bound(n, N, tau))
+    if tau % 2 == 0:
+        with contextlib.suppress(RangeError):
+            ends.append(innerprod.even_range(n, N, tau // 2)[0])
+    return max(ends)
+
+
+def _ell_cases():
+    # N = n + 1 at tau 2, the simplex: ell is l_bound = -1/n, which
+    # round-off can put just above u_bound
+    for n in (3, 7, 11, 12, 19):
+        yield n, n + 1, 2, 1.0 - (n + 1) / n
+    for n in (3, 4, 8, 24):
+        for tau in range(1, 11):
+            lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
+            for N in sorted({lo + 1, (lo + hi) // 2, hi - 1}):
+                yield n, N, tau, None
+
+
+@pytest.mark.parametrize("n, N, tau, want", list(_ell_cases()))
+def test_best_range_is_the_largest_lower_end(n, N, tau, want):
+    ell = innerprod.best_range(n, N, tau)
+    assert type(ell) is float
+    assert ell == (_ell_max(n, N, tau) if want is None else want)

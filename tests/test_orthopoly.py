@@ -279,11 +279,29 @@ def test_gegenbauer_scalar_path_is_array_path_bit_for_bit():
 
 
 def test_memoised_weight_rule_arrays_are_read_only():
-    rule = op.weight_rule(5, 7)
-    for arr in (rule.nodes, rule.weights):
+    # the projection memo holds the Gauss rule's nodes and weights, the
+    # P-table and the norms
+    arrays = op._projection(5, 6)
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert op.weight_rule(5, 7) is rule
+    again = op._projection(5, 6)
+    assert all(a is b for a, b in zip(again, arrays, strict=True))
+
+
+def test_geg_expansion_call_is_the_gegenbauer_sum():
+    rng = np.random.default_rng(19)
+    ts = np.linspace(-1.0, 1.0, 101)
+    for n in (3, 4, 24):
+        for d in (0, 1, 5, 17, 30):
+            c = rng.uniform(-1.0, 1.0, d + 1)
+            exp = op.GegExpansion(n=n, coeffs=tuple(float(x) for x in c))
+            tol = 1e-14 * np.sum(np.abs(c))
+            want = sum(ci * op.gegenbauer_eval(n, i, ts) for i, ci in enumerate(c))
+            assert np.max(np.abs(exp(ts) - want)) <= tol, (n, d)
+            t = float(rng.uniform(-1.0, 1.0))
+            want = sum(ci * op.gegenbauer_eval(n, i, t) for i, ci in enumerate(c))
+            assert abs(exp(t) - want) <= tol, (n, d, t)
 
 
 def test_expand_is_the_projection_formula_bit_for_bit():
@@ -424,7 +442,7 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
     for call in (
         lambda: op.jacobi_zeros(0.0, 0.0, 2),
         lambda: op.kernel_zeros(1.0, 0.0, 2, 0.5),
-        lambda: op.weight_rule.__wrapped__(5, 3),
+        lambda: op.weight_rule(5, 3),
         lambda: op.adjacent_largest_zero(4, 1, 0, 3),
     ):
         with pytest.raises(LinAlgError, match="did not converge"):

@@ -90,9 +90,6 @@ def test_in_place_potentials_are_the_written_expression_bit_for_bit(spec, param)
 def test_poly_potential_and_negativity_flag():
     h = pot.make_poly(Poly([1.0, 0.0, 2.0]))
     assert h.eval(0.5) == pytest.approx(1.5)
-    assert not h.params["negative_on_interval"]
-    hneg = pot.make_poly(Poly([0.0, 1.0]))
-    assert hneg.params["negative_on_interval"]
     assert np.allclose(h.derivative(np.array([0.3]), 5), 0.0)
 
 

@@ -9,7 +9,7 @@ emits, under the "always" filter so that a repeat is not hidden, as its
 category name and message in the order emitted; file and line are left
 out, since they move with every edit. Two trees give the same answers on
 a set when their outputs are identical.
-``--set all`` runs the seven sets in turn, in the order listed below.
+``--set all`` runs the eight sets in turn, in the order listed below.
 ``--against OTHER_SRC`` compares two trees in one command: it runs the set
 in two subprocesses at once, one with ``PYTHONPATH=OTHER_SRC`` and one on
 the ``src`` this script imports, prints only the cases whose lines differ
@@ -66,6 +66,11 @@ The sets:
   log:offset=0.6931471805599453 and log:offset=1; and ``bound --side
   strip`` at (3, 5, 2) with the polynomial potentials poly:1,0,2 and
   poly:0,-1, whose printed spec is in the report.
+- ``code`` (144 cases): ``code`` with the builds simplex and
+  cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
+  {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
+  the three potentials and poly:1,0,2 and poly:0,-1, and ``--max-tau`` 0
+  and 6; plus each builder once without the option it needs.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -176,6 +181,7 @@ def cubic_cases():
 
 EDGE_POTENTIALS = ("riesz:s=2,c=1", "gauss:c=1,d=2", "log:c=7", "riesz:s=1,s=3",
                    "log:offset=0.6931471805599453", "log:offset=1")
+POLY_POTENTIALS = ("poly:1,0,2", "poly:0,-1")
 
 
 def edges_cases():
@@ -205,13 +211,32 @@ def edges_cases():
                                "--potential", "log", "--side", side, "--u", u]
     for pot in EDGE_POTENTIALS:
         yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot]
-    for pot in ("poly:1,0,2", "poly:0,-1"):
+    for pot in POLY_POTENTIALS:
         yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot, "--side", "strip"]
+
+
+CODE_BUILDS = (
+    *(("simplex", "--n", str(n)) for n in (1, 2, 3, 8)),
+    *(("cross-polytope", "--n", str(n)) for n in (1, 2, 3, 8)),
+    *(("orthogonal-simplices", "--a", str(a), "--b", str(b))
+      for a, b in ((2, 2), (3, 3), (4, 4), (2, 5))),
+    *(("kerdock", "--l", str(l)) for l in (2, 3)),
+)
+
+
+def code_cases():
+    for builder, *options in CODE_BUILDS:
+        for pot in (*POTENTIALS, *POLY_POTENTIALS):
+            for max_tau in ("0", "6"):
+                yield ["code", "--builder", builder, *options, "--potential", pot,
+                       "--max-tau", max_tau]
+    for builder in ("simplex", "cross-polytope", "orthogonal-simplices", "kerdock"):
+        yield ["code", "--builder", builder, "--potential", "log"]
 
 
 SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
         "sweep": sweep_cases, "rules": rules_cases, "cubic": cubic_cases,
-        "edges": edges_cases}
+        "edges": edges_cases, "code": code_cases}
 
 
 def run_case(argv: list[str]) -> tuple[str, str, str, str]:
