@@ -4,10 +4,11 @@ upper bounds, odd-strength strips, test functions and asymptotic
 evaluators.
 
 Every bound is returned as a BoundReport carrying a polynomial certificate.
-_conditions alone decides acceptance at DEB_TOL, and a method's own value
-(closed form, quadrature, strip) must match its certificate's to the same
-DEB_TOL, so an accepted report is verified. BoundReport.verify, the read
-path for stored reports, re-runs _conditions from the certificate alone.
+_certify alone decides acceptance, with _conditions at the constant DEB_TOL,
+and a method's own value (closed form, quadrature, strip) must match its
+certificate's to the same DEB_TOL, so an accepted report is verified.
+BoundReport.verify, the read path for stored reports, runs _certify again on
+the stored polynomial alone and compares what it gives with what is stored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
-from .levenshtein import DesignSpec, QuadratureRule, _admissible, _tol, quadrature_rule
+from .levenshtein import DEB_TOL, DesignSpec, QuadratureRule, _admissible, quadrature_rule
 from .orthopoly import GegExpansion, Poly, gegenbauer_expand, gegenbauer_table
 from .potentials import Potential, parse_potential
 
@@ -57,20 +58,25 @@ class BoundReport:
     margins: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
-    def recompute_value(self) -> float:
-        """N(f_0 N - f(1)) from the stored certificate."""
-        c = self.certificate
-        return _lp_value(self.spec.N, c.poly, c.gegenbauer.coeffs[0])
-
     def verify(self) -> bool:
-        """Re-run the checks that accepted the report (_conditions) at
-        DEB_TOL, and check that the stored value agrees with the
-        certificate's."""
-        if not self.accepted:
+        """Certify the stored polynomial again through _certify, the code
+        that accepted it, on the stored spec, interval, side and potential.
+        The side must be "lower" or "upper", and the result accepted, with
+        the stored relation, Gegenbauer expansion and value, each number to
+        DEB_TOL."""
+        if not self.accepted or self.side not in ("lower", "upper"):
             return False
-        tol = _tol()
-        _, _, violations = _conditions(self.certificate, self.h, self.spec.tau, tol)
-        return not violations and _close(self.recompute_value(), self.value, tol)
+        c = self.certificate
+        again = _certify(c.poly, self.spec.n, self.spec.tau, (c.lo, c.hi), self.h, self.spec.N,
+                         self.side, self.method)
+        expansion, stored = again.certificate.gegenbauer.coeffs, c.gegenbauer.coeffs
+        return (
+            again.accepted
+            and again.certificate.relation == c.relation
+            and len(expansion) == len(stored)
+            and all(_close(a, b, DEB_TOL) for a, b in zip(expansion, stored))
+            and _close(again.value, self.value, DEB_TOL)
+        )
 
     def to_json(self) -> dict:
         d = self.spec.to_json()
@@ -127,22 +133,22 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
-def _conditions(cert: Certificate, h: Potential, tau: int, tol: float):
-    """The acceptance check: f <= h ("below") or f >= h ("above") sampled on
-    the certificate interval (A1/B1), and sign-correct Gegenbauer
-    coefficients above tau (A2/B2). Returns the sign margin, the worst
+def _conditions(cert: Certificate, h: Potential, tau: int):
+    """The acceptance check, to DEB_TOL: f <= h ("below") or f >= h
+    ("above") sampled on the certificate interval (A1/B1), and sign-correct
+    Gegenbauer coefficients above tau (A2/B2). Returns the sign margin, the worst
     sign-adjusted coefficient above tau (0 if none) and one note per
     violated condition."""
     lower = cert.relation == "below"
     sign_name, coeff_name = ("A1", "A2") if lower else ("B1", "B2")
-    m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=tol)
+    m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=DEB_TOL)
     violations = []
     if not m.passes:
         violations.append(f"{sign_name} violated: margin {m.min_margin:.3e} at t = {m.argmin:.6f}")
     sign = 1.0 if lower else -1.0
     tail = [sign * x for x in cert.gegenbauer.coeffs[tau + 1 :]]
     worst = min(tail) if tail else 0.0
-    if worst < -tol:
+    if worst < -DEB_TOL:
         idx = tau + 1 + int(np.argmin(tail))
         violations.append(f"{coeff_name} violated: coefficient {idx} = {sign * worst:.3e}")
     return m.min_margin, worst, violations
@@ -155,7 +161,7 @@ def _certify(
     relation = "below" if side == "lower" else "above"
     exp = gegenbauer_expand(n, f)
     cert = Certificate(poly=f, gegenbauer=exp, lo=I[0], hi=I[1], relation=relation)
-    sign_margin, coeff_margin, violations = _conditions(cert, h, tau, _tol())
+    sign_margin, coeff_margin, violations = _conditions(cert, h, tau)
     return BoundReport(
         spec=DesignSpec(n=n, tau=tau, N=N),
         side=side,
@@ -173,7 +179,7 @@ def _pin_value(report: BoundReport, value: float, source: str) -> None:
     """Report the method's own value instead of the certificate's, which a
     report fresh from _certify holds; the two must agree to DEB_TOL, the
     tolerance verify() applies."""
-    if not _close(report.value, value, _tol()):
+    if not _close(report.value, value, DEB_TOL):
         raise InternalConsistencyError(
             f"certificate value {report.value} disagrees with {source} value {value}"
         )

@@ -12,8 +12,8 @@ min(J, usable CPUs, groups) processes, this one and forked children, and
 prints the same bytes, with the same exit code, as ``--jobs 1``. It runs
 serially where ``os.fork`` is missing or another thread runs.
 ``--verify`` is accepted and ignored: acceptance runs the checks of
-BoundReport.verify at the same DEB_TOL, so a printed report has nothing left
-to re-check.
+BoundReport.verify at the same constant DEB_TOL, so a printed report has
+nothing left to re-check.
 """
 
 from __future__ import annotations
@@ -433,10 +433,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            levenshtein._tol()
-        except ValueError as e:
-            _usage(str(e))
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +24,9 @@ from . import orthopoly as op
 from .errors import InternalConsistencyError, RangeError
 
 MAX_K = 30
-
-
-def _tol() -> float:
-    """Verification tolerance: the DEB_TOL environment variable, default 1e-9."""
-    text = os.environ.get("DEB_TOL", "1e-9")
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"DEB_TOL must be a finite non-negative number, got {text!r}")
-    return tol
+# the one verification tolerance: a rule's exactness residuals, and in
+# bounds a certificate's conditions and its value, are checked against it
+DEB_TOL = 1e-9
 
 
 def dgs_bound(n: int, tau: int) -> int:
@@ -233,24 +223,12 @@ class QuadratureRule:
         return d
 
 
+@functools.lru_cache(maxsize=op.MEMO_SIZE, typed=True)
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     """Levenshtein quadrature for the (n, tau, N) triple, exact to degree
     tau. The rule is memoised on (n, tau, N), typed, so an int and a float N
     keep their own spec; its arrays are read-only. The exactness check runs
-    on every call, so a rule is checked against the DEB_TOL of the call."""
-    rule, worst = _rule(n, tau, N)
-    if worst > _tol():
-        raise InternalConsistencyError(
-            f"exactness check failed for (n={n}, tau={tau}, N={N}):"
-            f" residuals {rule.exactness_residuals}"
-        )
-    return rule
-
-
-@functools.lru_cache(maxsize=op.MEMO_SIZE, typed=True)
-def _rule(n: int, tau: int, N: float) -> tuple[QuadratureRule, float]:
-    """The rule before its exactness check, and its largest residual in
-    magnitude; an error is raised, not kept."""
+    once, when the rule is built, and an error is raised, not kept."""
     k = (tau + 1) // 2
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
@@ -282,7 +260,11 @@ def _rule(n: int, tau: int, N: float) -> tuple[QuadratureRule, float]:
     res[0] -= 1.0
     for a in (nodes, weights, res):
         a.setflags(write=False)
-    rule = QuadratureRule(
+    if float(np.max(np.abs(res))) > DEB_TOL:
+        raise InternalConsistencyError(
+            f"exactness check failed for (n={n}, tau={tau}, N={N}): residuals {res}"
+        )
+    return QuadratureRule(
         spec=DesignSpec(n=n, tau=tau, N=N),
         s=s,
         nodes=nodes,
@@ -291,7 +273,6 @@ def _rule(n: int, tau: int, N: float) -> tuple[QuadratureRule, float]:
         exactness_residuals=res,
         boundary=boundary,
     )
-    return rule, float(np.max(np.abs(res)))
 
 
 def _node_table(n: int, tau: int, xs: list[float]) -> np.ndarray:

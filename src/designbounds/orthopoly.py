@@ -43,9 +43,10 @@ class Poly:
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        # trim trailing exact zeros only; NaN and inf stay, so validation sees them
+        # trim trailing exact zeros only; NaN and inf stay, so validation sees
+        # them; no coefficients at all is the zero polynomial
         nonzero = np.flatnonzero(c != 0.0)
-        c = c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+        c = c[: nonzero[-1] + 1] if nonzero.size else c[:1] if c.size else [0.0]
         object.__setattr__(self, "coeffs", tuple(float(x) for x in c))
 
     @property

@@ -358,3 +358,38 @@ def test_report_from_json_round_trip(method, spec):
     assert again.verify() is report.accepted
     if method != "lp_certify_lower":
         assert report.accepted
+
+
+def _stored(report) -> dict:
+    return json.loads(jsonio.dumps(report.to_json()))
+
+
+def test_verify_rejects_a_tampered_expansion():
+    # the octahedron's energy is 13.5; raising the constant Gegenbauer
+    # coefficient by 1 raises the LP value by N^2 = 36, and a stored value
+    # to match must not verify as a lower bound of 49.5
+    d = _stored(bounds.ulb(3, 6, 3, make_riesz(2)))
+    assert d["value"] == 13.5
+    d["certificate"]["gegenbauer"][0] += 1
+    d["value"] += 36
+    assert not bounds.BoundReport.from_json(d).verify()
+
+
+@pytest.mark.parametrize("side", ["lower", "sideways"])
+def test_verify_rejects_a_relabelled_side(side):
+    # the chord certificate lies above h, so it bounds from above; stored
+    # as a lower bound of 27.5 (the lower bound is 25.5), or as neither, it
+    # must not verify
+    h = make_riesz(2)
+    d = _stored(bounds.upper_2design(5, 8, h))
+    assert d["value"] == pytest.approx(27.5) and bounds.lower_2design(5, 8, h).value == 25.5
+    d["side"] = side
+    assert not bounds.BoundReport.from_json(d).verify()
+
+
+def test_verify_of_an_empty_stored_poly_is_false():
+    # an empty coefficient list is the zero polynomial, which lies below
+    # riesz:s=2 and so is no upper certificate
+    d = _stored(bounds.upper_2design(5, 8, make_riesz(2)))
+    d["certificate"]["poly"] = []
+    assert not bounds.BoundReport.from_json(d).verify()

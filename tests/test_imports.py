@@ -1,6 +1,8 @@
-"""The runtime needs numpy only: no command imports scipy. Every name the
-benchmark tracer wraps exists in the package."""
+"""The runtime needs numpy only: no command imports scipy. No module reads
+the environment. Every name the benchmark tracer wraps exists in the
+package."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -42,6 +44,21 @@ def test_command_runs_without_scipy(command):
     assert done.stdout.split() == ["0", "[]"]
 
 
+def test_no_module_reads_the_environment():
+    # settings such as the verification tolerance are constants of the
+    # package, so no environment variable can change what a command accepts
+    for path in sorted(Path(SRC, "designbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} if node.module == "os" else set()
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            assert not names & {"environ", "environb", "getenv", "getenvb"}, (
+                f"{path.name}:{node.lineno}")
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -52,7 +69,7 @@ def _load_tracer():
 
 def test_tracer_names_resolve():
     # bench/run.py --trace 1 wraps each module.name and module.Class.method
-    # by name, and the sweep pool task in cli; a rename or deletion in the
+    # by name, and the sweep point task in cli; a rename or deletion in the
     # package would only show when the benchmark runs traced
     tracer = _load_tracer()
     traced = {module: list(names) for module, names in tracer.TRACED.items()}

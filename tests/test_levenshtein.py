@@ -154,15 +154,20 @@ def test_memoised_rule_arrays_are_read_only():
     assert lev.quadrature_rule(3, 3, 7) is rule
 
 
-def test_memoised_rule_is_checked_at_each_calls_tolerance(monkeypatch):
-    # the residuals are nonzero (max about 1e-16), so DEB_TOL = 0 rejects
-    # the rule that the default accepted and memoised
-    rule = lev.quadrature_rule(4, 5, 30)
-    assert 0 < np.max(np.abs(rule.exactness_residuals)) <= 1e-9
-    monkeypatch.setenv("DEB_TOL", "0")
+def test_failing_exactness_check_is_not_memoised(monkeypatch):
+    # the residuals are nonzero (max about 1e-16), so a tolerance of 0
+    # rejects the rule when it is built, and the rejection is not kept
+    lev.quadrature_rule.cache_clear()
+    monkeypatch.setattr(lev, "DEB_TOL", 0.0)
     with pytest.raises(InternalConsistencyError, match="exactness check failed"):
         lev.quadrature_rule(4, 5, 30)
-    monkeypatch.delenv("DEB_TOL")
+    assert lev.quadrature_rule.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert lev.DEB_TOL == 1e-9
+    rule = lev.quadrature_rule(4, 5, 30)
+    assert 0 < np.max(np.abs(rule.exactness_residuals)) <= 1e-9
+    info = lev.quadrature_rule.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
     assert lev.quadrature_rule(4, 5, 30) is rule
 
 
@@ -199,7 +204,7 @@ def test_rule_is_what_the_array_table_gives_bit_for_bit(n):
             res[0] -= 1.0
             assert weights.tobytes() == rule.weights.tobytes(), (tau, N)
             assert res.tobytes() == rule.exactness_residuals.tobytes(), (tau, N)
-            assert lev._rule(n, tau, N)[1] == np.max(np.abs(res))
+            assert np.max(np.abs(res)) <= lev.DEB_TOL
 
 
 def _degree_warning(d):
@@ -207,7 +212,7 @@ def _degree_warning(d):
 
 
 def test_high_degree_rule_warns(capsys):
-    lev._rule.cache_clear()
+    lev.quadrature_rule.cache_clear()
     lo, hi = lev.dgs_bound(5, 59), lev.dgs_bound(5, 60)
     with pytest.warns(UserWarning, match=_degree_warning(59)):
         assert cli.main(["quadrature", "--n", "5", "--tau", "59", "--N", str((lo + hi) // 2)]) == 0

@@ -221,6 +221,14 @@ def test_poly_trims_leading_zeros():
     assert p.degree == 1
 
 
+@pytest.mark.parametrize("coeffs", [[], [0.0], [0.0, 0.0]])
+def test_empty_or_zero_coefficients_are_the_zero_polynomial(coeffs):
+    p = op.Poly(coeffs)
+    assert p.coeffs == (0.0,) and p.degree == 0
+    assert p(0.5) == 0.0
+    assert p(np.linspace(-1.0, 1.0, 5)).tolist() == [0.0] * 5
+
+
 _SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
