@@ -8,7 +8,22 @@ _certify alone decides acceptance, with _conditions at the constant DEB_TOL,
 and a method's own value (closed form, quadrature, strip) must match its
 certificate's to the same DEB_TOL, so an accepted report is verified.
 BoundReport.verify, the read path for stored reports, runs _certify again on
-the stored polynomial alone and compares what it gives with what is stored.
+the stored polynomial and scheme alone and compares what it gives with what
+is stored.
+
+The sign condition (A1/B1) takes one of two routes, named by the margin
+"sign_route". Each interpolating method stores its HermiteScheme in the
+certificate ("scheme": [[t, m], ...]), and where hermite.remainder_bound
+applies to it and proves the relation to DEB_TOL the route is "proof", with
+sign_margin = -B, B <= DEB_TOL a bound proved on the whole interval: h - f
+>= -B ("below") or f - h >= -B ("above"). Otherwise (a certificate without
+a scheme: lp_certify_*, or a report printed before schemes were; a potential
+not known to be absolutely monotone: poly, hand-built; f of degree above
+the scheme's; a node polynomial of the wrong sign; a bound that does not
+reach DEB_TOL) the condition is sampled: "sample", with sign_margin the
+least gap on the 20,001-point grid and its 2,001-point refinement, as
+verify_one_sided computes it. Nothing the sample accepts is rejected, since
+a proof that fails falls back to it.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ import numpy as np
 
 from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
-from .hermite import HermiteScheme, interpolate, verify_one_sided
+from .hermite import HermiteScheme, interpolate, remainder_bound, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
 from .levenshtein import DEB_TOL, DesignSpec, QuadratureRule, _admissible, quadrature_rule
 from .orthopoly import GegExpansion, Poly, gegenbauer_expand, gegenbauer_table
@@ -36,6 +51,8 @@ class Certificate:
     lo: float
     hi: float
     relation: str  # "below" for lower bounds, "above" for upper bounds
+    # the interpolation scheme f was built from; None for lp_certify_*
+    scheme: HermiteScheme | None = None
 
     def to_json(self) -> dict:
         return {
@@ -43,6 +60,7 @@ class Certificate:
             "gegenbauer": self.gegenbauer.to_json(),
             "interval": [self.lo, self.hi],
             "relation": self.relation,
+            "scheme": None if self.scheme is None else [list(node) for node in self.scheme.nodes],
         }
 
 
@@ -60,7 +78,8 @@ class BoundReport:
 
     def verify(self) -> bool:
         """Certify the stored polynomial again through _certify, the code
-        that accepted it, on the stored spec, interval, side and potential.
+        that accepted it, on the stored spec, interval, side, scheme and
+        potential, so by the route acceptance took.
         The side must be "lower" or "upper", and the result accepted, with
         the stored relation, Gegenbauer expansion and value, each number to
         DEB_TOL."""
@@ -68,7 +87,7 @@ class BoundReport:
             return False
         c = self.certificate
         again = _certify(c.poly, self.spec.n, self.spec.tau, (c.lo, c.hi), self.h, self.spec.N,
-                         self.side, self.method)
+                         self.side, self.method, c.scheme)
         expansion, stored = again.certificate.gegenbauer.coeffs, c.gegenbauer.coeffs
         return (
             again.accepted
@@ -95,9 +114,11 @@ class BoundReport:
     @classmethod
     def from_json(cls, d: dict) -> "BoundReport":
         """The report that to_json printed, rebuilt from the parsed JSON
-        alone; its to_json gives d back."""
+        alone; its to_json gives d back. A certificate printed without
+        "scheme" has none, and prints "scheme": null."""
         spec = DesignSpec(**d["spec"])
         c = d["certificate"]
+        scheme = c.get("scheme")
         return cls(
             spec=spec,
             side=d["side"],
@@ -109,6 +130,7 @@ class BoundReport:
                 lo=c["interval"][0],
                 hi=c["interval"][1],
                 relation=c["relation"],
+                scheme=None if scheme is None else HermiteScheme(scheme),
             ),
             h=parse_potential(d["potential"]),
             accepted=d["accepted"],
@@ -135,33 +157,42 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 def _conditions(cert: Certificate, h: Potential, tau: int):
     """The acceptance check, to DEB_TOL: f <= h ("below") or f >= h
-    ("above") sampled on the certificate interval (A1/B1), and sign-correct
-    Gegenbauer coefficients above tau (A2/B2). Returns the sign margin, the worst
-    sign-adjusted coefficient above tau (0 if none) and one note per
-    violated condition."""
+    ("above") on the certificate interval (A1/B1), proved by the Hermite
+    remainder or else sampled, and sign-correct Gegenbauer coefficients
+    above tau (A2/B2). Returns the sign margin, its route ("proof" or
+    "sample"), the worst sign-adjusted coefficient above tau (0 if none)
+    and one note per violated condition."""
     lower = cert.relation == "below"
     sign_name, coeff_name = ("A1", "A2") if lower else ("B1", "B2")
-    m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=DEB_TOL)
     violations = []
-    if not m.passes:
-        violations.append(f"{sign_name} violated: margin {m.min_margin:.3e} at t = {m.argmin:.6f}")
+    bound = math.inf if cert.scheme is None else remainder_bound(
+        cert.poly, cert.scheme, h, cert.lo, cert.hi, cert.relation, DEB_TOL)
+    if bound <= DEB_TOL:
+        sign_margin, route = -bound, "proof"
+    else:
+        m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=DEB_TOL)
+        sign_margin, route = m.min_margin, "sample"
+        if not m.passes:
+            violations.append(
+                f"{sign_name} violated: margin {m.min_margin:.3e} at t = {m.argmin:.6f}")
     sign = 1.0 if lower else -1.0
     tail = [sign * x for x in cert.gegenbauer.coeffs[tau + 1 :]]
     worst = min(tail) if tail else 0.0
     if worst < -DEB_TOL:
         idx = tau + 1 + int(np.argmin(tail))
         violations.append(f"{coeff_name} violated: coefficient {idx} = {sign * worst:.3e}")
-    return m.min_margin, worst, violations
+    return sign_margin, route, worst, violations
 
 
 def _certify(
     f: Poly, n: int, tau: int, I: tuple[float, float], h: Potential, N: float,
-    side: str, method: str,
+    side: str, method: str, scheme: HermiteScheme | None = None,
 ) -> BoundReport:
     relation = "below" if side == "lower" else "above"
     exp = gegenbauer_expand(n, f)
-    cert = Certificate(poly=f, gegenbauer=exp, lo=I[0], hi=I[1], relation=relation)
-    sign_margin, coeff_margin, violations = _conditions(cert, h, tau)
+    cert = Certificate(poly=f, gegenbauer=exp, lo=I[0], hi=I[1], relation=relation,
+                       scheme=scheme)
+    sign_margin, route, coeff_margin, violations = _conditions(cert, h, tau)
     return BoundReport(
         spec=DesignSpec(n=n, tau=tau, N=N),
         side=side,
@@ -170,7 +201,7 @@ def _certify(
         certificate=cert,
         h=h,
         accepted=not violations,
-        margins={"sign_margin": sign_margin, "coeff_margin": coeff_margin},
+        margins={"sign_margin": sign_margin, "sign_route": route, "coeff_margin": coeff_margin},
         notes=violations,
     )
 
@@ -208,8 +239,10 @@ def ulb(n: int, N: float, tau: int, h: Potential) -> BoundReport:
     interpolation certificate."""
     rule = quadrature_rule(n, tau, N)
     quad_value = _rule_value(rule, h, N)
-    F = interpolate(_ulb_scheme(rule), h)
-    report = _certify(F, n, tau, (-1.0, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="ulb")
+    scheme = _ulb_scheme(rule)
+    F = interpolate(scheme, h)
+    report = _certify(F, n, tau, (-1.0, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="ulb",
+                      scheme=scheme)
     report.margins["certificate_vs_quadrature"] = report.value - quad_value
     _pin_value(report, quad_value, "quadrature")
     if not report.accepted:
@@ -234,7 +267,8 @@ def improved_even_lower(
     scheme = HermiteScheme([(ell, 1)] + [(t, 2) for t in rule.nodes[1:]])
     G = interpolate(scheme, h)
     report = _certify(
-        G, n, tau, (ell, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="improved_even"
+        G, n, tau, (ell, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="improved_even",
+        scheme=scheme,
     )
     report.margins["ulb_value"] = _rule_value(rule, h, N)
     report.margins["ell"] = ell
@@ -266,7 +300,8 @@ def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) ->
     scheme = HermiteScheme([(kappa, 1), (a0, 2)])
     f = interpolate(scheme, h)
     report = _certify(
-        f, n, 2, (kappa, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="lower_2design"
+        f, n, 2, (kappa, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="lower_2design",
+        scheme=scheme,
     )
     if default:
         closed = N * (h.eval(0.0) * N * (N - n - 1) + n * h.eval(1.0 - N / n)) / (N - n)
@@ -284,7 +319,8 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     if abs(u - ell) < 1e-12:
         c = -1.0 / (N - 1)
         g = Poly([float(h.eval(c))])
-        report = _certify(g, n, 2, (c, c), h, N, side="upper", method="upper_2design")
+        report = _certify(g, n, 2, (c, c), h, N, side="upper", method="upper_2design",
+                          scheme=HermiteScheme([(c, 1)]))
         # chord limit of the strip formula; the collapsed value is the exact
         # energy N(N-1) h(-1/(N-1))
         report.notes.append("range collapsed to a point; bound equals the exact energy")
@@ -292,7 +328,12 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     hl, hu = float(h.eval(ell)), float(h.eval(u))
     slope = (hu - hl) / (u - ell)
     g = Poly([hl - slope * ell, slope])
-    report = _certify(g, n, 2, (ell, u), h, N, side="upper", method="upper_2design")
+    try:
+        scheme = HermiteScheme([(ell, 1), (u, 1)])
+    except RangeError:  # ell and u closer than a scheme allows: the sample decides
+        scheme = None
+    report = _certify(g, n, 2, (ell, u), h, N, side="upper", method="upper_2design",
+                      scheme=scheme)
     closed = N * ((N - 1) * (u * hl - ell * hu) + hl - hu) / (u - ell)
     _pin_value(report, closed, "closed-form")
     report.margins["ell"] = ell
@@ -335,8 +376,13 @@ def upper_cubic(
     a0 = a0_upper_cubic(n, N, ell, u)
     if not ell < a0 < u:
         raise RangeError(f"tangency point a0 = {a0} not inside ({ell}, {u})")
-    g = interpolate(HermiteScheme([(ell, 1), (a0, 2), (u, 1)]), h)
-    report = _certify(g, n, tau, (ell, u), h, N, side="upper", method="upper_cubic")
+    try:
+        scheme = HermiteScheme([(ell, 1), (a0, 2), (u, 1)])
+    except RangeError as e:
+        raise RangeError(f"upper_cubic cannot interpolate at u = {u}: {e}") from None
+    g = interpolate(scheme, h)
+    report = _certify(g, n, tau, (ell, u), h, N, side="upper", method="upper_cubic",
+                      scheme=scheme)
     report.margins["ell"] = ell
     report.margins["u"] = u
     report.margins["a0"] = a0
@@ -373,7 +419,8 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
             continue
         G = interpolate(scheme, h)
         corr = float(N * N * rule.weights[j] * (G(alphas[j]) - h.eval(alphas[j])))
-        report = _certify(G, n, tau, (-1.0, float(u)), h, N, side="upper", method="strip_odd")
+        report = _certify(G, n, tau, (-1.0, float(u)), h, N, side="upper", method="strip_odd",
+                          scheme=scheme)
         _pin_value(report, ulb_val + corr, "strip")
         # degenerate (merged-node) schemes can land on the wrong side of h
         if report.accepted and (best is None or report.value < best[0].value):

@@ -12,7 +12,9 @@ min(J, usable CPUs, groups) processes, this one and forked children, and
 prints the same bytes, with the same exit code, as ``--jobs 1``. It runs
 serially where ``os.fork`` is missing or another thread runs.
 ``--verify`` is accepted and ignored: acceptance runs the checks of
-BoundReport.verify at the same constant DEB_TOL, so a printed report has
+BoundReport.verify at the same constant DEB_TOL and by the same route (the
+Hermite remainder proof, or the sampled grid where the proof does not
+apply, as each report's "sign_route" margin says), so a printed report has
 nothing left to re-check.
 """
 

@@ -1,7 +1,10 @@
 """Potential functions h(t) on [-1, 1) with derivative access.
 
 All evaluators accept scalars or numpy arrays. Built-in families (Riesz,
-log, Gauss, polynomial) have closed-form derivatives of every order.
+log, Gauss, polynomial) have closed-form derivatives of every order. Riesz,
+log and Gauss are absolutely monotone, every derivative positive for
+t < 1, so on [-1, 1), and bound the rounding error of their values and first
+derivatives, which the Hermite remainder proof in hermite needs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from .orthopoly import Poly
 # -(1/2)log(2(1-t)) is negative near t = -1); shifts every energy by
 # N(N-1)*log(2), reported via the potential's params
 LOG_OFFSET = math.log(2.0)
+# unit roundoff of a double
+UNIT_ROUNDOFF = 2.0**-53
+# each libm call (pow, log, exp), numpy's vectorised ones included, is taken
+# to be within this many units in the last place of its result, so within
+# 2 LIBM_ULPS u of it relatively
+LIBM_ULPS = 4.0
 
 
 def _into(y):
@@ -35,11 +44,17 @@ def _into(y):
 
 @dataclass(frozen=True)
 class Potential:
-    """Potential h with derivatives of every order."""
+    """Potential h with derivatives of every order. absolutely_monotone
+    records that every derivative of h is positive for t < 1; such a
+    potential also gives _error(t, order, value), a bound on the absolute
+    rounding error of value, h^(order)(t) as derivative computes it at an
+    array or a scalar holding t, at order 0 or 1."""
 
     name: str
     params: dict = field(default_factory=dict)
     _derivative: callable = None
+    absolutely_monotone: bool = False
+    _error: callable = None
 
     def eval(self, t):
         return self._derivative(np.asarray(t, dtype=float), 0)
@@ -48,6 +63,11 @@ class Potential:
         if order < 0:
             raise RangeError(f"derivative order must be >= 0, got {order}")
         return self._derivative(np.asarray(t, dtype=float), order)
+
+    def error(self, t: float, order: int, value: float) -> float:
+        """A bound on |value - h^(order)(t)| for value computed by
+        derivative at t, order 0 or 1, of an absolutely monotone potential."""
+        return self._error(t, order, value)
 
     def spec_string(self) -> str:
         """The spec that parse_potential reads back into this potential."""
@@ -72,7 +92,17 @@ def make_riesz(s: float) -> Potential:
         y *= factor
         return y
 
-    return Potential(name="riesz", params={"s": s}, _derivative=deriv)
+    def error(t, order, value):
+        # two libm calls (the power, 2^(-s/2)) and two products; 1 - t and
+        # the exponent -s/2 - order round once each, and a relative error d
+        # in either moves the power by e d or e d |log(1 - t)|, doubled for
+        # the second-order terms
+        e = s / 2.0 + order
+        spread = e * (1.0 + abs(math.log1p(-t)))
+        return UNIT_ROUNDOFF * (4.0 * LIBM_ULPS + 4.0 + 2.0 * spread) * abs(value)
+
+    return Potential(name="riesz", params={"s": s}, _derivative=deriv,
+                     absolutely_monotone=True, _error=error)
 
 
 def make_log() -> Potential:
@@ -89,7 +119,15 @@ def make_log() -> Potential:
         y *= 0.5 * math.factorial(order - 1)
         return y
 
-    return Potential(name="log", params={"offset": LOG_OFFSET}, _derivative=deriv)
+    def error(t, order, value):
+        # at order 0, 1 - t and 2/(1 - t) round once each, which moves the
+        # log by about 2u absolutely, so the bound is absolute near h = 0
+        if order == 0:
+            return UNIT_ROUNDOFF * (4.0 + 2.0 * LIBM_ULPS * abs(value))
+        return UNIT_ROUNDOFF * 8.0 * abs(value)
+
+    return Potential(name="log", params={"offset": LOG_OFFSET}, _derivative=deriv,
+                     absolutely_monotone=True, _error=error)
 
 
 def make_gauss(c: float) -> Potential:
@@ -103,7 +141,13 @@ def make_gauss(c: float) -> Potential:
         y *= c**order
         return y
 
-    return Potential(name="gauss", params={"c": c}, _derivative=deriv)
+    def error(t, order, value):
+        # two libm calls (exp, c^order) and one product; c t rounds once,
+        # and a relative error d in it moves exp(c t) by c t d
+        return UNIT_ROUNDOFF * (4.0 * LIBM_ULPS + 4.0 + 2.0 * abs(c * t)) * abs(value)
+
+    return Potential(name="gauss", params={"c": c}, _derivative=deriv,
+                     absolutely_monotone=True, _error=error)
 
 
 def make_poly(p: Poly) -> Potential:

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from designbounds import bounds, codes, innerprod, jsonio, levenshtein
+from designbounds import bounds, cli, codes, hermite, innerprod, jsonio, levenshtein
 from designbounds.errors import RangeError
+from designbounds.hermite import HermiteScheme
 from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly
 from designbounds.potentials import make_gauss, make_log, make_poly, make_riesz, parse_potential
@@ -393,3 +396,106 @@ def test_verify_of_an_empty_stored_poly_is_false():
     d = _stored(bounds.upper_2design(5, 8, make_riesz(2)))
     d["certificate"]["poly"] = []
     assert not bounds.BoundReport.from_json(d).verify()
+
+
+def _sampled_margin(report) -> float:
+    c = report.certificate
+    return hermite.verify_one_sided(
+        c.poly, report.h, c.lo, c.hi, c.relation, bounds.A1_GRID, levenshtein.DEB_TOL
+    ).min_margin
+
+
+def _recertified(report, **changes):
+    """report's certificate through _certify again, with changed fields."""
+    c = dataclasses.replace(report.certificate, **changes)
+    return bounds._certify(c.poly, report.spec.n, report.spec.tau, (c.lo, c.hi), report.h,
+                           report.spec.N, report.side, report.method, c.scheme)
+
+
+def _without_scheme(report):
+    d = _stored(report)
+    del d["certificate"]["scheme"]
+    return bounds.BoundReport.from_json(d)
+
+
+SAMPLED_ROUTES = {
+    # a polynomial potential is not absolutely monotone
+    "poly potential": lambda: bounds.ulb(4, 16, 4, make_poly(Poly([1.0, 1.0, 0.5, 0.25, 0.0625]))),
+    # lp_certify_* certificates carry no scheme
+    "lp_certify_lower": lambda: bounds.lp_certify_lower(
+        bounds.ulb(4, 16, 4, R2).certificate.poly, 4, 4, (-1.0, 1.0 - 1e-9), R2, 16),
+    # f of degree 5 against a scheme of total degree 4
+    "degree above the scheme's": lambda: _recertified(
+        bounds.ulb(4, 16, 4, R2),
+        poly=Poly([*bounds.ulb(4, 16, 4, R2).certificate.poly.coeffs, 1e-30])),
+    # the simple node kappa of lower_2design inside the interval
+    "odd node inside": lambda: _recertified(bounds.lower_2design(4, 6, R2), lo=-1.0),
+    # a report stored before certificates carried their scheme
+    "stored without scheme": lambda: _recertified(_without_scheme(bounds.ulb(4, 16, 4, R2))),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLED_ROUTES)
+def test_sign_condition_falls_back_to_the_sample(case):
+    # where the proof does not apply, the margin is the sampled one, bit
+    # for bit what verify_one_sided gives
+    report = SAMPLED_ROUTES[case]()
+    assert report.margins["sign_route"] == "sample"
+    assert struct.pack("<d", report.margins["sign_margin"]) == struct.pack(
+        "<d", _sampled_margin(report))
+
+
+def test_stored_report_without_scheme_verifies_by_the_sample():
+    report = _without_scheme(bounds.ulb(4, 16, 4, R2))
+    assert report.certificate.scheme is None
+    assert report.verify()
+
+
+@pytest.mark.parametrize("h", [R2, make_log(), G1], ids=lambda h: h.spec_string())
+def test_built_in_methods_take_the_proof(h):
+    # every interpolating method proves its sign condition, with margin -B
+    reports = [
+        bounds.ulb(4, 16, 4, h), bounds.ulb(5, 40, 5, h),
+        bounds.improved_even_lower(4, 17, 2, h), bounds.lower_2design(4, 6, h),
+        bounds.upper_2design(4, 6, h), bounds.upper_2design(3, 4, h),
+        bounds.upper_cubic(4, 16, 4, h), bounds.upper_cubic(4, 10, 3, h, 0.5),
+        bounds.strip_odd(4, 10, 3, h, 0.4),
+    ]
+    for report in reports:
+        assert report.accepted and report.verify(), report.method
+        assert report.margins["sign_route"] == "proof", report.method
+        assert -levenshtein.DEB_TOL <= report.margins["sign_margin"] <= 0.0
+
+
+def test_a_tampered_scheme_never_verifies_what_the_sample_rejects():
+    # f raised by 1e-6 lies above h at its nodes; stored as accepted, with
+    # its scheme or any other, verify() must keep rejecting it
+    report = bounds.ulb(4, 16, 4, R2)
+    c = report.certificate
+    raised = _recertified(report, poly=Poly([c.poly.coeffs[0] + 1e-6, *c.poly.coeffs[1:]]))
+    assert not raised.accepted and raised.margins["sign_route"] == "sample"
+    assert _sampled_margin(raised) < -levenshtein.DEB_TOL
+    nodes = c.scheme.nodes
+    schemes = [
+        c.scheme,
+        HermiteScheme([(t + 1e-3, m) for t, m in nodes]),
+        HermiteScheme([(t, 2) for t, _ in nodes]),
+        HermiteScheme(nodes[1:]),
+        HermiteScheme([(-1.0, 1), (0.9, 1)]),
+        HermiteScheme([(t, 2) for t in np.linspace(-0.99, 0.99, 6)]),
+    ]
+    for scheme in schemes:
+        tampered = dataclasses.replace(
+            raised, accepted=True, notes=[],
+            certificate=dataclasses.replace(raised.certificate, scheme=scheme))
+        assert not tampered.verify(), scheme
+
+
+def test_upper_cubic_near_confluent_nodes_name_the_method_and_u():
+    # at N = 2n, tau = 3 the tangency point is 0, and u = 3.7e-11 lies
+    # closer to it than HermiteScheme allows
+    u = 3.698980451060655e-11
+    with pytest.raises(RangeError, match=r"upper_cubic .*u = 3\.698980451060655e-11"):
+        bounds.upper_cubic(17, 34, 3, R2, u)
+    _, errors = cli._upper_reports(17, 34, 3, R2, u)
+    assert len(errors) == 1 and "u = 3.698980451060655e-11" in errors[0]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from designbounds import bounds, cli, hermite
+from designbounds import bounds, cli, hermite, levenshtein
 from designbounds.errors import RangeError
-from designbounds.hermite import HermiteScheme, interpolate, verify_one_sided
+from designbounds.hermite import HermiteScheme, interpolate, remainder_bound, verify_one_sided
 from designbounds.orthopoly import Poly
 from designbounds.potentials import (
     Potential, make_gauss, make_log, make_poly, make_riesz, parse_potential,
@@ -137,12 +137,15 @@ def test_verify_one_sided_keeps_negative_zero_margin():
 
 
 def test_cli_reports_negative_zero_sign_margin(capsys):
+    # a polynomial potential takes the sampled route; the strip certificate
+    # is h itself, so f - h is -0.0 on the whole grid
     code = cli.main(
-        ["bound", "--n", "3", "--N", "2", "--tau", "1", "--potential", "riesz:s=2",
+        ["bound", "--n", "3", "--N", "2", "--tau", "1", "--potential", "poly:1,0,2",
          "--side", "strip", "--u", "0"]
     )
     assert code == 0
-    assert '"sign_margin": -0.0' in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert '"sign_margin": -0.0,\n          "sign_route": "sample"' in out
 
 
 @pytest.mark.parametrize("relation", ["below", "above"])
@@ -195,12 +198,11 @@ def _peak_in_grid_arrays(fn, size):
 
 
 def test_a1_check_allocation_budget():
-    # the sign check runs inside every bound and every re-verification; at
-    # degree 30 on a 20001-point grid, Horner runs in one buffer, f's own or
-    # one it is given. The grid and f on it are the thread's scratch
-    # arrays, and h - f is written into f's, so a check that keeps its
-    # sample allocates the grid's copy and h on it, plus the 2001-point
-    # refinement (0.3 grid arrays)
+    # the sampled sign check runs for every certificate the proof does not
+    # take; at degree 30 on a 20001-point grid, Horner runs in one buffer,
+    # f's own or one it is given. The grid and f on it are the thread's
+    # scratch arrays, and h - f is written into f's, so a check allocates h
+    # on the grid, plus the 2001-point refinement (0.3 grid arrays)
     size = 20_001
     rng = np.random.default_rng(3)
     f = Poly(rng.standard_normal(31) * 1e-3)
@@ -212,31 +214,7 @@ def test_a1_check_allocation_budget():
     assert f(grid, out=buf) is buf and buf.tobytes() == f(grid).tobytes()
     for relation in ("below", "above"):
         check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size, 1e-9)
-        assert _peak_in_grid_arrays(check, size) <= 2.4
-
-
-def test_sample_memo_hit_is_a_fresh_sample_bit_for_bit():
-    # the first use keeps nothing, the second keeps its sample, and a hit
-    # hands back those arrays, read-only, with the bits a fresh linspace and
-    # h.eval give; -0.0 and 0.0 are two intervals
-    h = make_riesz(1.7)
-    for lo, hi in ((-1.0, 1.0 - 1e-9), (0.5, -0.0), (0.5, 0.0)):
-        first = hermite._sampled(h, lo, hi, 20_001)
-        grid, h_grid = hermite._sampled(h, lo, hi, 20_001)
-        assert grid is not first[0]
-        again = hermite._sampled(h, lo, hi, 20_001)
-        assert again[0] is grid and again[1] is h_grid
-        fresh = np.linspace(lo, hi, 20_001)
-        assert grid.tobytes() == fresh.tobytes()
-        assert h_grid.tobytes() == h.eval(fresh).tobytes()
-        for arr in (grid, h_grid):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-    assert hermite._sampled(h, 0.5, -0.0, 20_001)[0][-1].tobytes() == np.float64(-0.0).tobytes()
-    # the check on a held sample reports what a check on a fresh one does
-    f = interpolate(HermiteScheme([(-0.6, 2), (0.2, 2), (0.7, 2)]), h)
-    held = verify_one_sided(f, h, -1.0, 1.0 - 1e-9, "below", 20_001, 1e-9)
-    assert verify_one_sided(f, make_riesz(1.7), -1.0, 1.0 - 1e-9, "below", 20_001, 1e-9) == held
+        assert _peak_in_grid_arrays(check, size) <= 1.4
 
 
 @pytest.mark.parametrize(
@@ -290,18 +268,9 @@ def test_refinement_grid_is_linspace_bit_for_bit():
     assert not np.shares_memory(mine, theirs[0])
 
 
-def test_sample_memo_keeps_nothing_from_a_check_made_once():
-    # re-verifying one stored report checks its potential once: holding
-    # that sample would cost the check and save nothing
-    f = Poly([0.1, 0.2])
-    hs = [make_riesz(2.0) for _ in range(8)]
-    for h in hs:
-        verify_one_sided(f, h, -1.0, 0.5, "below", 2001, 1e-9)
-    assert not any(entry[0] is h for entry in hermite._SAMPLES.values() for h in hs)
-
-
 def test_sample_memo_leaves_potential_arrays_writable():
-    # the memo's read-only view must not change the flags of h's own array
+    # the check must not change the flags of h's own array (a sample memo
+    # once held read-only views of it)
     cache = {}
     h = _potential(lambda t: cache.setdefault(t.shape, np.full(t.shape, 5.0)))
     for _ in range(3):
@@ -309,74 +278,102 @@ def test_sample_memo_leaves_potential_arrays_writable():
     assert all(a.flags.writeable for a in cache.values())
 
 
-def test_a1_check_on_a_held_sample_allocation_budget():
-    # once h has been sampled on the grid, a check allocates only the
-    # 2001-point refinement; a miss adds h on the grid
-    size = 20_001
-    rng = np.random.default_rng(3)
-    f = Poly(rng.standard_normal(31) * 1e-3)
+def _ulb_certificate(n, tau, h):
+    """The ulb certificate at the middle of N's range."""
+    N = (levenshtein.dgs_bound(n, tau) + levenshtein.dgs_bound(n, tau + 1)) // 2
+    c = bounds.ulb(n, N, tau, h).certificate
+    return c.poly, c.scheme, c.lo, c.hi
+
+
+@pytest.mark.parametrize("h", [make_riesz(2.0), make_riesz(0.5), make_log(), make_gauss(2.0)],
+                         ids=lambda h: h.spec_string())
+@pytest.mark.parametrize("n, tau", [(3, 3), (4, 4), (8, 6), (24, 8)])
+def test_remainder_bound_proves_built_in_interpolants(h, n, tau):
+    f, scheme, lo, hi = _ulb_certificate(n, tau, h)
+    assert 0.0 < remainder_bound(f, scheme, h, lo, hi, "below", 1e-9) <= 1e-9
+
+
+def test_remainder_bound_bisects_where_the_whole_interval_is_too_coarse():
+    # at n = 156 the nodes cluster near 0, and the Newton bound over all of
+    # [-1, 1) exceeds tol; the pieces away from the nodes are proved by the
+    # remainder's own size
     h = make_riesz(2.0)
-    for relation in ("below", "above"):
-        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size, 1e-9)
-        check()  # a sample is kept from its second use on
-        assert _peak_in_grid_arrays(check, size) <= 0.4
-    # a miss (a fresh potential) keeps nothing
-    miss = lambda: verify_one_sided(f, make_riesz(2.0), -1.0, 0.9, "below", size, 1e-9)
-    assert _peak_in_grid_arrays(miss, size) <= 1.4
+    f, scheme, lo, hi = _ulb_certificate(156, 8, h)
+    assert remainder_bound(f, scheme, h, lo, hi, "below", math.inf) > 1e-9
+    assert remainder_bound(f, scheme, h, lo, hi, "below", 1e-9) <= 1e-9
 
 
-def test_sample_memo_keeps_four_entries_while_reports_live():
-    # reports keep their potentials alive; the memo must not keep a grid
-    # per report, only its four most recent entries (2 grid arrays each).
-    # Each report checks twice here, so its sample is kept
-    def report():
-        h = parse_potential("riesz:s=2")
-        r = bounds.ulb(4, 16, 4, h)
-        assert r.verify()
-        return r
-
-    report()  # fill the rule memos
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        reports = [report() for _ in range(50)]
-        grown = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert all(r.accepted for r in reports)
-    assert len(hermite._SAMPLES) <= 4
-    held = sum(a.nbytes for _, grid, h_grid in hermite._SAMPLES.values() for a in (grid, h_grid))
-    assert held <= 4 * 2 * 8 * bounds.A1_GRID
-    assert grown <= 1.5e6
+def test_remainder_bound_gives_up_on_an_unprovable_node():
+    # at high degree the rounding of the residuals, through the table,
+    # exceeds tol at some node, which no bisection can help
+    h = make_riesz(1.0)
+    f, scheme, lo, hi = _ulb_certificate(24, 21, h)
+    assert remainder_bound(f, scheme, h, lo, hi, "below", 1e-9) == math.inf
 
 
-def test_sample_memo_is_safe_across_threads():
-    # four threads, more potentials than memo entries and a short switch
-    # interval: no lookup loses its entry to another thread's eviction, and
-    # every sample has the bits of a fresh one
-    hs = [make_riesz(1.0 + 0.25 * k) for k in range(6)]
-    grid = np.linspace(-1.0, 0.5, 3)
-    want = [h.eval(grid).tobytes() for h in hs]
-    errors = []
+@pytest.mark.parametrize("raise_by", [1e-12, 1e-10, 1e-8])
+def test_remainder_bound_is_never_below_a_violation(raise_by):
+    # f raised by d lies d above h at every node: a bound below d would be
+    # false, and above tol there is no proof
+    h = make_riesz(2.0)
+    f, scheme, lo, hi = _ulb_certificate(4, 4, h)
+    raised = Poly([f.coeffs[0] + raise_by, *f.coeffs[1:]])
+    bound = remainder_bound(raised, scheme, h, lo, hi, "below", 1e-9)
+    assert bound >= raise_by
+    if raise_by == 1e-12:
+        assert bound <= 1e-9
+    if raise_by > 1e-9:
+        assert bound == math.inf
 
-    def work(seed):
-        try:
-            for k in np.random.default_rng(seed).integers(0, len(hs), 3000):
-                got = hermite._sampled(hs[k], -1.0, 0.5, 3)
-                assert got[0].tobytes() == grid.tobytes() and got[1].tobytes() == want[k]
-        except Exception as e:  # surfaced in the main thread below
-            errors.append(e)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(hermite._SAMPLES) <= 4
+def test_remainder_bound_applies_only_where_the_argument_holds():
+    h = make_riesz(2.0)
+    f, scheme, lo, hi = _ulb_certificate(4, 4, h)  # nodes -1 (simple) and 2 doubles
+    assert remainder_bound(f, scheme, h, lo, hi, "below", 1e-9) <= 1e-9
+    poly = make_poly(Poly([1.0, 0.5, 0.25, 0.125, 0.0625]))
+    hand_built = Potential(name="test", _derivative=h._derivative)
+    cases = [
+        (f, scheme, poly, lo, hi, "below"),  # not absolutely monotone
+        (f, scheme, hand_built, lo, hi, "below"),  # not declared so
+        (Poly([*f.coeffs, 0.0, 1e-30]), scheme, h, lo, hi, "below"),  # degree above 4
+        (f, scheme, h, -1.5, hi, "below"),  # the simple node -1 inside (lo, hi)
+        (f, scheme, h, lo, hi, "above"),  # the node polynomial is >= 0
+        (f, scheme, h, lo, 1.0, "below"),  # hi at the pole
+        (f, scheme, h, hi, lo, "below"),  # an empty interval
+        (f, scheme, h, lo, hi, "sideways"),
+        (Poly([math.nan, *f.coeffs[1:]]), scheme, h, lo, hi, "below"),
+        (f, scheme, h, math.nan, hi, "below"),
+        (f, HermiteScheme([(-1.0, 1), (0.0, 2), (1.0, 2)]), h, lo, 0.5, "below"),  # node at 1
+    ]
+    for case in cases:
+        assert remainder_bound(*case, 1e-9) == math.inf, case[2:]
+
+
+def test_remainder_bound_proves_both_relations():
+    # the chord through two simple nodes lies above h between them, and
+    # the tangent cubic of upper_cubic too
+    for h in (make_riesz(2.0), make_log(), make_gauss(1.0)):
+        for report in (bounds.upper_2design(5, 8, h), bounds.upper_cubic(8, 60, 4, h)):
+            c = report.certificate
+            assert c.relation == "above"
+            assert remainder_bound(c.poly, c.scheme, h, c.lo, c.hi, "above", 1e-9) <= 1e-9
+            assert remainder_bound(c.poly, c.scheme, h, c.lo, c.hi, "below", 1e-9) == math.inf
+
+
+def test_remainder_bound_counts_the_rounding_of_h_and_f():
+    # one node: B bounds |h(c) - f(c)| (and |h'(c) - f'(c)| times the
+    # interval's reach at a double node), and covers the rounding of h, h'
+    # and f even where they agree
+    h = make_riesz(2.0)
+    c = -0.25
+    v = float(h.eval(np.asarray([c]))[0])
+    d = float(h.derivative(np.asarray([c]), 1)[0])
+    bound = remainder_bound(Poly([v]), HermiteScheme([(c, 1)]), h, c, c, "above", 1e-9)
+    assert h.error(c, 0, v) + hermite._gamma(4) * abs(v) <= bound <= 1e-9
+    # the slope's bound reaches 0.5 away from c
+    tangent = HermiteScheme([(c, 2)])
+    f = interpolate(tangent, h)
+    at_c = remainder_bound(f, tangent, h, c, c, "below", 1e-9)
+    around = remainder_bound(f, tangent, h, c - 0.5, c + 0.5, "below", 1e-9)
+    assert h.error(c, 0, v) <= at_c <= 1e-9
+    assert around - at_c >= 0.5 * h.error(c, 1, d)

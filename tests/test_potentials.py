@@ -128,3 +128,12 @@ def test_log_spec_takes_only_the_offset_it_prints():
     with pytest.raises(RangeError, match="offset"):
         pot.parse_potential("log:offset=1")
 
+
+
+def test_absolute_monotonicity_is_declared_by_the_built_in_families():
+    # every derivative of riesz, log and gauss is positive on [-1, 1); a
+    # polynomial's or a hand-built potential's is not known to be
+    for spec in ("riesz:s=2", "riesz:s=0.5", "log", "gauss:c=1"):
+        assert pot.parse_potential(spec).absolutely_monotone
+    assert not pot.make_poly(Poly([1.0, 1.0])).absolutely_monotone
+    assert not pot.Potential(name="test", _derivative=lambda t, order: t).absolutely_monotone
