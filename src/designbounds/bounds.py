@@ -334,7 +334,9 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
         scheme = None
     report = _certify(g, n, 2, (ell, u), h, N, side="upper", method="upper_2design",
                       scheme=scheme)
-    closed = N * ((N - 1) * (u * hl - ell * hu) + hl - hu) / (u - ell)
+    # N((N-1)(u h_l - ell h_u) + h_l - h_u)/(u - ell) by the slope: near the
+    # simplex that quotient divides two round-off-sized differences
+    closed = N * ((N - 1) * hl - ((N - 1) * ell + 1) * slope)
     _pin_value(report, closed, "closed-form")
     report.margins["ell"] = ell
     report.margins["u"] = u

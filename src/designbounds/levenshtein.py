@@ -27,6 +27,9 @@ MAX_K = 30
 # the one verification tolerance: a rule's exactness residuals, and in
 # bounds a certificate's conditions and its value, are checked against it
 DEB_TOL = 1e-9
+# entries kept by the memos of interval and quadrature_rule; a sweep point's
+# repeats fall within that point, so a few dozen keep every hit
+MEMO_SIZE = 64
 
 
 def dgs_bound(n: int, tau: int) -> int:
@@ -40,7 +43,7 @@ def dgs_bound(n: int, tau: int) -> int:
     return math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1)
 
 
-@functools.lru_cache(maxsize=op.MEMO_SIZE)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def interval(n: int, m: int) -> tuple[float, float]:
     """Endpoints of the m-th branch interval of the Levenshtein bound;
     memoised on (n, m)."""
@@ -223,7 +226,7 @@ class QuadratureRule:
         return d
 
 
-@functools.lru_cache(maxsize=op.MEMO_SIZE, typed=True)
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
 def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     """Levenshtein quadrature for the (n, tau, N) triple, exact to degree
     tau. The rule is memoised on (n, tau, N), typed, so an int and a float N

@@ -9,6 +9,8 @@ solve is numpy's dense symmetric one (``_jacobi_eigh``) on the k x k matrix
 with its lower triangle filled: on a tridiagonal matrix it gives the same
 bits as LAPACK's tridiagonal dstevd, and the package needs nothing beyond
 numpy at run time. The recurrence coefficients are Python floats.
+Expansions are Horner's rule in the Gegenbauer basis, with no quadrature;
+weight_rule has no caller in the package, and stays for bench/tracer.py.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -18,7 +20,6 @@ its weighted mean.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,9 +31,6 @@ from .errors import RangeError
 
 MAX_DEGREE = 60
 CONDITIONING_DEGREE = 30
-# entries kept by each memo here and in levenshtein; every repeat a sweep
-# point makes falls within that point, so a few dozen keep every hit
-MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -277,23 +275,17 @@ class GegExpansion:
 
 
 def gegenbauer_expand(n: int, p: Poly) -> GegExpansion:
-    """Exact-degree expansion of p over the Gegenbauer basis by projection
-    with the (d+1)-point Gauss rule."""
-    _check_dimension(n)
-    nodes, weights, table, norms = _projection(n, p.degree)
-    coeffs = (table @ (weights * p(nodes))) / norms
-    return GegExpansion(n=n, coeffs=tuple(float(c) for c in coeffs))
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _projection(n: int, d: int):
-    """The (d+1)-point Gauss rule's nodes and weights, P_0..P_d at the nodes
-    (one recurrence pass) and the norms sum_j w_j P_i(x_j)^2; memoised on
-    (n, d), read-only."""
-    rule = weight_rule(n, d + 1)
-    table = gegenbauer_table(n, d, rule.nodes)
-    norms = table**2 @ rule.weights
-    arrays = rule.nodes, rule.weights, table, norms
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+    """Exact-degree expansion of p over the Gegenbauer basis by Horner's rule
+    in that basis, in Python floats: g <- t g + p_k from g = [p_d], with
+    t P_0 = P_1 and t P_i = ((i+n-2) P_{i+1} + i P_{i-1})/(2i+n-2). Both
+    factors are nonnegative, so nothing cancels that p's own terms do not."""
+    d = p.degree
+    _checked_rows(n, d, ())
+    # up[j] and down[j]: the factors of P_j in t P_{j-1} and in t P_{j+1}
+    up = [0.0, 1.0] + [(j + n - 3) / (2 * j + n - 4) for j in range(2, d + 1)]
+    down = [(j + 1) / (2 * j + n) for j in range(d + 1)]
+    g = [p.coeffs[-1]]
+    for c in p.coeffs[-2::-1]:
+        g = [a * x + b * y for a, x, b, y in zip(up, [0.0, *g], down, [*g[1:], 0.0, 0.0])]
+        g[0] += c
+    return GegExpansion(n=n, coeffs=tuple(g))

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +91,34 @@ def test_improved_even_lower_ell_minus_one_degenerates():
 def test_improved_even_lower_range():
     with pytest.raises(RangeError):
         bounds.improved_even_lower(3, 4, 1, R2)
+
+
+def _sphere_moment(n, j):
+    """E[t^j] under the normalized dimension-n sphere weight, exactly:
+    0 for odd j, prod_{i < j/2} (2i+1)/(n+2i) for even j."""
+    if j % 2:
+        return Fraction(0)
+    return math.prod((Fraction(2 * i + 1, n + 2 * i) for i in range(j // 2)), start=Fraction(1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n", [3, 8, 24, 60, 150])
+@pytest.mark.parametrize("tau", [2, 4, 6, 8])
+def test_printed_value_is_the_exact_value_of_the_stored_poly(n, tau):
+    # value = N(N f_0 - f(1)) of the stored poly to 1e-15 relative, with f_0
+    # and f(1) in exact rationals from the poly's float coefficients
+    lo, hi = levenshtein.dgs_bound(n, tau), levenshtein.dgs_bound(n, tau + 1)
+    for frac, h in itertools.product((0.25, 0.5, 0.75), (R2, make_log(), G1)):
+        N = lo + frac * (hi - lo)
+        reports = [bounds.improved_even_lower(n, N, tau // 2, h)]
+        if tau == 4:
+            reports.append(bounds.upper_cubic(n, N, tau, h))
+        for rep in reports:
+            c = [Fraction(x) for x in rep.certificate.poly.coeffs]
+            f0 = sum(ck * _sphere_moment(n, k) for k, ck in enumerate(c))
+            exact = Fraction(N) * (Fraction(N) * f0 - sum(c))
+            assert abs(Fraction(rep.value) - exact) <= abs(exact) * Fraction(1e-15), (
+                n, tau, N, rep.method, float((Fraction(rep.value) - exact) / exact))
 
 
 def test_lower_2design_values():

@@ -43,6 +43,21 @@ def test_bound_octahedron_with_u(capsys):
     assert d["upper"]["best_value"] == pytest.approx(13.5)
 
 
+@pytest.mark.parametrize("N", ["4.0000000001", "4.00000001"])
+def test_bound_upper_just_above_the_simplex(capsys, N):
+    # ell and u are about 1e-10 and 1e-8 apart here, so the chord's closed
+    # form must not divide their round-off-sized differences. The value is
+    # near the simplex energy 4.5 and grows like 3(N - 4)
+    code, out, err = run(
+        capsys, "bound", "--n", "3", "--N", N, "--tau", "2",
+        "--potential", "riesz:s=2", "--side", "upper", "--verify",
+    )
+    assert code == 0, err
+    d = json.loads(out)["upper"]
+    assert d["best_method"] == "upper_2design"
+    assert d["best_value"] == pytest.approx(4.5 + 3 * (float(N) - 4), rel=1e-12)
+
+
 def test_bound_range_error_exit_2(capsys):
     code, _, err = run(
         capsys, "bound", "--n", "3", "--N", "99", "--tau", "2",

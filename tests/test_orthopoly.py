@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -286,17 +287,6 @@ def test_gegenbauer_scalar_path_is_array_path_bit_for_bit():
                 assert np.float64(got).tobytes() == deriv.tobytes(), (n, i, order, t)
 
 
-def test_memoised_weight_rule_arrays_are_read_only():
-    # the projection memo holds the Gauss rule's nodes and weights, the
-    # P-table and the norms
-    arrays = op._projection(5, 6)
-    for arr in arrays:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    again = op._projection(5, 6)
-    assert all(a is b for a, b in zip(again, arrays, strict=True))
-
-
 def test_geg_expansion_call_is_the_gegenbauer_sum():
     rng = np.random.default_rng(19)
     ts = np.linspace(-1.0, 1.0, 101)
@@ -312,19 +302,45 @@ def test_geg_expansion_call_is_the_gegenbauer_sum():
             assert abs(exp(t) - want) <= tol, (n, d, t)
 
 
-def test_expand_is_the_projection_formula_bit_for_bit():
-    # the memoised table and norms give the coefficients a fresh
-    # projection gives
-    rng = np.random.default_rng(11)
-    for n in (3, 4, 9, 24):
-        for d in (0, 1, 5, 17, 30):
-            p = op.Poly(rng.standard_normal(d + 1))
-            rule = op.weight_rule(n, d + 1)
-            table = op.gegenbauer_table(n, d, rule.nodes)
-            want = (table @ (rule.weights * p(rule.nodes))) / (table**2 @ rule.weights)
-            for _ in range(2):
-                got = op.gegenbauer_expand(n, p).coeffs
-                assert np.array(got).tobytes() == want.tobytes()
+def _mp_expand(n, coeffs):
+    """Gegenbauer coefficients of the polynomial with these monomial
+    coefficients, in 50-digit mpmath: the monomial coefficients of P_0..P_d
+    from the three-term recurrence, then back substitution from the top
+    degree (P_i has degree i). The oracle for gegenbauer_expand."""
+    d = len(coeffs) - 1
+    P = [[mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]]
+    for i in range(1, d):
+        a, b = mpmath.mpf(2 * i + n - 2), mpmath.mpf(i + n - 2)
+        nxt = [mpmath.mpf(0)] + [a * x / b for x in P[i]]
+        for k, x in enumerate(P[i - 1]):
+            nxt[k] -= i * x / b
+        P.append(nxt)
+    r = [mpmath.mpf(c) for c in coeffs]
+    g = [mpmath.mpf(0)] * (d + 1)
+    for i in range(d, -1, -1):
+        g[i] = r[i] / P[i][i]
+        for k in range(i + 1):
+            r[k] -= g[i] * P[i][k]
+    return g
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n, d", [(3, 30), (24, 17), (24, 30), (60, 30), (150, 8)])
+def test_expand_matches_the_mpmath_conversion(n, d):
+    # every coefficient within 1e-15 of max|g| of the 50-digit conversion;
+    # at high n, P_i is concentrated near +-1, so a method that cancels
+    # fails here (a (d+1)-point Gauss-rule projection: 1.2e-9 of max|g| at
+    # (150, 8), 2.2e-4 at (60, 30))
+    rng = np.random.default_rng(23)
+    with mpmath.workdps(50):
+        for _ in range(5):
+            p = op.Poly(rng.uniform(-1.0, 1.0, d + 1))
+            got = op.gegenbauer_expand(n, p).coeffs
+            want = _mp_expand(n, p.coeffs)
+            assert len(got) == d + 1
+            scale = max(abs(w) for w in want)
+            err = max(abs(mpmath.mpf(x) - w) for x, w in zip(got, want, strict=True))
+            assert err <= 1e-15 * scale, (n, d, float(err / scale))
 
 
 def _numpy_recurrence(alpha, beta, k):

@@ -54,7 +54,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (334 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (346 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -65,7 +65,9 @@ The sets:
   potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7, riesz:s=1,s=3,
   log:offset=0.6931471805599453 and log:offset=1; and ``bound --side
   strip`` at (3, 5, 2) with the polynomial potentials poly:1,0,2 and
-  poly:0,-1, whose printed spec is in the report.
+  poly:0,-1, whose printed spec is in the report; and ``bound --side
+  upper`` just above the simplex, at tau = 2, n in {3, 8} and N = lo +
+  1e-10 and lo + 1e-8 (passed as ``repr(N)``), with the three potentials.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -213,6 +215,12 @@ def edges_cases():
         yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot]
     for pot in POLY_POTENTIALS:
         yield ["bound", "--n", "3", "--N", "5", "--tau", "2", "--potential", pot, "--side", "strip"]
+    for n in (3, 8):
+        lo = levenshtein.dgs_bound(n, 2)
+        for N in (repr(lo + 1e-10), repr(lo + 1e-8)):
+            for pot in POTENTIALS:
+                yield ["bound", "--n", str(n), "--N", N, "--tau", "2", "--potential", pot,
+                       "--side", "upper"]
 
 
 CODE_BUILDS = (
