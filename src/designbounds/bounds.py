@@ -439,20 +439,10 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
 @dataclass(frozen=True)
 class TestFunctionTable:
     spec: DesignSpec
-    values: tuple[float, ...]  # Q_1 .. Q_jmax
-
-    def q(self, j: int) -> float:
-        return self.values[j - 1]
+    values: tuple[float, ...]  # Q_1..Q_jmax, Q_j the quadrature rule applied to P_j
 
     def to_json(self) -> dict:
         return {"spec": self.spec.to_json(), "Q": {str(j + 1): v for j, v in enumerate(self.values)}}
-
-
-def test_function(n: int, tau: int, N: float, j: int) -> float:
-    """Q_j: the quadrature rule applied to the degree-j Gegenbauer polynomial."""
-    if j < 1:
-        raise RangeError(f"need j >= 1, got {j}")
-    return test_table(n, tau, N, j).q(j)
 
 
 def test_table(n: int, tau: int, N: float, j_max: int) -> TestFunctionTable:

@@ -183,6 +183,8 @@ def cmd_code(args) -> int:
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         _usage(f"builder {args.builder} needs {', '.join(missing)}")
+    if args.max_tau < 0:
+        _usage(f"--max-tau must be >= 0, got {args.max_tau}")
     dist = build(*(getattr(args, name) for name in needs))
     h = _potential_or_usage(args.potential)
     out = dist.to_json()
@@ -402,7 +404,7 @@ def build_parser() -> _Parser:
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--tau", type=int, required=True)
     t.add_argument("--N", type=float, required=True)
-    t.add_argument("--jmax", type=int, required=True)
+    t.add_argument("--jmax", type=_positive_int, required=True)
     t.set_defaults(func=cmd_testfn)
 
     c = sub.add_parser("code", help="explicit configuration energy and strength")

@@ -9,6 +9,7 @@ count unordered pairs are half these values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,17 @@ class InnerProductDistribution:
         }
 
 
+def _size(N: int, given: str) -> int:
+    if N * N > sys.float_info.max:  # pair counts and the strength threshold are near N^2
+        raise RangeError(f"{given} too large: the code's N^2 exceeds the largest double")
+    return N
+
+
 def simplex(n: int) -> InnerProductDistribution:
     """Regular simplex: n+1 points, all inner products -1/n."""
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
-    N = n + 1
+    N = _size(n + 1, f"n = {n}")
     return InnerProductDistribution(n=n, N=N, entries=((-1.0 / n, N * (N - 1)),))
 
 
@@ -62,7 +69,7 @@ def orthogonal_simplices(a: int, b: int) -> InnerProductDistribution:
     if a < 2 or b < 2:
         raise RangeError(f"simplex sizes must be >= 2, got ({a}, {b})")
     n = a + b - 2
-    N = a + b
+    N = _size(a + b, f"(a, b) = ({a}, {b})")
     counts: dict[float, int] = {}
     for size in (a, b):
         t = -1.0 / (size - 1)
@@ -76,7 +83,7 @@ def cross_polytope(n: int) -> InnerProductDistribution:
     """2n antipodal basis points; a sharp 3-design for n >= 2."""
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
-    N = 2 * n
+    N = _size(2 * n, f"n = {n}")
     entries = [(-1.0, 2 * n)]
     if n > 1:
         entries.append((0.0, 2 * n * (2 * n - 2)))
@@ -109,7 +116,7 @@ def kerdock(l: int) -> InnerProductDistribution:
     if l < 2:
         raise RangeError(f"need l >= 2, got {l}")
     n = 2 ** (2 * l)
-    N = n * n
+    N = _size(n * n, f"l = {l}")
     a_side = 2 ** (2 * l) * (2 ** (2 * l - 1) - 1)  # weights 2^(2l-1) +- 2^(l-1)
     a_mid = 2 ** (2 * l + 1) - 2
     dist = [
@@ -152,22 +159,3 @@ def strength(dist: InnerProductDistribution, max_tau: int) -> int:
         else:
             break
     return tau
-
-
-def distribution_from_points(points) -> InnerProductDistribution:
-    """Distribution of an explicit unit-norm point set (rows of an array);
-    inner products are grouped after rounding to 10 decimals."""
-    pts = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise RangeError("points must be unit-norm to 1e-8")
-    gram = pts @ pts.T
-    N = len(pts)
-    vals: dict[float, int] = {}
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            t = round(float(np.clip(gram[i, j], -1.0, 1.0 - 1e-15)), 10)
-            vals[t] = vals.get(t, 0) + 1
-    return InnerProductDistribution(n=pts.shape[1], N=N, entries=tuple(sorted(vals.items())))

@@ -170,9 +170,9 @@ def _at_bound(N: float, D: int) -> bool:
 
 
 def _admissible(n: int, tau: int, N: float, ends: str = "[]") -> tuple[int, int]:
-    """D(n, tau) and D(n, tau + 1), once tau >= 1 and N lies between them in
-    double precision, as _at_bound compares; a bracket of ends ("[]", "[)"
-    or "()") includes its end."""
+    """D(n, tau) and D(n, tau + 1), once tau >= 1, both are doubles and N
+    lies between them in double precision, as _at_bound compares; a bracket
+    of ends ("[]", "[)" or "()") includes its end."""
     if tau < 1:
         raise RangeError(f"need tau >= 1, got {tau}")
     lo, hi = dgs_bound(n, tau), dgs_bound(n, tau + 1)
@@ -180,7 +180,10 @@ def _admissible(n: int, tau: int, N: float, ends: str = "[]") -> tuple[int, int]
         x = float(N)
     except OverflowError:  # an int past the doubles lies outside
         x = math.nan
-    a, b = float(lo), float(hi)
+    try:
+        a, b = float(lo), float(hi)
+    except OverflowError:  # hi >= lo is past the doubles
+        raise RangeError(f"D(n, tau + 1) is past the doubles for (n={n}, tau={tau})") from None
     if not ((a <= x if ends[0] == "[" else a < x) and (x <= b if ends[1] == "]" else x < b)):
         bracket = f"{ends[0]}{lo}, {hi}{ends[1]}"
         raise RangeError(f"N = {N} outside admissible interval {bracket} for (n={n}, tau={tau})")
@@ -207,11 +210,6 @@ class QuadratureRule:
     parity: str  # "odd" | "even"
     exactness_residuals: np.ndarray
     boundary: bool
-
-    def apply(self, f) -> float:
-        """1/N f(1) + sum_i w_i f(node_i)."""
-        vals = np.array([float(f(t)) for t in self.nodes])
-        return float(f(1.0)) / self.spec.N + float(np.dot(self.weights, vals))
 
     def to_json(self) -> dict:
         d = self.spec.to_json()
@@ -284,24 +282,3 @@ def _node_table(n: int, tau: int, xs: list[float]) -> np.ndarray:
     weights' solve and the residuals' product need to sum in the same
     order."""
     return np.array(list(zip(*op._checked_rows(n, tau, xs))))
-
-
-def levenshtein_polynomial(n: int, tau: int, N: float) -> op.Poly:
-    """Monic polynomial with the rule's nodes at their stated multiplicities."""
-    rule = quadrature_rule(n, tau, N)
-    if rule.parity == "odd":
-        mults = [(t, 2) for t in rule.nodes[:-1]] + [(rule.nodes[-1], 1)]
-    else:
-        mults = [(rule.nodes[0], 1), (rule.nodes[-1], 1)] + [(t, 2) for t in rule.nodes[1:-1]]
-    return op.poly_from_roots(mults)
-
-
-def gamma0_times_N(n: int, k: int, N: float) -> float:
-    """gamma_0 * N for the even rule; 0 and 1 exactly at the interval ends."""
-    lo, hi = _admissible(n, 2 * k, N)
-    if _at_bound(N, lo):
-        return 0.0
-    if _at_bound(N, hi):
-        return 1.0
-    rule = quadrature_rule(n, 2 * k, N)
-    return float(rule.weights[0] * N)

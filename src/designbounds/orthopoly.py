@@ -9,8 +9,8 @@ solve is numpy's dense symmetric one (``_jacobi_eigh``) on the k x k matrix
 with its lower triangle filled: on a tridiagonal matrix it gives the same
 bits as LAPACK's tridiagonal dstevd, and the package needs nothing beyond
 numpy at run time. The recurrence coefficients are Python floats.
-Expansions are Horner's rule in the Gegenbauer basis, with no quadrature;
-weight_rule has no caller in the package, and stays for bench/tracer.py.
+Expansions are Horner's rule in the Gegenbauer basis, with no quadrature.
+bench/tracer.py wraps weight_rule and gegenbauer_derivative, their only users.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -108,11 +108,6 @@ def _check_degree(i: int) -> None:
             f"degree {i} > {CONDITIONING_DEGREE}: double-precision conditioning degrades",
             stacklevel=2,
         )
-
-
-def gegenbauer_eval(n: int, i: int, t):
-    """P_i at t for dimension n via the three-term recurrence; P_i(1) = 1."""
-    return gegenbauer_derivative(n, i, t, 0)
 
 
 def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
@@ -240,9 +235,6 @@ class WeightRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def weight_rule(n: int, m: int) -> WeightRule:

@@ -8,9 +8,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import roots_jacobi
 
 from designbounds import bounds, codes, innerprod
-from designbounds.levenshtein import dgs_bound, gamma0_times_N, interval as lev_interval
+from designbounds.levenshtein import dgs_bound, interval as lev_interval
 from designbounds.levenshtein import lev_bound_m, quadrature_rule
-from designbounds.orthopoly import Poly, gegenbauer_eval, gegenbauer_expand
+from designbounds.orthopoly import Poly, gegenbauer_expand, gegenbauer_table
 from designbounds.potentials import make_gauss, make_log, make_riesz
 
 GRID_N = (3, 4, 5, 8, 24)
@@ -36,15 +36,17 @@ def _gauss_oracle(n, j):
     lam = (n - 3) / 2.0
     x, w = roots_jacobi(j // 2 + 2, lam, lam)
     w = w / np.sum(w)
-    return float(np.dot(w, gegenbauer_eval(n, j, x)))
+    return float(np.dot(w, gegenbauer_table(n, j, x)[j]))
 
 
 def test_criterion_01_quadrature_exactness():
     worst = 0.0
     for n, tau, N in _grid_points():
         rule = quadrature_rule(n, tau, N)
+        # P_j(1) = 1 at the node t = 1 of weight 1/N
+        table = gegenbauer_table(n, tau, rule.nodes)
         for j in range(tau + 1):
-            got = rule.apply(lambda t: gegenbauer_eval(n, j, np.asarray(t)))
+            got = 1.0 / N + float(np.dot(rule.weights, table[j]))
             want = _gauss_oracle(n, j)
             worst = max(worst, abs(got - want))
     _report(1, worst <= 1e-9, f"worst exactness residual {worst:.3e}")
@@ -57,7 +59,7 @@ def test_criterion_02_closed_form_rule():
         and abs(rule.nodes[1] + 1.0 / 9.0) <= 1e-12
         and abs(rule.weights[0] - 1.0 / 8.0) <= 1e-12
         and abs(rule.weights[1] - 27.0 / 40.0) <= 1e-12
-        and abs(gamma0_times_N(3, 1, 5) - 5.0 / 8.0) <= 1e-12
+        and abs(rule.weights[0] * 5 - 5.0 / 8.0) <= 1e-12
     )
     _report(2, ok, f"nodes {list(rule.nodes)}, weights {list(rule.weights)}")
 
@@ -149,12 +151,12 @@ def test_criterion_07_test_functions_and_improvement():
             continue
         table = bounds.test_table(n, tau, N, tau)
         worst = max(worst, max(abs(v) for v in table.values))
-    pin = abs(bounds.test_function(3, 1, 4, 3) - 5.0 / 9.0)
+    pin = abs(bounds.test_table(3, 1, 4, 3).values[2] - 5.0 / 9.0)
     signs_ok = True
     q21 = {}
     for n in (3, 10, 18):
         lo, hi = dgs_bound(n, 17), dgs_bound(n, 18)
-        q = bounds.test_function(n, 17, (lo + hi) / 2.0, 21)
+        q = bounds.test_table(n, 17, (lo + hi) / 2.0, 21).values[20]
         q21[n] = q
         signs_ok = signs_ok and q < 0
     ok = worst <= 1e-9 and pin <= 1e-12 and signs_ok

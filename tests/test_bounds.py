@@ -250,20 +250,19 @@ def test_strip_odd_rejects_bad_u():
 
 
 def test_test_function_values():
-    assert bounds.test_function(3, 1, 4, 2) == pytest.approx(0.0, abs=1e-12)
-    assert bounds.test_function(3, 1, 4, 3) == pytest.approx(5.0 / 9.0, abs=1e-12)
+    q = bounds.test_table(3, 1, 4, 3).values
+    assert q[1] == pytest.approx(0.0, abs=1e-12)
+    assert q[2] == pytest.approx(5.0 / 9.0, abs=1e-12)
     with pytest.raises(RangeError):
-        bounds.test_function(3, 2, 5, 1)
-    with pytest.raises(RangeError):
-        bounds.test_function(3, 1, 4, 0)
+        bounds.test_table(3, 2, 5, 1)
 
 
 def test_test_table():
     table = bounds.test_table(3, 3, 7, 6)
     for j in (1, 2, 3):
-        assert table.q(j) == pytest.approx(0.0, abs=1e-9)
+        assert table.values[j - 1] == pytest.approx(0.0, abs=1e-9)
     assert len(table.values) == 6
-    assert table.to_json()["Q"]["1"] == table.q(1)
+    assert table.to_json()["Q"]["1"] == table.values[0]
 
 
 def test_k0_threshold():
@@ -324,8 +323,9 @@ def test_strip_ordering_across_methods():
 ADMISSIBILITY_SITES = {
     "solve_cardinality": ("[]", range(1, 7), (),
                           lambda n, tau, N: levenshtein.solve_cardinality(n, tau, N)),
+    # gamma_0 N, the value innerprod.even_range reads
     "gamma0_times_N": ("[]", (2, 4, 6), (),
-                       lambda n, tau, N: levenshtein.gamma0_times_N(n, tau // 2, N)),
+                       lambda n, tau, N: levenshtein.quadrature_rule(n, tau, N).weights[0] * N),
     "u_bound": ("[]", (2, 4), (2, 4), lambda n, tau, N: innerprod.u_bound(n, N, tau)),
     "l_bound": ("[)", (2, 4), (2, 4), lambda n, tau, N: innerprod.l_bound(n, N, tau)),
     "even_range": ("()", (2, 4, 6), (), lambda n, tau, N: innerprod.even_range(n, N, tau // 2)),

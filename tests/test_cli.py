@@ -173,6 +173,10 @@ def test_nan_potential_parameter_exit_1(capsys, spec):
         ("sweep --n 3 --tau 2 --potential log --jobs 0", "--jobs: not a positive integer: '0'"),
         ("sweep --n 3 --tau 2 --potential log --jobs -1", "--jobs: not a positive integer: '-1'"),
         ("sweep --n 3 --tau 2 --potential log --jobs x", "--jobs: not a positive integer: 'x'"),
+        ("testfn --n 3 --tau 3 --N 7 --jmax 0", "--jmax: not a positive integer: '0'"),
+        ("testfn --n 3 --tau 3 --N 7 --jmax -2", "--jmax: not a positive integer: '-2'"),
+        ("code --builder simplex --n 3 --potential log --max-tau -1",
+         "--max-tau must be >= 0, got -1"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:nan --side lower", "poly:nan"),
         ("bound --n 3 --N 6 --tau 3 --potential poly:inf,1 --side lower", "poly:inf,1"),
         ("bound --n 3 --N 5 --tau 2 --potential poly:1,nan", "poly:1,nan"),
@@ -189,6 +193,46 @@ def test_bad_input_exit_1_names_it(capsys, argv, names):
     assert code == 1
     assert names in err
     assert out == ""
+
+
+# an integer past the largest double
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, names", [
+    ("bound --n BIG --N 5 --tau 3 --potential log", "(n=BIG, tau=3)"),
+    ("bound --n BIG --N 5 --tau 1 --potential log --side lower", "(n=BIG, tau=1)"),
+    ("quadrature --n BIG --N 5 --tau 3", "(n=BIG, tau=3)"),
+    ("testfn --n BIG --N 5 --tau 3 --jmax 4", "(n=BIG, tau=3)"),
+    ("code --builder simplex --n BIG --potential log", "n = BIG too large"),
+    ("code --builder cross-polytope --n BIG --potential log", "n = BIG too large"),
+    ("code --builder orthogonal-simplices --a 3 --b BIG --potential log",
+     "(a, b) = (3, BIG) too large"),
+    ("code --builder kerdock --l 600 --potential log", "l = 600 too large"),
+    ("code --builder kerdock --l 128 --potential log", "l = 128 too large"),
+])
+def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
+    code, out, err = run(capsys, *argv.replace("BIG", BIG).split())
+    assert code == 2
+    assert err.startswith("range error: ")
+    assert names.replace("BIG", BIG) in err
+    assert out == ""
+
+
+def test_sweep_past_the_doubles_gets_error_rows(capsys):
+    code, out, _ = run(capsys, "sweep", "--n", BIG, "--tau", "1,3", "--potential", "log",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["tau"] for row in rows] == [1, 1, 1, 3, 3, 3]
+    for row in rows:
+        assert f"is past the doubles for (n={BIG}, tau={row['tau']})" in row["error"]
+
+
+def test_largest_kerdock_code_whose_N_squared_is_a_double(capsys):
+    code, out, _ = run(capsys, "code", "--builder", "kerdock", "--l", "127", "--potential", "log")
+    assert code == 0
+    assert json.loads(out)["N"] == 2 ** 508
 
 
 @pytest.mark.parametrize("argv", [

@@ -94,11 +94,3 @@ def test_distribution_invariants():
         codes.InnerProductDistribution(n=3, N=4, entries=((-0.5, 5),))
     with pytest.raises(RangeError):
         codes.InnerProductDistribution(n=3, N=2, entries=((1.0, 2),))
-
-
-def test_distribution_from_points():
-    pts = np.vstack([np.eye(3), -np.eye(3)])
-    d = codes.distribution_from_points(pts)
-    assert d.entries == ((-1.0, 6), (0.0, 24))
-    with pytest.raises(RangeError):
-        codes.distribution_from_points(2.0 * np.eye(3))

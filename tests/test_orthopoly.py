@@ -41,31 +41,30 @@ def _gegenbauer_poly(n, i):
 
 def test_gegenbauer_base_cases():
     t = np.linspace(-1, 1, 7)
-    assert np.allclose(op.gegenbauer_eval(4, 0, t), 1.0)
-    assert np.allclose(op.gegenbauer_eval(4, 1, t), t)
+    assert np.allclose(op.gegenbauer_table(4, 0, t)[0], 1.0)
+    assert np.allclose(op.gegenbauer_table(4, 1, t)[1], t)
 
 
 def test_gegenbauer_normalization_at_one():
     for n in (3, 4, 8, 24):
         for i in range(0, 12):
-            assert op.gegenbauer_eval(n, i, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert op.gegenbauer_table(n, i, 1.0)[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gegenbauer_n3_is_legendre():
     # dimension 3 weight is uniform, so P_i matches Legendre
     t = np.linspace(-1, 1, 11)
-    assert np.allclose(op.gegenbauer_eval(3, 2, t), 0.5 * (3 * t**2 - 1), atol=1e-13)
-    assert np.allclose(op.gegenbauer_eval(3, 3, t), 0.5 * (5 * t**3 - 3 * t), atol=1e-13)
+    assert np.allclose(op.gegenbauer_table(3, 2, t)[2], 0.5 * (3 * t**2 - 1), atol=1e-13)
+    assert np.allclose(op.gegenbauer_table(3, 3, t)[3], 0.5 * (5 * t**3 - 3 * t), atol=1e-13)
 
 
 def test_gegenbauer_recurrence_consistency():
     t = np.linspace(-1, 1, 9)
     for n in (3, 5):
+        P = op.gegenbauer_table(n, 10, t)
         for i in range(1, 10):
-            lhs = (2 * i + n - 2) * t * op.gegenbauer_eval(n, i, t)
-            rhs = (i + n - 2) * op.gegenbauer_eval(n, i + 1, t) + i * op.gegenbauer_eval(
-                n, i - 1, t
-            )
+            lhs = (2 * i + n - 2) * t * P[i]
+            rhs = (i + n - 2) * P[i + 1] + i * P[i - 1]
             assert np.allclose(lhs, rhs, atol=1e-11)
 
 
@@ -74,9 +73,8 @@ def test_gegenbauer_derivative_matches_finite_difference():
     for n in (3, 6):
         for i in (2, 5, 9):
             for t0 in (-0.7, 0.0, 0.5):
-                fd = (
-                    op.gegenbauer_eval(n, i, t0 + eps) - op.gegenbauer_eval(n, i, t0 - eps)
-                ) / (2 * eps)
+                below, above = op.gegenbauer_table(n, i, [t0 - eps, t0 + eps])[i]
+                fd = (above - below) / (2 * eps)
                 assert op.gegenbauer_derivative(n, i, t0, 1) == pytest.approx(fd, rel=1e-6)
 
 
@@ -107,17 +105,17 @@ def test_gegenbauer_poly_matches_eval():
     for n in (3, 4, 10):
         for i in range(8):
             p = _gegenbauer_poly(n, i)
-            assert np.allclose(p(t), op.gegenbauer_eval(n, i, t), atol=1e-11)
+            assert np.allclose(p(t), op.gegenbauer_table(n, i, t)[i], atol=1e-11)
 
 
 def test_degree_cap():
     with pytest.raises(RangeError):
-        op.gegenbauer_eval(3, op.MAX_DEGREE + 1, 0.0)
+        op.gegenbauer_table(3, op.MAX_DEGREE + 1, 0.0)
 
 
 def test_conditioning_warning():
     with pytest.warns(UserWarning):
-        op.gegenbauer_eval(3, op.CONDITIONING_DEGREE + 1, 0.3)
+        op.gegenbauer_table(3, op.CONDITIONING_DEGREE + 1, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -179,18 +177,17 @@ def test_weight_rule_integrates_moments():
     for n in (3, 4, 8):
         rule = op.weight_rule(n, 6)
         for j in range(11):
-            got = rule.integrate(lambda t: t**j)
+            got = float(np.dot(rule.weights, rule.nodes**j))
             assert got == pytest.approx(_weight_moment(n, j), abs=1e-13)
 
 
 def test_gegenbauer_orthogonality():
     n = 5
     rule = op.weight_rule(n, 10)
+    P = op.gegenbauer_table(n, 5, rule.nodes)
     for i in range(6):
         for j in range(6):
-            val = rule.integrate(
-                lambda t: op.gegenbauer_eval(n, i, t) * op.gegenbauer_eval(n, j, t)
-            )
+            val = float(np.dot(rule.weights, P[i] * P[j]))
             if i != j:
                 assert abs(val) < 1e-13
 
@@ -295,10 +292,10 @@ def test_geg_expansion_call_is_the_gegenbauer_sum():
             c = rng.uniform(-1.0, 1.0, d + 1)
             exp = op.GegExpansion(n=n, coeffs=tuple(float(x) for x in c))
             tol = 1e-14 * np.sum(np.abs(c))
-            want = sum(ci * op.gegenbauer_eval(n, i, ts) for i, ci in enumerate(c))
+            want = sum(ci * row for ci, row in zip(c, op.gegenbauer_table(n, d, ts)))
             assert np.max(np.abs(exp(ts) - want)) <= tol, (n, d)
             t = float(rng.uniform(-1.0, 1.0))
-            want = sum(ci * op.gegenbauer_eval(n, i, t) for i, ci in enumerate(c))
+            want = sum(ci * row for ci, row in zip(c, op.gegenbauer_table(n, d, t)))
             assert abs(exp(t) - want) <= tol, (n, d, t)
 
 

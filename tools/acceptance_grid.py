@@ -54,7 +54,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (346 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (357 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -67,7 +67,12 @@ The sets:
   strip`` at (3, 5, 2) with the polynomial potentials poly:1,0,2 and
   poly:0,-1, whose printed spec is in the report; and ``bound --side
   upper`` just above the simplex, at tau = 2, n in {3, 8} and N = lo +
-  1e-10 and lo + 1e-8 (passed as ``repr(N)``), with the three potentials.
+  1e-10 and lo + 1e-8 (passed as ``repr(N)``), with the three potentials;
+  and integers past the largest double: ``bound``, ``quadrature``,
+  ``testfn`` and ``sweep`` at n = 10^400 and tau = 3, and ``code`` with
+  simplex and cross-polytope at n = 10^400, orthogonal-simplices at (3,
+  10^400) and kerdock at l = 600; and ``testfn --jmax`` 0 and -2 and
+  ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -184,6 +189,7 @@ def cubic_cases():
 EDGE_POTENTIALS = ("riesz:s=2,c=1", "gauss:c=1,d=2", "log:c=7", "riesz:s=1,s=3",
                    "log:offset=0.6931471805599453", "log:offset=1")
 POLY_POTENTIALS = ("poly:1,0,2", "poly:0,-1")
+BIG = "1" + "0" * 400  # an integer past the largest double
 
 
 def edges_cases():
@@ -221,6 +227,17 @@ def edges_cases():
             for pot in POTENTIALS:
                 yield ["bound", "--n", str(n), "--N", N, "--tau", "2", "--potential", pot,
                        "--side", "upper"]
+    yield ["bound", "--n", BIG, "--N", "5", "--tau", "3", "--potential", "log"]
+    yield ["quadrature", "--n", BIG, "--N", "5", "--tau", "3"]
+    yield ["testfn", "--n", BIG, "--N", "5", "--tau", "3", "--jmax", "4"]
+    yield ["sweep", "--n", BIG, "--tau", "3", "--potential", "log"]
+    for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
+                              ("orthogonal-simplices", "--a", "3", "--b", BIG),
+                              ("kerdock", "--l", "600")):
+        yield ["code", "--builder", builder, *options, "--potential", "log"]
+    for jmax in ("0", "-2"):
+        yield ["testfn", "--n", "3", "--tau", "3", "--N", "7", "--jmax", jmax]
+    yield ["code", "--builder", "simplex", "--n", "3", "--potential", "log", "--max-tau", "-1"]
 
 
 CODE_BUILDS = (
