@@ -1,5 +1,5 @@
-"""Explicit spherical configurations as inner-product distributions: exact
-energies and design-strength checks.
+"""Explicit spherical configurations as inner-product distributions, each
+inner product an exact Fraction: energies in doubles and exact strengths.
 
 Energies follow the ordered-pair convention: every unordered pair of
 distinct points contributes twice. Published per-configuration formulas that
@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import RangeError
-from .orthopoly import gegenbauer_table
+from .orthopoly import _checked_rows
 from .potentials import Potential
-
-STRENGTH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class InnerProductDistribution:
 
     n: int
     N: int
-    entries: tuple[tuple[float, int], ...]
+    entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
         total = sum(c for _, c in self.entries)
@@ -45,12 +44,12 @@ class InnerProductDistribution:
         return {
             "n": self.n,
             "N": self.N,
-            "entries": [{"t": t, "count": c} for t, c in self.entries],
+            "entries": [{"t": float(t), "count": c} for t, c in self.entries],
         }
 
 
 def _size(N: int, given: str) -> int:
-    if N * N > sys.float_info.max:  # pair counts and the strength threshold are near N^2
+    if N * N > sys.float_info.max:  # pair counts are near N^2, and energy sums them as doubles
         raise RangeError(f"{given} too large: the code's N^2 exceeds the largest double")
     return N
 
@@ -60,7 +59,7 @@ def simplex(n: int) -> InnerProductDistribution:
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
     N = _size(n + 1, f"n = {n}")
-    return InnerProductDistribution(n=n, N=N, entries=((-1.0 / n, N * (N - 1)),))
+    return InnerProductDistribution(n=n, N=N, entries=((Fraction(-1, n), N * (N - 1)),))
 
 
 def orthogonal_simplices(a: int, b: int) -> InnerProductDistribution:
@@ -70,11 +69,11 @@ def orthogonal_simplices(a: int, b: int) -> InnerProductDistribution:
         raise RangeError(f"simplex sizes must be >= 2, got ({a}, {b})")
     n = a + b - 2
     N = _size(a + b, f"(a, b) = ({a}, {b})")
-    counts: dict[float, int] = {}
+    counts: dict[Fraction, int] = {}
     for size in (a, b):
-        t = -1.0 / (size - 1)
+        t = Fraction(-1, size - 1)
         counts[t] = counts.get(t, 0) + size * (size - 1)
-    counts[0.0] = counts.get(0.0, 0) + 2 * a * b
+    counts[Fraction(0)] = counts.get(Fraction(0), 0) + 2 * a * b
     entries = tuple(sorted(counts.items()))
     return InnerProductDistribution(n=n, N=N, entries=entries)
 
@@ -84,9 +83,9 @@ def cross_polytope(n: int) -> InnerProductDistribution:
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
     N = _size(2 * n, f"n = {n}")
-    entries = [(-1.0, 2 * n)]
+    entries = [(Fraction(-1), 2 * n)]
     if n > 1:
-        entries.append((0.0, 2 * n * (2 * n - 2)))
+        entries.append((Fraction(0), 2 * n * (2 * n - 2)))
     return InnerProductDistribution(n=n, N=N, entries=tuple(entries))
 
 
@@ -100,7 +99,7 @@ def binary_embed(weight_distribution, n_bits: int) -> InnerProductDistribution:
             raise RangeError(f"Hamming distance {d} outside [0, {n_bits}]")
         if d == 0:
             raise RangeError("distance-0 class off the diagonal means repeated points")
-        entries.append((1.0 - 2.0 * d / n_bits, int(count)))
+        entries.append((Fraction(n_bits - 2 * d, n_bits), int(count)))
         total += int(count)
     # recover N from the ordered-pair total
     N = (1 + math.isqrt(1 + 4 * total)) // 2
@@ -130,32 +129,26 @@ def kerdock(l: int) -> InnerProductDistribution:
 
 def energy(dist: InnerProductDistribution, h: Potential) -> float:
     """Ordered-pair energy sum of h over the distribution."""
-    ts = np.array([t for t, _ in dist.entries])
+    ts = np.array([float(t) for t, _ in dist.entries])
     cs = np.array([c for _, c in dist.entries], dtype=float)
     vals = h.eval(ts)
     return float(np.dot(cs, vals))
 
 
-def moment_sums(dist: InnerProductDistribution, j_max: int) -> np.ndarray:
+def moment_sums(dist: InnerProductDistribution, j_max: int) -> list[Fraction]:
     """S_j = sum over all ordered pairs (diagonal included) of P_j(<x,y>),
-    for j = 0..j_max; S_j = 0 iff the degree-j moment condition holds."""
-    ts = np.array([t for t, _ in dist.entries])
-    cs = np.array([c for _, c in dist.entries], dtype=float)
-    return dist.N + gegenbauer_table(dist.n, j_max, ts) @ cs
+    for j = 0..j_max, exactly; S_j = 0 iff the degree-j moment condition
+    holds."""
+    rows = _checked_rows(dist.n, j_max, [t for t, _ in dist.entries])
+    return [dist.N + sum(c * P[j] for (_, c), P in zip(dist.entries, rows))
+            for j in range(j_max + 1)]
 
 
 def strength(dist: InnerProductDistribution, max_tau: int) -> int:
-    """Largest tau <= max_tau with S_j ~ 0 for 1 <= j <= tau.
+    """Largest tau <= max_tau with S_j = 0 for 1 <= j <= tau.
 
     Necessary and sufficient for distance-invariant configurations; a
     necessary condition for general distributions.
     """
     s = moment_sums(dist, max_tau)
-    thresh = STRENGTH_TOL * dist.N**2
-    tau = 0
-    for j in range(1, max_tau + 1):
-        if abs(s[j]) <= thresh:
-            tau = j
-        else:
-            break
-    return tau
+    return next((j - 1 for j in range(1, max_tau + 1) if s[j]), max_tau)

@@ -1,6 +1,6 @@
 """Bounds on the inner products of designs of given (n, N, tau): the closed
-forms u and l at tau in (2, 4), the even-strength roots (xi, eta), and the
-smallest admissible inner product ell that the improved lower bound reads."""
+forms u and l at tau in (2, 4), the even-strength root xi, and the smallest
+admissible inner product ell that the improved lower bound reads."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import math
 
 from .errors import RangeError
 from .levenshtein import _admissible, _brentq, quadrature_rule
-from .orthopoly import poly_from_roots
 
 OPEN_UPPER_EPS = 1e-9
 
@@ -39,26 +38,27 @@ def l_bound(n: int, N: float, tau: int) -> float:
     return 1.0 - (2.0 / n) * (1.0 + math.sqrt((n - 1) * (N - 2) / (n + 2)))
 
 
-def even_range(n: int, N: float, k: int) -> tuple[float, float]:
-    """Smallest/largest roots (xi, eta) of f(t) = gamma_0 N f(-1), where f is
-    the squared interior-node polynomial of the even quadrature rule. A side
-    where f - gamma_0 N f(-1) has no sign change (round-off in the rule) bounds
-    nothing, and its trivial end, -1 or 1, is returned."""
+def even_xi(n: int, N: float, k: int) -> float:
+    """Smallest root xi of f(t) = gamma_0 N f(-1), f(t) the square of the
+    running product of (t - beta_i) over the even rule's interior nodes, in
+    Python floats. Where round-off in the rule leaves no sign change on
+    [-1, beta_1], xi bounds nothing and -1 is returned."""
     _admissible(n, 2 * k, N, "()")
     rule = quadrature_rule(n, 2 * k, N)
-    betas = rule.nodes[1:]  # beta_1 .. beta_k
-    f = poly_from_roots([(b, 2) for b in betas])
-    target = float(rule.weights[0] * N * f(-1.0))
-    g = lambda t: float(f(t)) - target
-    xi = _root_or(g, -1.0, betas[0], -1.0)
-    eta = _root_or(g, betas[-1], 1.0, 1.0)
-    return float(xi), float(eta)
+    betas = rule.nodes[1:].tolist()  # beta_1 .. beta_k
+
+    def f(t: float) -> float:
+        p = math.prod(t - b for b in betas)
+        return p * p  # not p ** 2, whose libm pow need not round as one multiply
+
+    target = float(rule.weights[0]) * N * f(-1.0)
+    return _root_or(lambda t: f(t) - target, -1.0, betas[0], -1.0)
 
 
 def _root_or(g, a: float, b: float, trivial: float) -> float:
     """Root of g on [a, b], or trivial when g has no sign change there."""
     try:
-        return _brentq(g, a, b, xtol=1e-15)
+        return float(_brentq(g, a, b, xtol=1e-15))
     except ValueError:  # no sign change, or a NaN value of g
         return trivial
 
@@ -74,7 +74,7 @@ def best_range(n: int, N: float, tau: int) -> float:
             pass
     if tau % 2 == 0 and tau >= 2:
         try:
-            ell = max(ell, even_range(n, N, tau // 2)[0])
+            ell = max(ell, even_xi(n, N, tau // 2))
         except RangeError:
             pass
     return ell

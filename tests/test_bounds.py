@@ -323,12 +323,13 @@ def test_strip_ordering_across_methods():
 ADMISSIBILITY_SITES = {
     "solve_cardinality": ("[]", range(1, 7), (),
                           lambda n, tau, N: levenshtein.solve_cardinality(n, tau, N)),
-    # gamma_0 N, the value innerprod.even_range reads
+    # gamma_0 N, the value innerprod.even_xi reads
     "gamma0_times_N": ("[]", (2, 4, 6), (),
                        lambda n, tau, N: levenshtein.quadrature_rule(n, tau, N).weights[0] * N),
     "u_bound": ("[]", (2, 4), (2, 4), lambda n, tau, N: innerprod.u_bound(n, N, tau)),
     "l_bound": ("[)", (2, 4), (2, 4), lambda n, tau, N: innerprod.l_bound(n, N, tau)),
-    "even_range": ("()", (2, 4, 6), (), lambda n, tau, N: innerprod.even_range(n, N, tau // 2)),
+    # xi, the lower end of the even-strength range
+    "even_range": ("()", (2, 4, 6), (), lambda n, tau, N: innerprod.even_xi(n, N, tau // 2)),
     "improved_even_lower": ("()", (2, 4, 6), (),
                             lambda n, tau, N: bounds.improved_even_lower(n, N, tau // 2, R2)),
     "lower_2design": ("[]", (2,), (), lambda n, tau, N: bounds.lower_2design(n, N, R2)),

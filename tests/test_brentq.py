@@ -44,8 +44,7 @@ def _compared(kinds):
 def test_brentq_is_scipys_on_the_cardinality_and_even_range_equations(monkeypatch):
     # every root solve_cardinality takes over n in {3, 4, 5, 8, 24, 60,
     # 200}, tau 2..60 and four N between the cardinality bounds, and the
-    # roots even_range takes at two of those N, since each of its calls
-    # builds a quadrature rule
+    # root xi that even_xi takes at each of those N
     kinds = []
     solve = _compared(kinds)
     monkeypatch.setattr(lev, "_brentq", solve)
@@ -59,9 +58,9 @@ def test_brentq_is_scipys_on_the_cardinality_and_even_range_equations(monkeypatc
                     lev.solve_cardinality(n, tau, N)
                 except RangeError:
                     pass
-                if tau % 2 == 0 and j % 2 and lo < N:
+                if tau % 2 == 0 and lo < N:
                     try:
-                        innerprod.even_range(n, N, tau // 2)
+                        innerprod.even_xi(n, N, tau // 2)
                     except (RangeError, InternalConsistencyError):
                         pass
     assert len(kinds) > 2500

@@ -89,8 +89,8 @@ def test_bound_high_dimension_midpoint(capsys, n, tau):
 
 
 def test_even_range_without_sign_change_keeps_trivial_end(capsys):
-    # round-off leaves the xi bracket of innerprod.even_range without a sign
-    # change; that side bounds nothing, so ell stays -1 and ulb stands alone
+    # round-off leaves the bracket of innerprod.even_xi without a sign
+    # change; xi bounds nothing, so ell stays -1 and ulb stands alone
     code, out, err = run(
         capsys, "bound", "--n", "60", "--N", "1.3737076437464382e+16", "--tau", "32",
         "--potential", "riesz:s=2", "--side", "lower", "--verify",
@@ -100,8 +100,8 @@ def test_even_range_without_sign_change_keeps_trivial_end(capsys):
 
 
 def test_even_range_in_unstable_zone_exits_3_not_traceback(capsys):
-    # the eta bracket has no sign change; the certificate itself is in the
-    # zone where ulb cannot be verified yet, and says so
+    # the certificate is in the zone where ulb cannot be verified yet, and
+    # says so
     code, _, err = run(
         capsys, "bound", "--n", "3", "--N", "798", "--tau", "54",
         "--potential", "gauss:c=1", "--side", "lower", "--verify",
@@ -210,13 +210,23 @@ BIG = "1" + "0" * 400
      "(a, b) = (3, BIG) too large"),
     ("code --builder kerdock --l 600 --potential log", "l = 600 too large"),
     ("code --builder kerdock --l 128 --potential log", "l = 128 too large"),
+    # bounds that are doubles, but Jacobi parameters whose squares are not
+    ("bound --n TEN200 --N 1.5e200 --tau 2 --potential log", "n = TEN200 too large"),
+    ("quadrature --n TEN160 --N 1.5e160 --tau 2", "n = TEN160 too large"),
 ])
 def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
-    code, out, err = run(capsys, *argv.replace("BIG", BIG).split())
+    code, out, err = run(capsys, *_written_out(argv).split())
     assert code == 2
     assert err.startswith("range error: ")
-    assert names.replace("BIG", BIG) in err
+    assert _written_out(names) in err
     assert out == ""
+
+
+def _written_out(text):
+    """text with BIG, TEN200 and TEN160 written out as integers."""
+    for name, value in (("BIG", BIG), ("TEN200", str(10**200)), ("TEN160", str(10**160))):
+        text = text.replace(name, value)
+    return text
 
 
 def test_sweep_past_the_doubles_gets_error_rows(capsys):
@@ -233,6 +243,15 @@ def test_largest_kerdock_code_whose_N_squared_is_a_double(capsys):
     code, out, _ = run(capsys, "code", "--builder", "kerdock", "--l", "127", "--potential", "log")
     assert code == 0
     assert json.loads(out)["N"] == 2 ** 508
+    assert json.loads(out)["strength"] == 3
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_kerdock_codes_have_strength_3(capsys, l):
+    # S_4 is exactly nonzero, though small beside N^2
+    code, out, _ = run(capsys, "code", "--builder", "kerdock", "--l", str(l), "--potential", "log")
+    assert code == 0
+    assert json.loads(out)["strength"] == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -609,3 +628,26 @@ def test_acceptance_grid_runs_every_command():
     grid = _load_acceptance_grid()
     run_first = {case[0] for cases in grid.SETS.values() for case in cases()}
     assert run_first >= set(sub.choices), sorted(set(sub.choices) - run_first)
+
+
+def test_acceptance_grid_reports_what_differs():
+    grid = _load_acceptance_grid()
+    old = {"lower": {"best_method": "ulb", "best_value": 2.0, "margin": 0.0, "n": 3}}
+    new = {"lower": {"best_method": "improved_even", "best_value": 2.0000000000000004,
+                     "margin": -0.0, "n": 3}}
+    assert grid.stdout_differences(json.dumps(old), json.dumps(new)) == [
+        "  largest relative difference 2.22e-16 at lower.best_value (2.0 -> 2.0000000000000004)",
+        "  lower.best_method: 'ulb' -> 'improved_even'",
+        "  lower.margin: 0.0 -> -0.0",
+    ]
+    # csv, paired by row and column; a row one side lacks is a non-numeric difference
+    assert grid.stdout_differences("n,v\n3,1.5\n", "n,v\n3,1.25\n4,nan\n") == [
+        "  largest relative difference 0.167 at [1][1] ('1.5' -> '1.25')",
+        "  [2]: None -> ['4', 'nan']",
+    ]
+    outputs = [("0", json.dumps(old), "", ""), ("3", json.dumps(new), "", "")]
+    records = [[grid.case_line(["bound"], o), o[1]] for o in outputs]
+    report = grid.case_report(*records)
+    assert report[:3] == [f"- {records[0][0]}", f"+ {records[1][0]}", "  differ: exit, stdout"]
+    assert report[3].startswith("  largest relative difference 2.22e-16")
+    assert grid.case_report(records[0], None)[1] == "+ (no case)"

@@ -1,6 +1,6 @@
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from designbounds import codes
@@ -10,7 +10,7 @@ from designbounds.potentials import make_riesz
 
 def test_simplex_structure():
     d = codes.simplex(3)
-    assert d.entries == ((-1.0 / 3.0, 12),)
+    assert d.entries == ((Fraction(-1, 3), 12),)
     assert codes.simplex(1).entries == ((-1.0, 2),)
 
 
@@ -79,14 +79,15 @@ def test_strengths():
     assert codes.strength(codes.simplex(4), 5) == 2
     assert codes.strength(codes.orthogonal_simplices(3, 3), 5) == 2
     assert codes.strength(codes.cross_polytope(3), 5) == 3
-    assert codes.strength(codes.kerdock(2), 5) == 3
+    for l in (2, 3, 5, 7, 12):
+        assert codes.strength(codes.kerdock(l), 6) == 3
 
 
 def test_moment_sums_vanish_up_to_strength():
     s = codes.moment_sums(codes.cross_polytope(3), 4)
-    assert np.max(np.abs(s[1:4])) < 1e-10
-    assert s[4] > 1e-6
-    assert s[0] == pytest.approx(36.0)  # N^2 for j = 0
+    assert s[1:4] == [0, 0, 0]
+    assert s[4] == 21  # 6 + 6 P_4(-1) + 24 P_4(0), P_4(0) = 3/8
+    assert s[0] == 36  # N^2 for j = 0
 
 
 def test_distribution_invariants():

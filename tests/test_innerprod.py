@@ -1,13 +1,14 @@
 import contextlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from designbounds import codes, innerprod
 from designbounds.errors import RangeError
-from designbounds.levenshtein import dgs_bound, quadrature_rule
-from designbounds.orthopoly import poly_from_roots
+from designbounds.levenshtein import _admissible, dgs_bound, quadrature_rule
 
 
 def test_u_bound_tau2():
@@ -32,30 +33,72 @@ def test_tau4_bounds_bracket_nodes():
     assert l4 < betas[0] and betas[-1] < u4
 
 
+def _even_equation(n, N, k):
+    """f and gamma_0 N f(-1), f(t) the product of (t - beta_i)^2 over the
+    interior nodes of the even rule, in Python floats; a RangeError where N
+    is not strictly between the cardinality bounds."""
+    _admissible(n, 2 * k, N, "()")
+    rule = quadrature_rule(n, 2 * k, N)
+    betas = rule.nodes[1:].tolist()
+    f = lambda t: math.prod((t - b) ** 2 for b in betas)
+    return f, float(rule.weights[0]) * N * f(-1.0), betas
+
+
+def _eta(n, N, k):
+    """The largest root eta of the even-range equation, which the paper's
+    upper end of the inner products is and the program does not compute."""
+    f, target, betas = _even_equation(n, N, k)
+    return brentq(lambda t: f(t) - target, betas[-1], 1.0, xtol=1e-15)
+
+
 def test_even_range_closed_form():
     # k=1, n=3, N=5: f(t) = (t-s)^2 with s=-1/9, gamma_0 N = 5/8
-    xi, eta = innerprod.even_range(3, 5, 1)
     s = -1.0 / 9.0
     target = math.sqrt(5.0 / 8.0) * (s + 1.0)
-    assert xi == pytest.approx(s - target, abs=1e-12)
-    assert eta == pytest.approx(s + target, abs=1e-12)
+    assert innerprod.even_xi(3, 5, 1) == pytest.approx(s - target, abs=1e-12)
+    assert _eta(3, 5, 1) == pytest.approx(s + target, abs=1e-12)
 
 
 def test_even_range_satisfies_equation():
     for (n, N, k) in [(3, 5, 1), (4, 17, 2), (5, 60, 3)]:
-        xi, eta = innerprod.even_range(n, N, k)
-        rule = quadrature_rule(n, 2 * k, N)
-        f = poly_from_roots([(b, 2) for b in rule.nodes[1:]])
-        target = rule.weights[0] * N * f(-1.0)
+        f, target, betas = _even_equation(n, N, k)
+        xi, eta = innerprod.even_xi(n, N, k), _eta(n, N, k)
         assert f(xi) == pytest.approx(target, abs=1e-10)
         assert f(eta) == pytest.approx(target, abs=1e-10)
-        assert -1.0 < xi < rule.nodes[1]
-        assert rule.nodes[-1] < eta < 1.0
+        assert -1.0 < xi < betas[0]
+        assert betas[-1] < eta < 1.0
+
+
+def _mp_xi(n, N, k):
+    """xi to 50 digits: the smallest root of the same product equation on
+    the rule's double nodes and weight, bracketed on [-1, beta_1]."""
+    rule = quadrature_rule(n, 2 * k, N)
+    with mpmath.workdps(50):
+        betas = [mpmath.mpf(b) for b in rule.nodes[1:].tolist()]
+        f = lambda t: mpmath.fprod((t - b) ** 2 for b in betas)
+        target = mpmath.mpf(float(rule.weights[0])) * N * f(mpmath.mpf(-1))
+        return float(mpmath.findroot(lambda t: f(t) - target, (-1, betas[0]),
+                                     solver="anderson"))
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 60])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 15])
+def test_even_xi_is_the_50_digit_root(n, k):
+    N = (dgs_bound(n, 2 * k) + dgs_bound(n, 2 * k + 1)) // 2
+    xi = innerprod.even_xi(n, N, k)
+    # within the finder's tolerance, xtol + rtol |xi| < 2e-15
+    assert xi == pytest.approx(_mp_xi(n, N, k), rel=0, abs=2e-15)
+
+
+@pytest.mark.parametrize("n, N, k", [(3, 689, 25), (3, 742, 26), (8, 313956, 15)])
+def test_even_xi_keeps_its_digits_in_the_zone(n, N, k):
+    # Horner on the expanded product lost up to 1.7e-3 of xi here
+    assert innerprod.even_xi(n, N, k) == pytest.approx(_mp_xi(n, N, k), rel=0, abs=2e-15)
 
 
 def test_even_range_rejects_endpoints():
     with pytest.raises(RangeError):
-        innerprod.even_range(3, 4, 1)
+        innerprod.even_xi(3, 4, 1)
 
 
 def test_best_range_tau2_lemmas_win():
@@ -70,7 +113,7 @@ def _upper_ends(n, N, tau):
         ends.append(innerprod.u_bound(n, N, tau))
     if tau % 2 == 0:
         try:
-            ends.append(innerprod.even_range(n, N, tau // 2)[1])
+            ends.append(_eta(n, N, tau // 2))
         except RangeError:  # N on an endpoint
             pass
     return ends
@@ -109,7 +152,7 @@ def _ell_max(n, N, tau):
             ends.append(innerprod.l_bound(n, N, tau))
     if tau % 2 == 0:
         with contextlib.suppress(RangeError):
-            ends.append(innerprod.even_range(n, N, tau // 2)[0])
+            ends.append(innerprod.even_xi(n, N, tau // 2))
     return max(ends)
 
 

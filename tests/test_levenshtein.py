@@ -126,7 +126,7 @@ def test_even_rule_structure():
 
 
 def _gamma0_times_N(n, k, N):
-    # the weight of t = -1 in the even rule, times N, as innerprod.even_range reads it
+    # the weight of t = -1 in the even rule, times N, as innerprod.even_xi reads it
     return lev.quadrature_rule(n, 2 * k, N).weights[0] * N
 
 

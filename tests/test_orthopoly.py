@@ -207,11 +207,11 @@ def test_expand_round_trip():
 
 
 def test_poly_arithmetic_and_roots():
-    q = op.poly_from_roots([(0.5, 2), (-1.0, 1)])
+    q = op.Poly([0.25, -0.75, 0.0, 1.0])  # (t - 0.5)^2 (t + 1)
     assert q.degree == 3
-    assert q(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert q(-1.0) == pytest.approx(0.0, abs=1e-15)
-    assert q.coeffs[-1] == pytest.approx(1.0)
+    assert q(0.5) == 0.0 and q(-1.0) == 0.0
+    assert q.deriv()(0.5) == 0.0  # a double root
+    assert q.deriv(3).coeffs == (6.0,)
 
 
 def test_poly_trims_leading_zeros():

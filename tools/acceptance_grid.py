@@ -14,7 +14,11 @@ a set when their outputs are identical.
 in two subprocesses at once, one with ``PYTHONPATH=OTHER_SRC`` and one on
 the ``src`` this script imports, prints only the cases whose lines differ
 (``-`` the other tree's line, ``+`` this tree's) and then their count, and
-exits with 1 when any case differs (2 when either run fails)::
+exits with 1 when any case differs (2 when either run fails). Under each
+differing case it names the columns that differ and, when stdout differs
+and both stdouts parse as JSON (else as CSV), the largest relative
+difference between paired numbers and the non-numeric differences, so a
+declared output change can be checked against its declaration::
 
     PYTHONPATH=src python tools/acceptance_grid.py --set all --against ../parent/src
 
@@ -54,7 +58,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (357 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (359 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -71,8 +75,10 @@ The sets:
   and integers past the largest double: ``bound``, ``quadrature``,
   ``testfn`` and ``sweep`` at n = 10^400 and tau = 3, and ``code`` with
   simplex and cross-polytope at n = 10^400, orthogonal-simplices at (3,
-  10^400) and kerdock at l = 600; and ``testfn --jmax`` 0 and -2 and
-  ``code --max-tau -1``.
+  10^400) and kerdock at l = 600; and dimensions whose Jacobi recurrence
+  overflows, ``bound --n 10^200 --N 1.5e200 --tau 2 --potential log`` and
+  ``quadrature --n 10^160 --N 1.5e160 --tau 2`` (n written out as an
+  integer); and ``testfn --jmax`` 0 and -2 and ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -86,9 +92,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +240,8 @@ def edges_cases():
     yield ["quadrature", "--n", BIG, "--N", "5", "--tau", "3"]
     yield ["testfn", "--n", BIG, "--N", "5", "--tau", "3", "--jmax", "4"]
     yield ["sweep", "--n", BIG, "--tau", "3", "--potential", "log"]
+    yield ["bound", "--n", str(10**200), "--N", "1.5e200", "--tau", "2", "--potential", "log"]
+    yield ["quadrature", "--n", str(10**160), "--N", "1.5e160", "--tau", "2"]
     for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
                               ("orthogonal-simplices", "--a", "3", "--b", BIG),
                               ("kerdock", "--l", "600")):
@@ -264,10 +275,12 @@ SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
         "edges": edges_cases, "code": code_cases}
 
 
+COLUMNS = ("case", "exit", "stdout", "stderr", "warnings")
+
+
 def run_case(argv: list[str]) -> tuple[str, str, str, str]:
-    """Exit code (or TB:<exception name>) and the SHA-1 of stdout, of
-    stderr and of the warnings emitted, one ``<category>: <message>`` line
-    each."""
+    """Exit code (or TB:<exception name>), stdout, stderr and the warnings
+    emitted, one ``<category>: <message>`` line each."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -277,19 +290,90 @@ def run_case(argv: list[str]) -> tuple[str, str, str, str]:
         except Exception as e:  # noqa: BLE001 - every escape is a finding
             code = f"TB:{type(e).__name__}"
     emitted = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), err.getvalue(), emitted
+
+
+def case_line(argv: list[str], outputs: tuple[str, str, str, str]) -> str:
+    """The case's line: argv, exit code and the SHA-1 of each output."""
     digest = lambda text: hashlib.sha1(text.encode()).hexdigest()
-    return code, digest(out.getvalue()), digest(err.getvalue()), digest(emitted)
+    code, *texts = outputs
+    return "\t".join([" ".join(argv), code, *map(digest, texts)])
+
+
+def _parsed(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return list(csv.reader(io.StringIO(text)))
+
+
+def _number(x) -> float | None:
+    """x as a float when it is a number, or a string that reads as one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    try:
+        return float(x)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _leaf_pairs(a, b, path: str = ""):
+    """(path, a leaf, b leaf) for every leaf of a and b, paired by dict key
+    and list index; a leaf that one side lacks is None there."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _leaf_pairs(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(itertools.zip_longest(a, b)):
+            yield from _leaf_pairs(x, y, f"{path}[{i}]")
+    else:
+        yield path, a, b
+
+
+def stdout_differences(old: str, new: str) -> list[str]:
+    """Report lines on two stdouts that both parse as JSON, or else as CSV:
+    the largest relative difference between paired numbers, and each
+    non-numeric difference."""
+    short = lambda x: (r if len(r := repr(x)) <= 60 else r[:57] + "...")
+    largest, where, other = 0.0, None, []
+    for path, a, b in _leaf_pairs(_parsed(old), _parsed(new)):
+        x, y = _number(a), _number(b)
+        pair = f"{short(a)} -> {short(b)}"
+        if x is None or y is None or x == y or math.isnan(x) and math.isnan(y):
+            if str(a) != str(b):  # so -0.0 and 0.0, or 1 and 1.0, differ here
+                other.append(f"  {path or '.'}: {pair}")
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        rel = math.inf if math.isnan(rel) else rel  # a NaN or an inf is the largest
+        if rel > largest:
+            largest, where = rel, f"{path} ({pair})"
+    lines = [f"  largest relative difference {largest:.3g} at {where}"] if where else []
+    return lines + other
+
+
+def case_report(old: list | None, new: list | None) -> list[str]:
+    """What compare prints for a case whose ``[line, stdout]`` records differ
+    (None where a tree has no such case): both lines, the columns that
+    differ and, when stdout does, how."""
+    lines = [f"- {old[0] if old else '(no case)'}", f"+ {new[0] if new else '(no case)'}"]
+    if old and new:
+        cols = [c for c, x, y in zip(COLUMNS, old[0].split("\t"), new[0].split("\t")) if x != y]
+        lines.append(f"  differ: {', '.join(cols)}")
+        if "stdout" in cols:
+            lines += stdout_differences(old[1], new[1])
+    return lines
 
 
 def compare(name: str, other_src: str) -> int:
     """Run the set under other_src and under this tree's src, each in its
-    own subprocess and both at once; print the cases that differ and their
-    count. 1 when any case differs, 2 when a run fails."""
+    own subprocess and both at once; print the cases that differ, what
+    differs in each, and their count. 1 when any case differs, 2 when a run
+    fails."""
     srcs = (other_src, str(Path(cli.__file__).resolve().parents[1]))
     with tempfile.TemporaryFile("w+") as old_out, tempfile.TemporaryFile("w+") as new_out:
         outs = (old_out, new_out)
-        runs = [subprocess.Popen([sys.executable, __file__, "--set", name], stdout=out, text=True,
-                                 env={**os.environ, "PYTHONPATH": src})
+        runs = [subprocess.Popen([sys.executable, __file__, "--set", name, "--outputs"],
+                                 stdout=out, text=True, env={**os.environ, "PYTHONPATH": src})
                 for src, out in zip(srcs, outs)]
         codes = [run.wait() for run in runs]
         for src, code in zip(srcs, codes):
@@ -298,14 +382,13 @@ def compare(name: str, other_src: str) -> int:
                 return 2
         for out in outs:
             out.seek(0)
-        old, new = (out.read().splitlines() for out in outs)
-    differ = 0
-    for a, b in itertools.zip_longest(old, new):
-        if a != b:
-            differ += 1
-            print(f"- {a}" if a is not None else "- (no case)")
-            print(f"+ {b}" if b is not None else "+ (no case)")
-    print(f"{differ} of {max(len(old), len(new))} cases differ")
+        differ = cases = 0
+        for a, b in itertools.zip_longest(old_out, new_out):
+            cases += 1
+            if a != b:
+                differ += 1
+                print(*case_report(*(json.loads(x) if x else None for x in (a, b))), sep="\n")
+    print(f"{differ} of {cases} cases differ")
     return 1 if differ else 0
 
 
@@ -314,12 +397,16 @@ def main(argv=None) -> int:
     p.add_argument("--set", choices=[*sorted(SETS), "all"], required=True)
     p.add_argument("--against", metavar="OTHER_SRC",
                    help="another tree's src directory; print only the cases that differ")
+    p.add_argument("--outputs", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.against:
         return compare(args.set, args.against)
     for name in SETS if args.set == "all" else [args.set]:
         for case in SETS[name]():
-            print("\t".join([" ".join(case), *run_case(case)]), flush=True)
+            outputs = run_case(case)
+            line = case_line(case, outputs)
+            # --outputs: each line with the case's stdout, for compare
+            print(json.dumps([line, outputs[1]]) if args.outputs else line, flush=True)
     return 0
 
 
