@@ -142,7 +142,7 @@ class BoundReport:
 def _lp_value(N: float, f: Poly, f0: float) -> float:
     """The LP bound N(f_0 N - f(1)) of a certificate f whose constant
     Gegenbauer coefficient is f_0."""
-    return float(N * (f0 * N - f(1.0)))
+    return float(N * (f0 * N - float(f(1.0))))
 
 
 def _rule_value(rule: QuadratureRule, h: Potential, N: float) -> float:
@@ -192,11 +192,13 @@ def _certify(
     exp = gegenbauer_expand(n, f)
     cert = Certificate(poly=f, gegenbauer=exp, lo=I[0], hi=I[1], relation=relation,
                        scheme=scheme)
+    if math.isinf(value := _lp_value(N, f, exp.coeffs[0])):
+        raise RangeError(f"the value {value} of N(N f_0 - f(1)) is past the largest double")
     sign_margin, route, coeff_margin, violations = _conditions(cert, h, tau)
     return BoundReport(
         spec=DesignSpec(n=n, tau=tau, N=N),
         side=side,
-        value=_lp_value(N, f, exp.coeffs[0]),
+        value=value,
         method=method,
         certificate=cert,
         h=h,

@@ -234,29 +234,37 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
     s = solve_cardinality(n, tau, N)
-    boundary = _at_bound(N, dgs_bound(n, tau)) or _at_bound(N, dgs_bound(n, tau + 1))
+    at_lo = _at_bound(N, dgs_bound(n, tau))
+    boundary = at_lo or _at_bound(N, dgs_bound(n, tau + 1))
     lam = (n - 3) / 2.0
+    # weights gamma_i / (1 - x_i), gamma the Christoffel numbers of (1 - t) dmu,
+    # mass 1, whose Jacobi matrix is (lam + 1, lam)'s (Golub, SIAM Review 15, 1973)
     if tau % 2 == 1:
-        # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel
+        # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel (Radau)
         xs = op.kernel_zeros(lam + 1, lam, k, s).tolist()
+        gammas = op._christoffel(*op._jacobi_recurrence(lam + 1, lam, k), xs)
         parity = "odd"
     else:
         # -1, the interior double nodes beta_1 < ... < beta_{k-1} from the
-        # (1, 1)-adjacent kernel, and beta_k = s
+        # (1, 1)-adjacent kernel, and beta_k = s (Lobatto: b_k makes -1 and s zeros of p_{k+1})
         roots = op.kernel_zeros(lam + 1, lam + 1, k, s).tolist()
         xs = [-1.0, *(x for x in roots if x != s), s]
+        a, b = op._jacobi_recurrence(lam + 1, lam, k)
+        (u0, u1), (v0, v1) = op._monic(a, b, -1.0), op._monic(a, b, s)
+        b_k = -(1 + s) * u1 * v1 / (u0 * v1 - v0 * u1)
+        if b_k > 0 and not at_lo:
+            gammas = op._christoffel(a, [*b, b_k], xs)
+        else:  # b_k is 0 at N = D(tau), up to round-off, and so is -1's weight
+            gammas = [0.0, *op._christoffel(a, b, xs[1:])]
         parity = "even"
     nodes = np.array(xs)
-    # the weights make the first len(nodes) rows exact, and every row gives
-    # an exactness residual
-    table = _node_table(n, tau, xs)
-    c = -1.0 / N
-    weights = np.linalg.solve(table[: len(xs)], np.array([1.0 + c] + [c] * (len(xs) - 1)))
+    weights = np.array([g / (1 - x) for g, x in zip(gammas, xs)])
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise InternalConsistencyError(f"nodes not strictly increasing: {nodes}")
-    wmin = weights.min()
-    if wmin <= 0 and not (boundary and wmin > -1e-12):
+    if weights.min() <= 0 and not boundary:
         raise InternalConsistencyError(f"nonpositive quadrature weight: {weights}")
+    # every row of the table gives an exactness residual
+    table = np.array(list(zip(*op._checked_rows(n, tau, xs))))
     res = 1.0 / N + table @ weights
     res[0] -= 1.0
     for a in (nodes, weights, res):
@@ -275,10 +283,3 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         boundary=boundary,
     )
 
-
-def _node_table(n: int, tau: int, xs: list[float]) -> np.ndarray:
-    """P_0..P_tau at the nodes xs, one row per degree, from one scalar
-    recurrence per node: gegenbauer_table's bits, in its C order, which the
-    weights' solve and the residuals' product need to sum in the same
-    order."""
-    return np.array(list(zip(*op._checked_rows(n, tau, xs))))

@@ -4,11 +4,11 @@ and Gegenbauer expansions.
 Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
 zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), and the zeros
 of the kernel P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) from the same matrix with
-its last diagonal entry shifted. The matrices are at most 61 x 61, so each
-solve is numpy's dense symmetric one (``_jacobi_eigh``) on the k x k matrix
-with its lower triangle filled: on a tridiagonal matrix it gives the same
-bits as LAPACK's tridiagonal dstevd, and the package needs nothing beyond
-numpy at run time. The recurrence coefficients are Python floats.
+its last diagonal entry shifted, and every weight from the Christoffel numbers
+of such a matrix. The matrices are at most 61 x 61, so each solve is numpy's
+dense symmetric one (``_jacobi_eigh``) on the k x k matrix with its lower
+triangle filled: on a tridiagonal matrix it gives the same bits as LAPACK's
+tridiagonal dstevd, and the package needs nothing beyond numpy at run time.
 Expansions are Horner's rule in the Gegenbauer basis, with no quadrature.
 bench/tracer.py wraps weight_rule and gegenbauer_derivative, their only users.
 
@@ -168,13 +168,14 @@ def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
         a.append(diff / (s * (s + 2)))
         if j > 1:
             b.append(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s + 1) * (s - 1)))
+    if not all(x > 0 for x in b[: k - 1]):  # 0 or NaN past the largest double
+        raise OverflowError("Jacobi recurrence coefficient past the doubles")
     return a, b[: k - 1]
 
 
-def _jacobi_eigh(a: list, b: list, vectors: bool = False):
+def _jacobi_eigh(a: list, b: list) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
-    diagonal a and off-diagonal sqrt(b); with vectors, also its unit
-    eigenvectors as columns. numpy's eigvalsh and eigh read the lower
+    diagonal a and off-diagonal sqrt(b). numpy's eigvalsh reads the lower
     triangle of the dense matrix, filled by flat index. A non-finite entry
     is a ValueError, raised before the solve, which would return NaNs for
     it; a solver failure is numpy's LinAlgError."""
@@ -184,11 +185,30 @@ def _jacobi_eigh(a: list, b: list, vectors: bool = False):
     m = np.zeros(k * k)
     m[:: k + 1] = a
     m[k :: k + 1] = [math.sqrt(x) for x in b]
-    m = m.reshape(k, k)
-    if vectors:
-        w, v = np.linalg.eigh(m, UPLO="L")
-        return w, v
-    return np.linalg.eigvalsh(m, UPLO="L")
+    return np.linalg.eigvalsh(m.reshape(k, k), UPLO="L")
+
+
+def _christoffel(a: list, b: list, xs):
+    """1 / sum_j q_j(x)^2 over the orthonormal q_0 = 1..q_len(b) of the
+    recurrence, for each x in xs: at an eigenvalue x of _jacobi_eigh's matrix,
+    the squared first component of its unit eigenvector (Golub and Welsch,
+    1969). a[len(b)], which a Radau shift moves, is never read."""
+    roots = [math.sqrt(x) for x in b]
+    steps = list(zip(a, roots, [0.0, *roots]))
+    for x in xs:
+        q_prev, q, total = 0.0, 1.0, 1.0
+        for aj, r, r_prev in steps:
+            q_prev, q = q, ((x - aj) * q - r_prev * q_prev) / r
+            total += q * q
+        yield 1.0 / total
+
+
+def _monic(a: list, b: list, x: float) -> tuple[float, float]:
+    """p_{k-1}(x) and p_k(x) of the monic recurrence with k = len(a)."""
+    p_prev, p = 1.0, x - a[0]
+    for j in range(1, len(a)):
+        p_prev, p = p, (x - a[j]) * p - b[j - 1] * p_prev
+    return p_prev, p
 
 
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
@@ -205,9 +225,7 @@ def kernel_zeros(alpha: float, beta: float, k: int, s: float) -> np.ndarray:
     matrix with r added to its last diagonal entry (Golub, SIAM Review 15,
     1973). t = s is always among them and is pinned exactly."""
     a, b = _jacobi_recurrence(alpha, beta, k)
-    p_prev, p = 1.0, s - a[0]
-    for j in range(1, k):
-        p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
+    p_prev, p = _monic(a, b, s)
     # at p_{k-1}(s) = 0 the shift is infinite, and the solve rejects it
     a[-1] += p / p_prev if p_prev else math.inf
     roots = _jacobi_eigh(a, b)
@@ -245,15 +263,14 @@ class WeightRule:
 def weight_rule(n: int, m: int) -> WeightRule:
     """m-point Gauss rule, exact on polynomials of degree <= 2m-1 (Golub and
     Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
-    Jacobi matrix, and the weights the squared first components of its unit
-    eigenvectors, which sum to 1."""
+    Jacobi matrix, and the weights its Christoffel numbers, which sum to 1."""
     _check_dimension(n)
     if m < 1:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
     a, b = _jacobi_recurrence(lam, lam, m)
-    nodes, vecs = _jacobi_eigh(a, b, vectors=True)
-    return WeightRule(nodes=nodes, weights=vecs[0] ** 2)
+    nodes = _jacobi_eigh(a, b)
+    return WeightRule(nodes=nodes, weights=np.fromiter(_christoffel(a, b, nodes.tolist()), float))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from designbounds import cli, jsonio
+from designbounds import cli, innerprod, jsonio
 from designbounds.bounds import BoundReport
-from designbounds.levenshtein import dgs_bound, solve_cardinality
+from designbounds.levenshtein import dgs_bound, quadrature_rule, solve_cardinality
 
 
 def run(capsys, *argv):
@@ -89,14 +89,27 @@ def test_bound_high_dimension_midpoint(capsys, n, tau):
 
 
 def test_even_range_without_sign_change_keeps_trivial_end(capsys):
-    # round-off leaves the bracket of innerprod.even_xi without a sign
-    # change; xi bounds nothing, so ell stays -1 and ulb stands alone
+    # gamma_0 N tends to 1 as N tends to D(tau + 1); one below it, round-off
+    # puts it above 1, which leaves the bracket of innerprod.even_xi without
+    # a sign change; xi bounds nothing, so ell stays -1 and ulb stands alone
+    n, tau, N = 200, 18, dgs_bound(200, 19) - 1
+    assert quadrature_rule(n, tau, N).weights[0] * N > 1
+    assert innerprod.even_xi(n, N, tau // 2) == -1.0
     code, out, err = run(
-        capsys, "bound", "--n", "60", "--N", "1.3737076437464382e+16", "--tau", "32",
+        capsys, "bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
         "--potential", "riesz:s=2", "--side", "lower", "--verify",
     )
     assert code == 0, err
     assert json.loads(out)["lower"]["best_method"] == "ulb"
+
+
+def test_gamma0_times_N_of_a_high_degree_rule_is_below_1(capsys):
+    # the Vandermonde solve the weights came from before printed 311.6 here
+    code, out, _ = run(capsys, "quadrature", "--n", "60", "--tau", "40", "--N",
+                       "4055000000000000000")
+    assert code == 0
+    rule = json.loads(out)
+    assert 0.46 < rule["weights"][0] * 4055000000000000000 < 0.47
 
 
 def test_even_range_in_unstable_zone_exits_3_not_traceback(capsys):
@@ -213,6 +226,13 @@ BIG = "1" + "0" * 400
     # bounds that are doubles, but Jacobi parameters whose squares are not
     ("bound --n TEN200 --N 1.5e200 --tau 2 --potential log", "n = TEN200 too large"),
     ("quadrature --n TEN160 --N 1.5e160 --tau 2", "n = TEN160 too large"),
+    # or whose b_j, a quotient of products past the largest double, are 0 or NaN
+    ("quadrature --n TEN100 --N 2e299 --tau 6", "n = TEN100 too large"),
+    # and bounds N^2 h past the largest double, on the chord and at the simplex
+    ("bound --n TEN200 --N 1.5e200 --tau 2 --potential log --side upper",
+     "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
+    ("bound --n TEN200 --N TEN200 --tau 2 --potential log --side upper",
+     "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
 ])
 def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
     code, out, err = run(capsys, *_written_out(argv).split())
@@ -223,8 +243,9 @@ def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
 
 
 def _written_out(text):
-    """text with BIG, TEN200 and TEN160 written out as integers."""
-    for name, value in (("BIG", BIG), ("TEN200", str(10**200)), ("TEN160", str(10**160))):
+    """text with BIG, TEN200, TEN160 and TEN100 written out as integers."""
+    for name, value in (("BIG", BIG), ("TEN200", str(10**200)), ("TEN160", str(10**160)),
+                        ("TEN100", str(10**100))):
         text = text.replace(name, value)
     return text
 

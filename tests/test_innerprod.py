@@ -90,9 +90,12 @@ def test_even_xi_is_the_50_digit_root(n, k):
     assert xi == pytest.approx(_mp_xi(n, N, k), rel=0, abs=2e-15)
 
 
-@pytest.mark.parametrize("n, N, k", [(3, 689, 25), (3, 742, 26), (8, 313956, 15)])
+@pytest.mark.parametrize("n, N, k", [(3, 689, 25), (3, 742, 26), (8, 313956, 15),
+                                     (60, 1.3737076437464382e16, 16)])
 def test_even_xi_keeps_its_digits_in_the_zone(n, N, k):
-    # Horner on the expanded product lost up to 1.7e-3 of xi here
+    # Horner on the expanded product lost up to 1.7e-3 of xi at the first
+    # three; at the last, weights from a Vandermonde solve gave gamma_0 N =
+    # 1.368 > 1, which left no root on [-1, beta_1] (Christoffel: 0.577)
     assert innerprod.even_xi(n, N, k) == pytest.approx(_mp_xi(n, N, k), rel=0, abs=2e-15)
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,24 +185,143 @@ def test_range_error_is_not_memoised(n, tau, N):
 @pytest.mark.parametrize("n", [3, 4, 24, 200])
 def test_rule_is_what_the_array_table_gives_bit_for_bit(n):
     # the rule's table is built one node at a time in Python floats; it must
-    # be gegenbauer_table's, in C order, so the solve and the product sum in
-    # the same order and the weights and residuals keep their bits
+    # be gegenbauer_table's, in C order, so the residuals' product sums in
+    # the same order and keeps its bits
     for tau in (1, 2, 3, 4, 5, 8, 9, 13):
         lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
         for N in (lo, (lo + hi) // 2, hi):
             rule = lev.quadrature_rule(n, tau, N)
-            table = lev._node_table(n, tau, rule.nodes.tolist())
-            want = op.gegenbauer_table(n, tau, rule.nodes)
-            assert table.flags.c_contiguous, (tau, N)
-            assert table.shape == want.shape and table.tobytes() == want.tobytes(), (tau, N)
-            rhs = -1.0 / N * np.ones(len(rule.nodes))
-            rhs[0] += 1.0
-            weights = np.linalg.solve(want[: len(rule.nodes)], rhs)
-            res = 1.0 / N + want @ weights
+            table = op.gegenbauer_table(n, tau, rule.nodes)
+            res = 1.0 / N + table @ rule.weights
             res[0] -= 1.0
-            assert weights.tobytes() == rule.weights.tobytes(), (tau, N)
             assert res.tobytes() == rule.exactness_residuals.tobytes(), (tau, N)
             assert np.max(np.abs(res)) <= lev.DEB_TOL
+
+
+def _mp_recurrence(alpha, beta, k):
+    """_jacobi_recurrence's a_0..a_{k-1}, b_1..b_{k-1} in mpmath."""
+    ab = alpha + beta
+    a = [(beta - alpha) / (ab + 2)]
+    b = [4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))]
+    for j in range(1, k):
+        s = 2 * j + ab
+        a.append((beta**2 - alpha**2) / (s * (s + 2)))
+        if j > 1:
+            b.append(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s + 1) * (s - 1)))
+    return a, b[: k - 1]
+
+
+def _mp_monic(a, b, k, t):
+    """p_{k-1}(t), p_k(t) and their derivatives, for the monic recurrence."""
+    p0, p1, d0, d1 = 1, t - a[0], 0, 1
+    for j in range(1, k):
+        p0, p1, d0, d1 = (p1, (t - a[j]) * p1 - b[j - 1] * p0,
+                          d1, p1 + (t - a[j]) * d1 - b[j - 1] * d0)
+    return p0, p1, d0, d1
+
+
+def _mp_newton(g, x):
+    """The zero of g (value, derivative) that Newton's method reaches from x."""
+    for _ in range(20):
+        v, d = g(x)
+        x -= v / d
+        if abs(v / d) < 1e-27:  # the next step, quadratic, would be below 1e-50
+            return x
+    raise AssertionError(f"Newton's method did not converge from {x}")
+
+
+def _mp_christoffel(a, b, xs):
+    """orthopoly._christoffel in mpmath."""
+    roots = [mpmath.sqrt(x) for x in b]
+    out = []
+    for x in xs:
+        q_prev, q, r_prev, total = 0, mpmath.mpf(1), 0, mpmath.mpf(1)
+        for aj, r in zip(a, roots):
+            q_prev, q, r_prev = q, ((x - aj) * q - r_prev * q_prev) / r, r
+            total += q * q
+        out.append(1 / total)
+    return out
+
+
+def _mp_gegenbauer(n, d, t):
+    """P_0..P_d at t, by the recurrence, in mpmath."""
+    rows = [mpmath.mpf(1), t]
+    for i in range(1, d):
+        rows.append(((2 * i + n - 2) * t * rows[-1] - i * rows[-2]) / (i + n - 2))
+    return rows
+
+
+def _mp_rule(n, tau, rule, at_lo):
+    """The rule of (n, tau) pinned at the program's s, in 50-digit mpmath:
+    nodes by Newton's method on the kernel polynomial from the program's
+    nodes, weights gamma_i / (1 - x_i) from the Gauss-Radau (odd tau) or
+    Gauss-Lobatto (even tau) Christoffel numbers of (1 - t) dmu. At N =
+    D(tau), even tau, it is the Gauss rule of (1 - t) dmu beside -1 at
+    weight 0. Returns the weights, the same weight function at the
+    program's own nodes, and the largest exactness residual on P_1..P_tau."""
+    k = (tau + 1) // 2
+    lam, s = mpmath.mpf(n - 3) / 2, mpmath.mpf(rule.s)
+    ours = [mpmath.mpf(x) for x in rule.nodes.tolist()]
+    a, b = _mp_recurrence(lam + 1, lam, k + 1 - tau % 2)
+
+    def kernel(a, b):
+        """p_k(t) p_{k-1}(s) - p_k(s) p_{k-1}(t) and its derivative."""
+        q0, q1, _, _ = _mp_monic(a, b, k, s)
+
+        def value(t):
+            p0, p1, d0, d1 = _mp_monic(a, b, k, t)
+            return p1 * q0 - q1 * p0, d1 * q0 - q1 * d0
+        return value
+
+    if tau % 2:
+        g = kernel(a, b)
+        xs = [*(_mp_newton(g, x) for x in ours[:-1]), s]
+        weights = lambda xs: _mp_christoffel(a, b, xs)
+    elif at_lo:
+        g = lambda t: _mp_monic(a, b, k, t)[1::2]  # p_k and its derivative
+        xs = [ours[0], *(_mp_newton(g, x) for x in ours[1:])]
+        weights = lambda xs: [0, *_mp_christoffel(a, b[:-1], xs[1:])]
+    else:
+        g = kernel(*_mp_recurrence(lam + 1, lam + 1, k))
+        xs = [ours[0], *(_mp_newton(g, x) for x in ours[1:-1]), s]
+        u0, u1, _, _ = _mp_monic(a, b, k, xs[0])
+        v0, v1, _, _ = _mp_monic(a, b, k, s)
+        b[-1] = -(1 + s) * u1 * v1 / (u0 * v1 - v0 * u1)
+        weights = lambda xs: _mp_christoffel(a, b, xs)
+    w, w_ours = ([g / (1 - x) for g, x in zip(weights(x), x)] for x in (xs, ours))
+    c = 1 - mpmath.fsum(w)  # the weight of t = 1
+    rows = [_mp_gegenbauer(n, tau, x) for x in (mpmath.mpf(1), *xs)]
+    residual = max(abs(c * rows[0][j] + mpmath.fsum(wi * r[j] for wi, r in zip(w, rows[1:])))
+                   for j in range(1, tau + 1))
+    return w, w_ours, residual
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 60, 1000])
+def test_weights_are_a_50_digit_rules(n):
+    # the Vandermonde solve the weights came from before was off by up to 2e3
+    # relative at n = 60; Christoffel numbers in doubles are within 1e-12 of
+    # the 50-digit weight function at the same nodes, and what the nodes'
+    # own error (up to 6e-15, at n = 3) moves that function by is theirs
+    built = 0
+    with mpmath.workdps(50):
+        for tau in (2, 3, 9, 10, 24, 33, 40, 51, 59, 60):
+            lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+            for N in (lo, lo + 0.37 * (hi - lo), (lo + hi) // 2, hi - 1):
+                try:
+                    rule = lev.quadrature_rule(n, tau, N)
+                except RangeError:  # no sign change in solve_cardinality's bracket
+                    continue
+                built += 1
+                at_lo = tau % 2 == 0 and N == lo
+                w, w_ours, residual = _mp_rule(n, tau, rule, at_lo)
+                assert residual < 1e-40, (tau, N)
+                for got, want, moved in zip(rule.weights.tolist(), w, w_ours):
+                    assert abs(got - want) <= 1e-12 * want + abs(moved - want), (tau, N)
+                if tau % 2 == 0:
+                    # gamma_0 N is 1 at N = D(tau + 1), which hi - 1 is as a double past 2^53
+                    assert 0 <= rule.weights[0] * N <= 1 + 1e-12, (tau, N)
+                    assert bool(rule.weights[0] == 0) is at_lo, (tau, N)
+    assert built >= 38, built
 
 
 def _degree_warning(d):

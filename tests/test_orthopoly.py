@@ -404,16 +404,17 @@ def test_kernel_zeros_are_the_shifted_scipy_solve_bit_for_bit(alpha, beta):
 
 
 @pytest.mark.parametrize("n", [3, 4, 24, 200])
-def test_weight_rule_is_scipys_eigenvectors_bit_for_bit(n):
+def test_weight_rule_is_scipys_golub_welsch_rule(n):
+    # the nodes are scipy's eigenvalues to the bit; the weights, Christoffel
+    # numbers from the recurrence, are the squared first components of
+    # scipy's unit eigenvectors to 1e-14, the eigenvectors' own accuracy
     lam = (n - 3) / 2.0
     for m in _KS:
         a, b = _numpy_recurrence(lam, lam, m)
-        nodes, vecs = eigh_tridiagonal(a, np.sqrt(b))
+        _, vecs = eigh_tridiagonal(a, np.sqrt(b))
         rule = op.weight_rule(n, m)
-        assert _same_bits(rule.nodes, nodes) and _same_bits(rule.weights, vecs[0] ** 2), m
-        fa, fb = op._jacobi_recurrence(lam, lam, m)
-        got_nodes, got_vecs = op._jacobi_eigh(fa, fb, vectors=True)
-        assert _same_bits(got_nodes, nodes) and _same_bits(got_vecs, vecs), m
+        assert _same_bits(rule.nodes, eigvalsh_tridiagonal(a, np.sqrt(b))), m
+        assert np.max(np.abs(rule.weights - vecs[0] ** 2)) <= 1e-14, m
 
 
 @pytest.mark.parametrize(
@@ -424,9 +425,8 @@ def test_weight_rule_is_scipys_eigenvectors_bit_for_bit(n):
 def test_non_finite_matrix_is_scipys_value_error(a, b):
     with pytest.raises(ValueError) as want:
         eigvalsh_tridiagonal(a, np.sqrt(b))
-    for vectors in (False, True):
-        with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            op._jacobi_eigh(a, b, vectors=vectors)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        op._jacobi_eigh(a, b)
 
 
 def test_kernel_at_a_zero_of_p_k_minus_1_is_the_same_value_error():
@@ -439,7 +439,7 @@ def test_kernel_at_a_zero_of_p_k_minus_1_is_the_same_value_error():
 class _NonConvergingSolver:
     """numpy's eigen-solver gufuncs, failing as a LAPACK solve that does not
     converge fails: NaN results and the floating-point invalid flag, which
-    numpy's eigvalsh and eigh turn into LinAlgError."""
+    numpy's eigvalsh turns into LinAlgError."""
 
     def __init__(self, real):
         self._real = real
@@ -449,8 +449,7 @@ class _NonConvergingSolver:
 
         def failing(*args, **kwargs):
             out = gufunc(*args, **kwargs)
-            for arr in out if isinstance(out, tuple) else (out,):
-                arr[...] = np.nan
+            out[...] = np.nan
             np.sqrt(-np.ones(1))  # sets the invalid flag
             return out
 

@@ -9,7 +9,7 @@ emits, under the "always" filter so that a repeat is not hidden, as its
 category name and message in the order emitted; file and line are left
 out, since they move with every edit. Two trees give the same answers on
 a set when their outputs are identical.
-``--set all`` runs the eight sets in turn, in the order listed below.
+``--set all`` runs the nine sets in turn, in the order listed below.
 ``--against OTHER_SRC`` compares two trees in one command: it runs the set
 in two subprocesses at once, one with ``PYTHONPATH=OTHER_SRC`` and one on
 the ``src`` this script imports, prints only the cases whose lines differ
@@ -58,7 +58,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (359 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (362 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
   lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -78,12 +78,18 @@ The sets:
   10^400) and kerdock at l = 600; and dimensions whose Jacobi recurrence
   overflows, ``bound --n 10^200 --N 1.5e200 --tau 2 --potential log`` and
   ``quadrature --n 10^160 --N 1.5e160 --tau 2`` (n written out as an
-  integer); and ``testfn --jmax`` 0 and -2 and ``code --max-tau -1``.
+  integer), and whose bound N^2 h overflows, the same ``bound`` with
+  ``--side upper`` and with ``--N 10^200 --side upper``, and whose b_j
+  underflow, ``quadrature --n 10^100 --N 2e299 --tau 6``; and ``testfn
+  --jmax`` 0 and -2 and ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
   the three potentials and poly:1,0,2 and poly:0,-1, and ``--max-tau`` 0
   and 6; plus each builder once without the option it needs.
+- ``large`` (810 cases): ``bound --side lower --verify`` over n in {400,
+  1000, 3000, 10^4, 3*10^4, 10^5}, tau 2..10, N = lo + q (hi-lo)//4 for q
+  from 0 to 4 (lo, the three quarters and hi) and the three potentials.
 
 Here lo = D(n, tau) and hi = D(n, tau + 1) are the cardinality bounds.
 """
@@ -242,6 +248,10 @@ def edges_cases():
     yield ["sweep", "--n", BIG, "--tau", "3", "--potential", "log"]
     yield ["bound", "--n", str(10**200), "--N", "1.5e200", "--tau", "2", "--potential", "log"]
     yield ["quadrature", "--n", str(10**160), "--N", "1.5e160", "--tau", "2"]
+    for N in ("1.5e200", str(10**200)):
+        yield ["bound", "--n", str(10**200), "--N", N, "--tau", "2", "--potential", "log",
+               "--side", "upper"]
+    yield ["quadrature", "--n", str(10**100), "--N", "2e299", "--tau", "6"]
     for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
                               ("orthogonal-simplices", "--a", "3", "--b", BIG),
                               ("kerdock", "--l", "600")):
@@ -270,9 +280,19 @@ def code_cases():
         yield ["code", "--builder", builder, "--potential", "log"]
 
 
+def large_cases():
+    for n in (400, 1000, 3000, 10**4, 3 * 10**4, 10**5):
+        for tau in range(2, 11):
+            lo, hi = _bounds(n, tau)
+            for N in (lo + q * (hi - lo) // 4 for q in range(5)):
+                for pot in POTENTIALS:
+                    yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
+                           "--potential", pot, "--side", "lower", "--verify"]
+
+
 SETS = {"grid": grid_cases, "zone": zone_cases, "strip": strip_cases,
         "sweep": sweep_cases, "rules": rules_cases, "cubic": cubic_cases,
-        "edges": edges_cases, "code": code_cases}
+        "edges": edges_cases, "code": code_cases, "large": large_cases}
 
 
 COLUMNS = ("case", "exit", "stdout", "stderr", "warnings")

@@ -16,11 +16,14 @@ and the summary covers them all.
 
 For each end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles, the change's median over the parent's, the
-number of pairs the change wins (ties count for neither), and two
+number of pairs the change wins (ties count for neither), and three
 verdicts: ``gain_shown``, when the change wins at least nine tenths of the
 pairs and its median is better by more than the parent's interquartile
-range; and ``worse_beyond_bound``, when its median is worse than the
-parent's by more than the metric's bound.
+range; ``worse_beyond_bound``, when its median is worse than the parent's
+by more than the metric's bound; and ``unresolved``, when the parent's
+interquartile range exceeds the bound relative to its median, so that the
+runs spread too widely to tell a move within the bound from noise, unless
+every change run is better than every parent run.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: both sides' quartiles, the ratio of medians, the pairs
-    won and the two verdicts."""
+    won and the three verdicts."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -76,14 +79,17 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         gain = sign * (change - parent)
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+        every_run_better = min(sign * c for c in values["change"]) > max(
+            sign * p for p in values["parent"])
         out[name] = {
             **stats,
             "ratio": change / parent if parent else None,
             "change_wins": wins,
             "pairs": len(pairs),
-            "gain_shown": wins >= 0.9 * len(pairs)
-            and gain > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "gain_shown": wins >= 0.9 * len(pairs) and gain > spread,
             "worse_beyond_bound": -gain > metric["bound"] * abs(parent),
+            "unresolved": spread > metric["bound"] * abs(parent) and not every_run_better,
         }
     return out
 
