@@ -37,11 +37,17 @@ from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, remainder_bound, verify_one_sided
 from .innerprod import OPEN_UPPER_EPS
-from .levenshtein import DEB_TOL, DesignSpec, QuadratureRule, _admissible, quadrature_rule
+from .levenshtein import (DEB_TOL, DesignSpec, QuadratureRule, _admissible, _at_bound,
+                          quadrature_rule)
 from .orthopoly import GegExpansion, Poly, gegenbauer_expand, gegenbauer_table
 from .potentials import Potential, parse_potential
 
 A1_GRID = 20_001
+# u within this of the rule's largest node s counts as s, and strip_odd merges
+# -1 or u with a node this close: s is within solve_cardinality's xtol 1e-15 +
+# rtol 8.9e-16 |s| of its root, and eigvalsh's nodes at the interval ends are
+# within 6e-15 of theirs. It stays until ROADMAP item 3's decimal table.
+_NODE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,10 @@ def _lp_value(N: float, f: Poly, f0: float) -> float:
 
 def _rule_value(rule: QuadratureRule, h: Potential, N: float) -> float:
     """N^2 sum_i w_i h(node_i): the quadrature rule applied to h."""
-    return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+    try:
+        return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
+    except OverflowError:  # an int N whose square is past the largest double
+        raise RangeError(f"N^2 is past the largest double at N = {N}") from None
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -261,7 +270,7 @@ def improved_even_lower(
     _admissible(n, tau, N, "()")
     if ell is None:
         ell = innerprod.best_range(n, N, tau)
-    if ell <= -1.0 + 1e-12:
+    if ell == -1.0:
         report = ulb(n, N, tau, h)
         report.notes.append("ell = -1 degenerates to the universal lower bound")
         return report
@@ -277,56 +286,34 @@ def improved_even_lower(
     return report
 
 
-def a0_lower_quadratic(n: int, N: float, kappa: float) -> float:
-    """Optimal tangency point for the degree-2 lower-bound interpolant with
-    intersection at kappa."""
-    num = n * (1.0 - kappa) - N
-    den = n * (1.0 - kappa) + kappa * N * n
-    if abs(den) < 1e-14:
-        if abs(num) < 1e-14:
-            # N = n+1 with the default kappa: the 0/0 limit is 0
-            return 0.0
-        raise RangeError(f"tangency point undefined for kappa = {kappa}")
-    return num / den
-
-
-def lower_2design(n: int, N: float, h: Potential, kappa: float | None = None) -> BoundReport:
-    """Closed-form lower bound for 2-designs via a quadratic certificate."""
+def lower_2design(n: int, N: float, h: Potential) -> BoundReport:
+    """Closed-form lower bound for 2-designs: the quadratic through h at the
+    smallest inner product kappa = 1 - N/n, tangent to h at 0."""
     _admissible(n, 2, N)
-    default = kappa is None
-    if default:
-        kappa = 1.0 - N / n
-    a0 = a0_lower_quadratic(n, N, kappa)
-    if not (kappa < a0 < 1.0):
-        raise RangeError(f"tangency point a0 = {a0} not inside ({kappa}, 1)")
-    scheme = HermiteScheme([(kappa, 1), (a0, 2)])
-    f = interpolate(scheme, h)
-    report = _certify(
-        f, n, 2, (kappa, 1.0 - OPEN_UPPER_EPS), h, N, side="lower", method="lower_2design",
-        scheme=scheme,
-    )
-    if default:
-        closed = N * (h.eval(0.0) * N * (N - n - 1) + n * h.eval(1.0 - N / n)) / (N - n)
-        _pin_value(report, closed, "closed-form")
-    report.margins["kappa"] = kappa
-    report.margins["a0"] = a0
+    kappa = 1.0 - N / n
+    scheme = HermiteScheme([(kappa, 1), (0.0, 2)])
+    report = _certify(interpolate(scheme, h), n, 2, (kappa, 1.0 - OPEN_UPPER_EPS), h, N,
+                      side="lower", method="lower_2design", scheme=scheme)
+    closed = N * (h.eval(0.0) * N * (N - n - 1) + n * h.eval(kappa)) / (N - n)
+    _pin_value(report, closed, "closed-form")
+    report.margins.update(kappa=kappa, a0=0.0)
     return report
 
 
 def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     """Chord upper bound for 2-designs over the admissible inner-product
-    range; collapses to the simplex/Mimura energy when the range is a point."""
+    range [ell, u]; the simplex energy at N = D(n, 2) = n + 1."""
     ell = innerprod.l_bound(n, N, 2)
     u = innerprod.u_bound(n, N, 2)
-    if abs(u - ell) < 1e-12:
+    if _at_bound(N, n + 1):
         c = -1.0 / (N - 1)
         g = Poly([float(h.eval(c))])
         report = _certify(g, n, 2, (c, c), h, N, side="upper", method="upper_2design",
                           scheme=HermiteScheme([(c, 1)]))
-        # chord limit of the strip formula; the collapsed value is the exact
-        # energy N(N-1) h(-1/(N-1))
         report.notes.append("range collapsed to a point; bound equals the exact energy")
         return report
+    if not ell < u:
+        raise RangeError(f"the range [{ell}, {u}] is a point in doubles, but N = {N} is not n + 1")
     hl, hu = float(h.eval(ell)), float(h.eval(u))
     slope = (hu - hl) / (u - ell)
     g = Poly([hl - slope * ell, slope])
@@ -343,6 +330,11 @@ def upper_2design(n: int, N: float, h: Potential) -> BoundReport:
     report.margins["ell"] = ell
     report.margins["u"] = u
     return report
+
+
+def _at_least_largest_node(u: float, s: float) -> None:
+    if u < s - _NODE_SLACK:  # no N-point code has a smaller one (Levenshtein's bound)
+        raise RangeError(f"u = {u} must be at least the largest node {s}")
 
 
 def a0_upper_cubic(n: int, N: float, ell: float, u: float) -> float:
@@ -373,9 +365,7 @@ def upper_cubic(
         ell, u = -1.0, float(u_override)
     if not ell < u < 1.0:
         raise RangeError(f"u = {u} must lie strictly between ell = {ell} and 1")
-    s = quadrature_rule(n, tau, N).s
-    if u < s - 1e-12:
-        raise RangeError(f"u = {u} must be at least the largest node {s}")
+    _at_least_largest_node(u, quadrature_rule(n, tau, N).s)
 
     a0 = a0_upper_cubic(n, N, ell, u)
     if not ell < a0 < u:
@@ -402,8 +392,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
     alphas = rule.nodes
     if not u < 1.0:
         raise RangeError(f"u must be < 1, got {u}")
-    if u < alphas[-1] - 1e-12:
-        raise RangeError(f"u = {u} must be at least the largest node {alphas[-1]}")
+    _at_least_largest_node(u, alphas[-1])
     ulb_val = _rule_value(rule, h, N)
 
     best = None
@@ -415,7 +404,7 @@ def strip_odd(n: int, N: float, tau: int, h: Potential, u: float) -> BoundReport
             if i != j:
                 mults[float(a)] = 2
         for t in (-1.0, float(u)):
-            if not any(abs(t - x) < 1e-12 for x in mults):
+            if not any(abs(t - x) < _NODE_SLACK for x in mults):
                 mults[t] = 1
         try:
             scheme = HermiteScheme(sorted(mults.items()))

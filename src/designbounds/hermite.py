@@ -27,6 +27,9 @@ from .errors import RangeError
 from .orthopoly import Poly
 from .potentials import UNIT_ROUNDOFF, Potential
 
+# nodes closer than this are refused: a divided difference over a gap d
+# carries the round-off of h's values divided by d, about 1e-16 |h| / d, so
+# 1e-6 |h| already at this gap. It stays until ROADMAP item 3's decimal table.
 _MIN_NODE_GAP = 1e-10
 
 

@@ -9,6 +9,9 @@ import math
 from .errors import RangeError
 from .levenshtein import _admissible, _brentq, quadrature_rule
 
+# lower bounds are checked on [ell, 1 - OPEN_UPPER_EPS]: it covers no round-off
+# but keeps the grid and the remainder bound off t = 1, where riesz and log are
+# infinite. It stays until ROADMAP item 3's decimal table.
 OPEN_UPPER_EPS = 1e-9
 
 

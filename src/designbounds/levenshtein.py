@@ -62,14 +62,15 @@ def lev_bound_m(n: int, m: int, s: float) -> float:
     k = (m + 1) // 2
     (P,) = op._checked_rows(n, k + 1 - m % 2, (s,))
     if m % 2 == 1:
-        Pk, Pk1 = P[k], P[k - 1]
-        return math.comb(k + n - 3, k - 1) * (
-            (2 * k + n - 3) / (n - 1) - (Pk1 - Pk) / ((1 - s) * Pk)
-        )
-    Pk, Pk1 = P[k], P[k + 1]
-    return math.comb(k + n - 2, k) * (
-        (2 * k + n - 1) / (n - 1) - (1 + s) * (Pk - Pk1) / ((1 - s) * (Pk + Pk1))
-    )
+        c, d = math.comb(k + n - 3, k - 1), (2 * k + n - 3) / (n - 1)
+        num, den = P[k - 1] - P[k], (1 - s) * P[k]
+    else:
+        c, d = math.comb(k + n - 2, k), (2 * k + n - 1) / (n - 1)
+        num, den = (1 + s) * (P[k] - P[k + 1]), (1 - s) * (P[k] + P[k + 1])
+    if den == 0:
+        raise RangeError(f"L_{m}(n={n}, s) divides by 0 at s = {s}: round-off puts s on a"
+                         " zero of its denominator")
+    return c * (d - num / den)
 
 
 def solve_cardinality(n: int, tau: int, N: float) -> float:
@@ -237,17 +238,20 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     at_lo = _at_bound(N, dgs_bound(n, tau))
     boundary = at_lo or _at_bound(N, dgs_bound(n, tau + 1))
     lam = (n - 3) / 2.0
+    try:  # the (1, 0)-adjacent kernel at odd tau, the (1, 1)-adjacent one at even tau
+        roots = op.kernel_zeros(lam + 1, lam if tau % 2 else lam + 1, k, s).tolist()
+    except ValueError:  # p_{k-1}(s) is 0 in doubles, and the shift infinite
+        raise RangeError(f"the kernel at s = {s} has an infinite shift for (n={n}, tau={tau}):"
+                         " p_(k-1)(s) rounds to 0") from None
     # weights gamma_i / (1 - x_i), gamma the Christoffel numbers of (1 - t) dmu,
     # mass 1, whose Jacobi matrix is (lam + 1, lam)'s (Golub, SIAM Review 15, 1973)
     if tau % 2 == 1:
-        # alpha_0 < ... < alpha_{k-1} = s, from the (1, 0)-adjacent kernel (Radau)
-        xs = op.kernel_zeros(lam + 1, lam, k, s).tolist()
+        xs = roots  # alpha_0 < ... < alpha_{k-1} = s (Radau)
         gammas = op._christoffel(*op._jacobi_recurrence(lam + 1, lam, k), xs)
         parity = "odd"
     else:
-        # -1, the interior double nodes beta_1 < ... < beta_{k-1} from the
-        # (1, 1)-adjacent kernel, and beta_k = s (Lobatto: b_k makes -1 and s zeros of p_{k+1})
-        roots = op.kernel_zeros(lam + 1, lam + 1, k, s).tolist()
+        # -1, the interior double nodes beta_1 < ... < beta_{k-1} and beta_k = s
+        # (Lobatto: b_k makes -1 and s zeros of p_{k+1})
         xs = [-1.0, *(x for x in roots if x != s), s]
         a, b = op._jacobi_recurrence(lam + 1, lam, k)
         (u0, u1), (v0, v1) = op._monic(a, b, -1.0), op._monic(a, b, s)

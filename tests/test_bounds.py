@@ -130,14 +130,26 @@ def test_lower_2design_values():
         bounds.lower_2design(3, 7, R2)
 
 
-def test_lower_2design_custom_kappa():
-    # looser intersection points (below the admissible minimum 1 - N/n)
-    # give valid but weaker bounds
-    default = bounds.lower_2design(3, 5, R2)
-    for kappa in (-0.8, -0.95):
-        rep = bounds.lower_2design(3, 5, R2, kappa=kappa)
-        assert rep.accepted
-        assert rep.value <= default.value + 1e-9
+@pytest.mark.parametrize("spec", ["log", "riesz:s=1", "gauss:c=1"])
+def test_lower_2design_at_the_simplex_is_the_simplex_energy(spec):
+    # tangent at 0 in closed form, so no dimension is left out
+    h = parse_potential(spec)
+    for n in range(2, 201):
+        rep = bounds.lower_2design(n, n + 1, h)
+        assert rep.accepted and rep.margins["a0"] == 0.0, n
+        assert rep.value == (n + 1) * (n * float(h.eval(1.0 - (n + 1) / n))), n
+        assert rep.value == pytest.approx(n * (n + 1) * float(h.eval(-1.0 / n)), rel=1e-13), n
+
+
+def test_upper_2design_collapses_only_at_the_simplex():
+    n = 10**13
+    rep = bounds.upper_2design(n, n + 2, R2)
+    assert rep.accepted and not any("collapsed" in note for note in rep.notes)
+    assert rep.certificate.lo < rep.certificate.hi
+    # past 2^53 the range can be one double away from the simplex
+    n = 3 * 10**16
+    with pytest.raises(RangeError, match=f"is a point in doubles, but N = {n + 3} is not n"):
+        bounds.upper_2design(n, n + 3, R2)
 
 
 def test_upper_2design_values():

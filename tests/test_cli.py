@@ -233,6 +233,11 @@ BIG = "1" + "0" * 400
      "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
     ("bound --n TEN200 --N TEN200 --tau 2 --potential log --side upper",
      "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
+    # a kernel shift or an L_tau quotient that divides by a 0 from round-off
+    ("quadrature --n TEN20 --tau 3 --N 200000000000000000000",
+     "the kernel at s = 0.0 has an infinite shift for (n=TEN20, tau=3): p_(k-1)(s) rounds to 0"),
+    ("quadrature --n TEN20 --tau 3 --N 166666666666666666685000000000000",
+     "L_3(n=TEN20, s) divides by 0 at s = 1e-10"),
 ])
 def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
     code, out, err = run(capsys, *_written_out(argv).split())
@@ -243,9 +248,9 @@ def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
 
 
 def _written_out(text):
-    """text with BIG, TEN200, TEN160 and TEN100 written out as integers."""
+    """text with BIG, TEN200, TEN160, TEN100 and TEN20 written out as integers."""
     for name, value in (("BIG", BIG), ("TEN200", str(10**200)), ("TEN160", str(10**160)),
-                        ("TEN100", str(10**100))):
+                        ("TEN100", str(10**100)), ("TEN20", str(10**20))):
         text = text.replace(name, value)
     return text
 
@@ -258,6 +263,16 @@ def test_sweep_past_the_doubles_gets_error_rows(capsys):
     assert [row["tau"] for row in rows] == [1, 1, 1, 3, 3, 3]
     for row in rows:
         assert f"is past the doubles for (n={BIG}, tau={row['tau']})" in row["error"]
+
+
+def test_sweep_point_whose_N_squared_is_past_the_doubles_gets_an_error_row(capsys):
+    # a sweep's N is an int, and N * N does not overflow to inf as a float does
+    N = 10**158
+    code, out, _ = run(capsys, "sweep", "--n", str(10**13), "--tau", "25", "--N", str(N),
+                       "--potential", "log", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["error"] == f"N^2 is past the largest double at N = {N}"
 
 
 def test_largest_kerdock_code_whose_N_squared_is_a_double(capsys):

@@ -58,30 +58,41 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (362 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (422 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
-  (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo - 1,
-  lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
+  (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo -
+  1, lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
   ``quadrature`` and ``testfn --jmax tau+3`` at the same points; ``bound
-  --potential log --side upper|strip --u u`` over n in {3, 9}, tau in {3, 4},
-  N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1, s, s - 1e-9}, with s the
-  rule's largest node (passed as ``repr(u)``); and ``bound`` with the
-  potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7, riesz:s=1,s=3,
-  log:offset=0.6931471805599453 and log:offset=1; and ``bound --side
-  strip`` at (3, 5, 2) with the polynomial potentials poly:1,0,2 and
-  poly:0,-1, whose printed spec is in the report; and ``bound --side
-  upper`` just above the simplex, at tau = 2, n in {3, 8} and N = lo +
-  1e-10 and lo + 1e-8 (passed as ``repr(N)``), with the three potentials;
-  and integers past the largest double: ``bound``, ``quadrature``,
-  ``testfn`` and ``sweep`` at n = 10^400 and tau = 3, and ``code`` with
-  simplex and cross-polytope at n = 10^400, orthogonal-simplices at (3,
-  10^400) and kerdock at l = 600; and dimensions whose Jacobi recurrence
-  overflows, ``bound --n 10^200 --N 1.5e200 --tau 2 --potential log`` and
-  ``quadrature --n 10^160 --N 1.5e160 --tau 2`` (n written out as an
-  integer), and whose bound N^2 h overflows, the same ``bound`` with
-  ``--side upper`` and with ``--N 10^200 --side upper``, and whose b_j
-  underflow, ``quadrature --n 10^100 --N 2e299 --tau 6``; and ``testfn
-  --jmax`` 0 and -2 and ``code --max-tau -1``.
+  --potential log --side upper|strip --u u`` over n in {3, 9}, tau in {3,
+  4}, N in {lo, (lo+hi)//2} and u in {-1, -0.6, 1, s, s - 1e-9, s - 1e-11,
+  s - 1e-13}, with s the rule's largest node (passed as ``repr(u)``), on
+  both sides of the 1e-12 by which u may fall short of s; and ``bound``
+  with the potential specs riesz:s=2,c=1, gauss:c=1,d=2, log:c=7,
+  riesz:s=1,s=3, log:offset=0.6931471805599453 and log:offset=1; and
+  ``bound --side strip`` at (3, 5, 2) with the polynomial potentials
+  poly:1,0,2 and poly:0,-1, whose printed spec is in the report; and
+  ``bound --side upper`` just above the simplex, at tau = 2, n in {3, 8}
+  and N = lo + 1e-10 and lo + 1e-8 (passed as ``repr(N)``), with the three
+  potentials; and ``bound --tau 2 --side lower`` at the simplex, N = n + 1,
+  for n in {25, 26, 200}, and ``bound --tau 2 --side upper`` at N = n + 2
+  for n in {10^12, 10^13} and at N = n + 3 for n = 3*10^16, where l and u
+  are adjacent doubles, with the three potentials; and ``bound --potential log
+  --side lower`` at N = hi - 1 and hi for (n, tau) in {(1000, 10),
+  (2*10^12, 2)}, where ell is within 1e-12 of -1 and is -1, and at (8, 60,
+  4) with ``--l`` in {-1, -1 + 1e-13, -1 + 1e-11}; and integers past the
+  largest double: ``bound``, ``quadrature``, ``testfn`` and ``sweep`` at n
+  = 10^400 and tau = 3, and ``code`` with simplex and cross-polytope at n =
+  10^400, orthogonal-simplices at (3, 10^400) and kerdock at l = 600; and
+  dimensions whose Jacobi recurrence overflows, ``bound --n 10^200 --N
+  1.5e200 --tau 2 --potential log`` and ``quadrature --n 10^160 --N 1.5e160
+  --tau 2`` (n written out as an integer), and whose bound N^2 h overflows,
+  the same ``bound`` with ``--side upper`` and with ``--N 10^200 --side
+  upper``, and whose b_j underflow, ``quadrature --n 10^100 --N 2e299 --tau
+  6``, and ``quadrature --n 10^20 --tau 3`` at N = 2*10^20, where the
+  kernel's shift divides by a p_(k-1)(s) that rounds to 0, and at N =
+  166666666666666666685000000000000, where L_3's denominator does, and
+  ``sweep --n 10^13 --tau 25 --N 10^158``, whose integer N squares past the
+  largest double; and ``testfn --jmax`` 0 and -2 and ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -228,7 +239,8 @@ def edges_cases():
             lo, hi = _bounds(n, tau)
             for N in (lo, (lo + hi) // 2):
                 s = levenshtein.solve_cardinality(n, tau, N)
-                for u in ("-1", "-0.6", "1", repr(s), repr(s - 1e-9)):
+                below = (repr(s - d) for d in (1e-9, 1e-11, 1e-13))
+                for u in ("-1", "-0.6", "1", repr(s), *below):
                     for side in ("upper", "strip"):
                         yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau),
                                "--potential", "log", "--side", side, "--u", u]
@@ -242,6 +254,22 @@ def edges_cases():
             for pot in POTENTIALS:
                 yield ["bound", "--n", str(n), "--N", N, "--tau", "2", "--potential", pot,
                        "--side", "upper"]
+    for n in (25, 26, 200):
+        for pot in POTENTIALS:
+            yield ["bound", "--n", str(n), "--N", str(n + 1), "--tau", "2", "--potential", pot,
+                   "--side", "lower"]
+    for n, N in ((10**12, 10**12 + 2), (10**13, 10**13 + 2), (3 * 10**16, 3 * 10**16 + 3)):
+        for pot in POTENTIALS:
+            yield ["bound", "--n", str(n), "--N", str(N), "--tau", "2", "--potential", pot,
+                   "--side", "upper"]
+    for n, tau in ((1000, 10), (2 * 10**12, 2)):
+        hi = levenshtein.dgs_bound(n, tau + 1)
+        for N in (hi - 1, hi):
+            yield ["bound", "--n", str(n), "--N", str(N), "--tau", str(tau), "--potential", "log",
+                   "--side", "lower"]
+    for ell in ("-1", repr(-1 + 1e-13), repr(-1 + 1e-11)):
+        yield ["bound", "--n", "8", "--N", "60", "--tau", "4", "--potential", "log",
+               "--side", "lower", "--l", ell]
     yield ["bound", "--n", BIG, "--N", "5", "--tau", "3", "--potential", "log"]
     yield ["quadrature", "--n", BIG, "--N", "5", "--tau", "3"]
     yield ["testfn", "--n", BIG, "--N", "5", "--tau", "3", "--jmax", "4"]
@@ -252,6 +280,9 @@ def edges_cases():
         yield ["bound", "--n", str(10**200), "--N", N, "--tau", "2", "--potential", "log",
                "--side", "upper"]
     yield ["quadrature", "--n", str(10**100), "--N", "2e299", "--tau", "6"]
+    for N in (2 * 10**20, 166666666666666666685000000000000):
+        yield ["quadrature", "--n", str(10**20), "--N", str(N), "--tau", "3"]
+    yield ["sweep", "--n", str(10**13), "--tau", "25", "--N", str(10**158), "--potential", "log"]
     for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
                               ("orthogonal-simplices", "--a", "3", "--b", BIG),
                               ("kerdock", "--l", "600")):
