@@ -9,7 +9,7 @@ A sweep prints every row, and a point that fails gets an error row; the sweep
 exits 3 if any point failed internally, and 0 otherwise.
 ``sweep --jobs J`` deals the sweep's (n, tau) groups round-robin over
 min(J, usable CPUs, groups) processes, this one and forked children, and
-prints the same bytes, with the same exit code, as ``--jobs 1``. It runs
+gives the rows, stderr, exception and exit code of ``--jobs 1``. It runs
 serially where ``os.fork`` is missing or another thread runs.
 ``--verify`` is accepted and ignored: acceptance runs the checks of
 BoundReport.verify at the same constant DEB_TOL and by the same route (the
@@ -29,7 +29,6 @@ import pickle
 import signal
 import sys
 import threading
-import warnings
 
 from . import bounds, codes, jsonio, levenshtein
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
@@ -254,24 +253,15 @@ def _sweep_rows(points, h, u, jobs):
 
 
 def _sweep_share(points, h, u):
-    """_sweep_one over points until one raises: a (row, warnings) pair per
-    point reached, with row None at the point that raised, and the exception
-    or None. Every warning is recorded ("always"), as (message, category,
-    filename, lineno), for _replay."""
-    done = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for point in points:
-            del caught[:]
-            row = error = None
-            try:
-                row = _sweep_one(point, h, u)
-            except Exception as e:
-                error = e
-            done.append((row, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-            if error is not None:
-                return done, error
-    return done, None
+    """_sweep_one over points until one raises: the rows of the points
+    before it, and the exception, or None."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(_sweep_one(point, h, u))
+        except Exception as e:
+            return rows, e
+    return rows, None
 
 
 def _share_in_child(fd, points, h, u):
@@ -291,10 +281,9 @@ def _share_in_child(fd, points, h, u):
 def _forked_rows(points, shares, h, u):
     """Share 0 runs here and each other share in a forked child. Every child
     is reaped before this returns or raises, and killed first unless every
-    outcome was read. Then each point's warnings are replayed in point
-    order, and the exception that stopped the earliest point, if any, is
-    raised after the warnings of the points before it, as the serial loop
-    raises it."""
+    outcome was read. Then the rows are put in point order, and the
+    exception of the earliest point that raised, if any, is raised, as the
+    serial loop raises it."""
     children = []  # (pid, read end of its pipe)
     read = False
     try:
@@ -319,36 +308,15 @@ def _forked_rows(points, shares, h, u):
             if not read:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    rows, caught, first = [None] * len(points), {}, None  # first: (point, exception)
+    rows, first = [None] * len(points), None  # first: (point, exception)
     for share, (done, error) in zip(shares, outcomes):
-        for i, (row, warned) in zip(share, done):
-            rows[i], caught[i] = row, warned
-        if error is not None and (first is None or share[len(done) - 1] < first[0]):
-            first = (share[len(done) - 1], error)
-    last = first[0] if first else len(points) - 1
-    _replay([w for i in range(last + 1) for w in caught[i]])
+        for i, row in zip(share, done):
+            rows[i] = row
+        if error is not None and (first is None or share[len(done)] < first[0]):
+            first = (share[len(done)], error)
     if first:
         raise first[1]
     return rows
-
-
-def _replay(caught):
-    """Emit recorded warnings again, each from its file and line and against
-    the registry of the module there, as warnings.warn emitted it, so the
-    filters in force decide what shows (once per location by default). A
-    filter change resets the registries, so a location that warned in an
-    earlier call of this process may warn once more."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        env = getattr(modules.get(filename), "__dict__", None)
-        if env is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            warnings.warn_explicit(message, category, filename, lineno, module=env["__name__"],
-                                   registry=env.setdefault("__warningregistry__", {}),
-                                   module_globals=env)
 
 
 def cmd_sweep(args) -> int:

@@ -258,8 +258,13 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         b_k = -(1 + s) * u1 * v1 / (u0 * v1 - v0 * u1)
         if b_k > 0 and not at_lo:
             gammas = op._christoffel(a, [*b, b_k], xs)
-        else:  # b_k is 0 at N = D(tau), up to round-off, and so is -1's weight
+        elif boundary:  # b_k is 0 at N = D(tau), up to round-off, and so is -1's weight
             gammas = [0.0, *op._christoffel(a, b, xs[1:])]
+        else:
+            raise RangeError(
+                f"N = {N} is within round-off of D(n, tau) = {dgs_bound(n, tau)} for (n={n},"
+                f" tau={tau}): the Lobatto coefficient b_k = {b_k:.3g} at s = {s} is not"
+                " positive, so -1 gets no weight")
         parity = "even"
     nodes = np.array(xs)
     weights = np.array([g / (1 - x) for g, x in zip(gammas, xs)])

@@ -21,7 +21,6 @@ its weighted mean.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RangeError
 
 MAX_DEGREE = 60
-CONDITIONING_DEGREE = 30
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,6 @@ def _check_degree(i: int) -> None:
         raise RangeError(f"degree must be >= 0, got {i}")
     if i > MAX_DEGREE:
         raise RangeError(f"degree {i} exceeds cap {MAX_DEGREE}")
-    if i > CONDITIONING_DEGREE:
-        warnings.warn(
-            f"degree {i} > {CONDITIONING_DEGREE}: double-precision conditioning degrades",
-            stacklevel=2,
-        )
 
 
 def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
@@ -116,9 +109,8 @@ def gegenbauer_table(n: int, d: int, t) -> np.ndarray:
 
 def _checked_rows(n: int, d: int, ts) -> list[list]:
     """P_0..P_d at each t in ts, one list per t, after one check of n and
-    d for them all, so a table's degree warning is emitted once and from one
-    place. At a scalar t the rows are Python floats, for callers that read a
-    few values and need no array."""
+    d for them all. At a scalar t the rows are Python floats, for callers
+    that read a few values and need no array."""
     _check_dimension(n)
     _check_degree(d)
     return [_recurrence_rows(n, d, t) for t in ts]
@@ -280,10 +272,6 @@ class GegExpansion:
     n: int
     coeffs: tuple[float, ...]
 
-    def __call__(self, t):
-        table = gegenbauer_table(self.n, len(self.coeffs) - 1, t)
-        return np.tensordot(self.coeffs, table, axes=1)
-
     def to_json(self) -> list[float]:
         return list(self.coeffs)
 
@@ -294,7 +282,8 @@ def gegenbauer_expand(n: int, p: Poly) -> GegExpansion:
     t P_0 = P_1 and t P_i = ((i+n-2) P_{i+1} + i P_{i-1})/(2i+n-2). Both
     factors are nonnegative, so nothing cancels that p's own terms do not."""
     d = p.degree
-    _checked_rows(n, d, ())
+    _check_dimension(n)
+    _check_degree(d)
     # up[j] and down[j]: the factors of P_j in t P_{j-1} and in t P_{j+1}
     up = [0.0, 1.0] + [(j + n - 3) / (2 * j + n - 4) for j in range(2, d + 1)]
     down = [(j + 1) / (2 * j + n) for j in range(d + 1)]

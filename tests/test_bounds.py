@@ -101,7 +101,6 @@ def _sphere_moment(n, j):
     return math.prod((Fraction(2 * i + 1, n + 2 * i) for i in range(j // 2)), start=Fraction(1))
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("n", [3, 8, 24, 60, 150])
 @pytest.mark.parametrize("tau", [2, 4, 6, 8])
 def test_printed_value_is_the_exact_value_of_the_stored_poly(n, tau):

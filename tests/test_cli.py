@@ -6,13 +6,15 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
-from designbounds import cli, innerprod, jsonio
+from designbounds import cli, innerprod, jsonio, levenshtein
 from designbounds.bounds import BoundReport
 from designbounds.levenshtein import dgs_bound, quadrature_rule, solve_cardinality
+from designbounds.orthopoly import gegenbauer_table
 
 
 def run(capsys, *argv):
@@ -302,6 +304,31 @@ def test_tau_0_gets_one_message(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, d", [
+    ("bound --n 30000000000000000 --N 30000000000000003 --tau 2 --potential log --side lower",
+     30000000000000001),
+    ("quadrature --n 30000000000000000 --N 30000000000000003 --tau 2", 30000000000000001),
+    ("quadrature --n 60 --tau 26 --N 83710202924601", 83710202924600),
+    ("quadrature --n 24 --tau 58 --N 549663398587801", 549663398587800),
+    ("quadrature --n 100000 --tau 6 --N 166676666750001", 166676666750000),
+])
+def test_even_rule_whose_lobatto_coefficient_rounds_below_0_is_a_range_error(capsys, argv, d):
+    # N = D(n, tau) + 1 or + 2, within 1.2e-14 relative of D, so s is not
+    # resolved from the interval's end and b_k is not positive: -1 would get
+    # weight 0 strictly inside the interval
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("range error: N = ")
+    assert f"is within round-off of D(n, tau) = {d}" in err
+    assert "the Lobatto coefficient b_k = " in err
+    n, tau, N = (argv.split()[argv.split().index(f"--{k}") + 1] for k in ("n", "tau", "N"))
+    code, out, _ = run(capsys, "sweep", "--n", n, "--tau", tau, "--N", N, "--potential", "log",
+                       "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert f"is within round-off of D(n, tau) = {d}" in row["error"]
+
+
 def test_sweep_tau_0_rows_get_one_message(capsys):
     code, out, _ = run(capsys, "sweep", "--n", "3", "--tau", "0", "--potential", "log",
                        "--format", "json")
@@ -586,10 +613,7 @@ def test_sweep_child_that_dies_is_an_error_not_missing_rows(capsys, forks, monke
 
 
 def test_sweep_jobs_2_in_a_fresh_process_prints_the_bytes_of_jobs_1():
-    # the degree warnings are replayed from the child, once per location as
-    # a serial run shows them, and stdout, a pipe here, is written once.
-    # Warnings are compared in fresh processes only: a rule-memo hit emits
-    # none, so what one process ran before changes what it warns. OpenBLAS
+    # stdout, a pipe here, is written once, and neither run warns. OpenBLAS
     # runs no thread of its own here, as Python 3.12 warns when a process
     # with other threads forks
     argv = [sys.executable, "-m", "designbounds.cli", "sweep", "--n", "3,4", "--tau", "59,60",
@@ -598,10 +622,34 @@ def test_sweep_jobs_2_in_a_fresh_process_prints_the_bytes_of_jobs_1():
            "OPENBLAS_NUM_THREADS": "1"}
     serial, forked = (subprocess.run([*argv, "--jobs", jobs], env=env, capture_output=True,
                                      timeout=120) for jobs in ("1", "2"))
-    assert serial.stderr.count(b"UserWarning: degree") == 3
+    assert b"Warning" not in serial.stderr + forked.stderr
     assert serial.stdout.count(b"\n") == 13
     assert (forked.returncode, forked.stdout, forked.stderr) == (
         serial.returncode, serial.stdout, serial.stderr)
+
+
+def test_high_degree_commands_emit_no_warning(capsys, forks):
+    # degrees 31..60 are as accurate as the lower ones, so nothing warns;
+    # the memos are cleared so that each command builds what it reads
+    quadrature_rule.cache_clear()
+    levenshtein.interval.cache_clear()
+    mid = lambda n, tau: (dgs_bound(n, tau) + dgs_bound(n, tau + 1)) // 2
+    s = solve_cardinality(3, 59, mid(3, 59))
+    commands = [
+        (["quadrature", "--n", "5", "--tau", "59", "--N", str(mid(5, 59))], 0),
+        ("testfn --n 12 --tau 59 --N 4841218797 --jmax 60".split(), 0),
+        (["bound", "--n", "3", "--N", str(mid(3, 31)), "--tau", "31", "--potential",
+          "riesz:s=2", "--side", "lower"], 3),
+        (["bound", "--n", "3", "--N", str(mid(3, 59)), "--tau", "59", "--potential", "log",
+          "--side", "upper", "--u", repr(s)], 3),
+        ("sweep --n 3,4 --tau 59,60 --potential riesz:s=2 --jobs 2".split(), 3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, code in commands:
+            assert run(capsys, *argv)[0] == code, argv
+        assert gegenbauer_table(3, 45, 0.3).shape == (46,)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # the cases of contract_scan.cases(4, 50) that exit 3 on this tree: A1
 # rejections of the double Newton table in the zone and at large n (ROADMAP
 # item 3), and ULB rejections for polynomial potentials that are not
-# absolutely monotone. A change may mend them; it may not add to them.
+# absolutely monotone. A change may mend them; it may not add to them. No
+# case may emit a Python warning.
 KNOWN_EXIT_3 = {
     "sweep --n 9431417410 --tau 17 --potential gauss:c=5.769 --u 0.6058518837198799",
     "sweep --n 1660229 --tau 12 --potential log --u -0.18931870511018967",
@@ -24,8 +25,9 @@ KNOWN_EXIT_3 = {
 def test_contract_scan_sample_raises_nothing_and_adds_no_exit_3(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
     scan = importlib.import_module("contract_scan")
-    codes, broken = scan.scan(scan.cases(4, 50))
+    codes, broken, warned = scan.scan(scan.cases(4, 50))
     assert sum(codes.values()) == 50
     assert not [code for code in codes if code.startswith("TB:")], codes
+    assert not warned, {message: len(argvs) for message, argvs in warned.items()}
     exit_3 = {" ".join(argv) for argvs in broken.values() for argv in argvs}
     assert exit_3 <= KNOWN_EXIT_3, sorted(exit_3 - KNOWN_EXIT_3)

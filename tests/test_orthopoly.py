@@ -96,8 +96,6 @@ def test_gegenbauer_derivative_cap_is_on_requested_degree():
     # P_61^(5) is a degree-56 polynomial, but the cap applies to degree 61
     with pytest.raises(RangeError):
         op.gegenbauer_derivative(3, op.MAX_DEGREE + 1, 0.3, 5)
-    with pytest.warns(UserWarning):
-        op.gegenbauer_derivative(3, op.CONDITIONING_DEGREE + 1, 0.3, 5)
 
 
 def test_gegenbauer_poly_matches_eval():
@@ -111,11 +109,6 @@ def test_gegenbauer_poly_matches_eval():
 def test_degree_cap():
     with pytest.raises(RangeError):
         op.gegenbauer_table(3, op.MAX_DEGREE + 1, 0.0)
-
-
-def test_conditioning_warning():
-    with pytest.warns(UserWarning):
-        op.gegenbauer_table(3, op.CONDITIONING_DEGREE + 1, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +192,8 @@ def test_expand_round_trip():
         p = op.Poly(coeffs)
         exp = op.gegenbauer_expand(n, p)
         t = np.linspace(-1, 1, 33)
-        assert np.allclose(exp(t), p(t), atol=1e-10)
+        assert np.allclose(exp.coeffs @ op.gegenbauer_table(n, len(exp.coeffs) - 1, t), p(t),
+                           atol=1e-10)
         back = [0.0]
         for i, c in enumerate(exp.coeffs):
             back = npoly.polyadd(back, c * np.asarray(_gegenbauer_poly(n, i).coeffs))
@@ -262,7 +256,6 @@ def test_poly_call_is_polyval_bit_for_bit():
 
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_gegenbauer_scalar_path_is_array_path_bit_for_bit():
     # a scalar t runs the recurrence in Python floats; it must give the bits
     # and the types (ndarray table, float derivative) a 1-element array
@@ -282,21 +275,6 @@ def test_gegenbauer_scalar_path_is_array_path_bit_for_bit():
                 got = op.gegenbauer_derivative(n, i, t, order)
                 assert type(got) is float, (n, i, order, t)
                 assert np.float64(got).tobytes() == deriv.tobytes(), (n, i, order, t)
-
-
-def test_geg_expansion_call_is_the_gegenbauer_sum():
-    rng = np.random.default_rng(19)
-    ts = np.linspace(-1.0, 1.0, 101)
-    for n in (3, 4, 24):
-        for d in (0, 1, 5, 17, 30):
-            c = rng.uniform(-1.0, 1.0, d + 1)
-            exp = op.GegExpansion(n=n, coeffs=tuple(float(x) for x in c))
-            tol = 1e-14 * np.sum(np.abs(c))
-            want = sum(ci * row for ci, row in zip(c, op.gegenbauer_table(n, d, ts)))
-            assert np.max(np.abs(exp(ts) - want)) <= tol, (n, d)
-            t = float(rng.uniform(-1.0, 1.0))
-            want = sum(ci * row for ci, row in zip(c, op.gegenbauer_table(n, d, t)))
-            assert abs(exp(t) - want) <= tol, (n, d, t)
 
 
 def _mp_expand(n, coeffs):
@@ -321,7 +299,6 @@ def _mp_expand(n, coeffs):
     return g
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("n, d", [(3, 30), (24, 17), (24, 30), (60, 30), (150, 8)])
 def test_expand_matches_the_mpmath_conversion(n, d):
     # every coefficient within 1e-15 of max|g| of the 50-digit conversion;

@@ -58,7 +58,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (422 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (428 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo -
   1, lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -76,7 +76,11 @@ The sets:
   potentials; and ``bound --tau 2 --side lower`` at the simplex, N = n + 1,
   for n in {25, 26, 200}, and ``bound --tau 2 --side upper`` at N = n + 2
   for n in {10^12, 10^13} and at N = n + 3 for n = 3*10^16, where l and u
-  are adjacent doubles, with the three potentials; and ``bound --potential log
+  are adjacent doubles, with the three potentials; and at even tau, N one
+  or two above lo, where -1's Lobatto coefficient rounds to 0 or below:
+  ``bound --potential log --side lower`` and ``quadrature`` at (3*10^16,
+  3*10^16 + 3, 2), ``quadrature`` at (n, tau) in {(60, 26), (24, 58),
+  (10^5, 6)} and ``sweep --potential log`` at the first; and ``bound --potential log
   --side lower`` at N = hi - 1 and hi for (n, tau) in {(1000, 10),
   (2*10^12, 2)}, where ell is within 1e-12 of -1 and is -1, and at (8, 60,
   4) with ``--l`` in {-1, -1 + 1e-13, -1 + 1e-11}; and integers past the
@@ -262,6 +266,12 @@ def edges_cases():
         for pot in POTENTIALS:
             yield ["bound", "--n", str(n), "--N", str(N), "--tau", "2", "--potential", pot,
                    "--side", "upper"]
+    yield ["bound", "--n", str(3 * 10**16), "--N", str(3 * 10**16 + 3), "--tau", "2",
+           "--potential", "log", "--side", "lower"]
+    for n, tau, N in ((3 * 10**16, 2, 3 * 10**16 + 3), (60, 26, 83710202924601),
+                      (24, 58, 549663398587801), (10**5, 6, 166676666750001)):
+        yield ["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]
+    yield ["sweep", "--n", "60", "--tau", "26", "--N", "83710202924601", "--potential", "log"]
     for n, tau in ((1000, 10), (2 * 10**12, 2)):
         hi = levenshtein.dgs_bound(n, tau + 1)
         for N in (hi - 1, hi):

@@ -5,8 +5,10 @@ and ``sweep`` cases: n log-uniform from 2 to 10^12, tau from 1 to 2 MAX_K,
 N at D(n, tau), at D(n, tau + 1) or between them, every potential family
 with random parameters, every side, and ``--u`` inside and outside
 (-1, 1). Each runs through the acceptance grid's ``run_case``. It prints the
-count per exit code, then every case that exits 3 or raises, grouped by its
-last stderr line (or exception name) with the numbers masked::
+count per exit code and the count of cases that emit a Python warning, then
+every case that exits 3 or raises, grouped by its last stderr line (or
+exception name), and every case that warns, grouped by its first warning,
+each with the numbers masked::
 
     PYTHONPATH=src python tools/contract_scan.py --seed 1 --count 3000
 """
@@ -47,17 +49,25 @@ def cases(seed: int, count: int):
             yield [command, "--n", str(n), "--tau", str(tau), "--N", str(N), *jmax]
 
 
-def scan(argvs) -> tuple[collections.Counter, dict]:
-    """The count per exit code, and the argvs of each exit-3 or traceback
-    case by their masked message."""
-    codes, broken = collections.Counter(), collections.defaultdict(list)
+def _masked(message: str) -> str:
+    return re.sub(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?", "#", message)
+
+
+def scan(argvs) -> tuple[collections.Counter, dict, dict]:
+    """The count per exit code, the argvs of each exit-3 or traceback case
+    by their masked message, and the argvs of each case that warns by its
+    first masked warning."""
+    codes = collections.Counter()
+    broken, warned = collections.defaultdict(list), collections.defaultdict(list)
     for argv in argvs:
-        code, _, err, _ = run_case(argv)
+        code, _, err, emitted = run_case(argv)
         codes[code] += 1
         if code == "3" or code.startswith("TB:"):
             message = code if code != "3" else (err.strip().splitlines() or ["(none)"])[-1]
-            broken[re.sub(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?", "#", message)].append(argv)
-    return codes, broken
+            broken[_masked(message)].append(argv)
+        if emitted:
+            warned[_masked(emitted.splitlines()[0])].append(argv)
+    return codes, broken, warned
 
 
 def main(argv=None) -> int:
@@ -65,10 +75,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     args = p.parse_args(argv)
-    codes, broken = scan(cases(args.seed, args.count))
-    print(" ".join(f"exit {code}: {k}" for code, k in sorted(codes.items())))
-    for message, argvs in sorted(broken.items(), key=lambda item: -len(item[1])):
-        print(f"{len(argvs)} x {message}\n  e.g. {' '.join(argvs[0])}")
+    codes, broken, warned = scan(cases(args.seed, args.count))
+    print(" ".join(f"exit {code}: {k}" for code, k in sorted(codes.items())),
+          f"warned: {sum(map(len, warned.values()))}")
+    for groups in (broken, warned):
+        for message, argvs in sorted(groups.items(), key=lambda item: -len(item[1])):
+            print(f"{len(argvs)} x {message}\n  e.g. {' '.join(argvs[0])}")
     return 0
 
 
