@@ -29,6 +29,7 @@ a proof that fails falls back to it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +154,9 @@ def _lp_value(N: float, f: Poly, f0: float) -> float:
 
 def _rule_value(rule: QuadratureRule, h: Potential, N: float) -> float:
     """N^2 sum_i w_i h(node_i): the quadrature rule applied to h."""
-    try:
-        return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
-    except OverflowError:  # an int N whose square is past the largest double
-        raise RangeError(f"N^2 is past the largest double at N = {N}") from None
+    if N * N > sys.float_info.max:  # an int N squares exactly, a float one to inf
+        raise RangeError(f"N^2 is past the largest double at N = {N}")
+    return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
 
 
 def _close(a: float, b: float, tol: float) -> bool:

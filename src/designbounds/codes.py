@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RangeError
-from .orthopoly import _checked_rows
+from .orthopoly import _check_degree, _check_dimension
 from .potentials import Potential
 
 
@@ -135,20 +135,27 @@ def energy(dist: InnerProductDistribution, h: Potential) -> float:
     return float(np.dot(cs, vals))
 
 
-def moment_sums(dist: InnerProductDistribution, j_max: int) -> list[Fraction]:
-    """S_j = sum over all ordered pairs (diagonal included) of P_j(<x,y>),
-    for j = 0..j_max, exactly; S_j = 0 iff the degree-j moment condition
-    holds."""
-    rows = _checked_rows(dist.n, j_max, [t for t, _ in dist.entries])
-    return [dist.N + sum(c * P[j] for (_, c), P in zip(dist.entries, rows))
-            for j in range(j_max + 1)]
-
-
 def strength(dist: InnerProductDistribution, max_tau: int) -> int:
-    """Largest tau <= max_tau with S_j = 0 for 1 <= j <= tau.
+    """Largest tau <= max_tau with S_j = 0 for 1 <= j <= tau, S_j the sum of
+    P_j(<x,y>) over all ordered pairs, the diagonal included: necessary and
+    sufficient for distance-invariant configurations, necessary for others.
 
-    Necessary and sufficient for distance-invariant configurations; a
-    necessary condition for general distributions.
+    Decided in integers: with each t = a/L over one denominator L, the
+    R_j = P_j(t) scale_j, scale_j = L^j prod_{0<i<j}(i+n-2), follow
+    R_{j+1} = (2j+n-2) a R_j - c_j L^2 R_{j-1} from R_0 = 1 and R_1 = a, with
+    c_1 = 1 and c_j = j(j+n-3), and S_j = 0 iff N scale_j + sum count R_j = 0.
     """
-    s = moment_sums(dist, max_tau)
-    return next((j - 1 for j in range(1, max_tau + 1) if s[j]), max_tau)
+    n, N, entries = dist.n, dist.N, dist.entries
+    _check_dimension(n)
+    _check_degree(max_tau)
+    ratios = [t.as_integer_ratio() for t, _ in entries]  # exact for a float t too
+    L = math.lcm(*(q for _, q in ratios))
+    a = [p * (L // q) for p, q in ratios]
+    prev, rows, scale = [1] * len(a), a, L
+    for j in range(1, max_tau + 1):
+        if N * scale + sum(k * r for (_, k), r in zip(entries, rows)):
+            return j - 1
+        b, c = 2 * j + n - 2, (j * (j + n - 3) if j > 1 else 1) * L * L
+        prev, rows = rows, [b * x * r - c * p for x, r, p in zip(a, rows, prev)]
+        scale *= L * (j + n - 2)
+    return max_tau

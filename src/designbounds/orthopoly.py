@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -78,14 +77,11 @@ class Poly:
 
 
 def _scalar_or_array(t):
-    """t as a Python float when it is a scalar or 0-d, as it is when it is
-    a Fraction, else as a float array. Python float arithmetic rounds as
-    numpy's does, so the scalar path gives the same bits without numpy's
-    per-operation cost."""
+    """t as a Python float when it is a scalar or 0-d, else as a float
+    array. Python float arithmetic rounds as numpy's does, so the scalar path
+    gives the same bits without numpy's per-operation cost."""
     if isinstance(t, float):  # np.float64 is a float
         return float(t)
-    if type(t) is Fraction:  # exact, for codes.moment_sums
-        return t
     t = np.asarray(t, dtype=float)
     return t if t.ndim else float(t)
 
@@ -132,10 +128,9 @@ def gegenbauer_derivative(n: int, i: int, t, order: int):
 
 def _recurrence_rows(n: int, d: int, t) -> list:
     """P_0..P_d at t, one array per degree; a scalar or 0-d t runs the same
-    operations in Python floats, one float per degree, and a Fraction t
-    runs them exactly, one Fraction per degree."""
+    operations in Python floats, one float per degree."""
     t = _scalar_or_array(t)
-    rows = [np.ones_like(t), t] if isinstance(t, np.ndarray) else [t**0, t]  # 1 in t's type
+    rows = [np.ones_like(t), t] if isinstance(t, np.ndarray) else [1.0, t]
     for deg in range(1, d):
         a, b = 2 * deg + n - 2, deg + n - 2
         rows.append((a * (t * rows[-1]) - deg * rows[-2]) / b)

@@ -277,6 +277,24 @@ def test_sweep_point_whose_N_squared_is_past_the_doubles_gets_an_error_row(capsy
     assert row["error"] == f"N^2 is past the largest double at N = {N}"
 
 
+@pytest.mark.parametrize("argv", [
+    "--potential poly:0 --side lower",
+    "--potential poly:0 --side upper --u 0.5",
+    "--potential poly:1 --side upper --u 0.5",
+    "--potential log --side lower",
+])
+def test_float_N_whose_square_is_past_the_doubles_is_a_range_error(capsys, argv):
+    # a float N squares to inf, not to an OverflowError, and inf times a 0
+    # weight or potential value is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bound", "--n", str(10**15), "--N", "1.5e154", "--tau", "21",
+                             *argv.split())
+    assert code == 2
+    assert "N^2 is past the largest double at N = 1.5e+154" in err
+    assert out == ""
+
+
 def test_largest_kerdock_code_whose_N_squared_is_a_double(capsys):
     code, out, _ = run(capsys, "code", "--builder", "kerdock", "--l", "127", "--potential", "log")
     assert code == 0

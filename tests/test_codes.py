@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,15 +80,71 @@ def test_strengths():
     assert codes.strength(codes.simplex(4), 5) == 2
     assert codes.strength(codes.orthogonal_simplices(3, 3), 5) == 2
     assert codes.strength(codes.cross_polytope(3), 5) == 3
+    assert codes.strength(codes.cross_polytope(3), 4) == 3  # S_1..S_3 = 0, S_4 = 21
     for l in (2, 3, 5, 7, 12):
         assert codes.strength(codes.kerdock(l), 6) == 3
 
 
-def test_moment_sums_vanish_up_to_strength():
-    s = codes.moment_sums(codes.cross_polytope(3), 4)
-    assert s[1:4] == [0, 0, 0]
-    assert s[4] == 21  # 6 + 6 P_4(-1) + 24 P_4(0), P_4(0) = 3/8
-    assert s[0] == 36  # N^2 for j = 0
+def _oracle_strength(dist, max_tau):
+    """The strength from each S_j in Fractions, by the recurrence
+    P_{j+1} = ((2j+n-2) t P_j - j P_{j-1})/(j+n-2) at each inner product t."""
+    n, ts = dist.n, [t for t, _ in dist.entries]
+    rows = [(Fraction(1), t) for t in ts]  # (P_{j-1}(t), P_j(t)) at j = 1
+    for j in range(1, max_tau + 1):
+        if dist.N + sum(c * P for (_, c), (_, P) in zip(dist.entries, rows)):
+            return j - 1
+        rows = [(P, ((2 * j + n - 2) * t * P - j * Q) / (j + n - 2))
+                for t, (Q, P) in zip(ts, rows)]
+    return max_tau
+
+
+BUILDS = [
+    *(codes.simplex(n) for n in (2, 3, 4, 8, 24, 60, 1000)),
+    *(codes.cross_polytope(n) for n in (2, 3, 4, 8, 24, 60, 1000)),
+    *(codes.orthogonal_simplices(a, b) for a, b in ((2, 2), (3, 3), (4, 4), (2, 5), (9, 9))),
+    *(codes.kerdock(l) for l in (2, 3, 5)),
+    codes.binary_embed([(3, 16 * 7), (4, 16 * 7), (7, 16)], 7),  # the [7, 4] Hamming code
+]
+
+
+@pytest.mark.parametrize("dist", BUILDS, ids=lambda d: f"n={d.n},N={d.N}")
+def test_strength_of_every_builder_matches_the_fraction_oracle(dist):
+    for max_tau in range(13):
+        assert codes.strength(dist, max_tau) == _oracle_strength(dist, max_tau)
+
+
+def _random_distributions(seed, count):
+    """Seeded rational distributions with up to 5 distinct inner products;
+    in about half, the last inner product is the one that makes S_1 = 0."""
+    rng = random.Random(seed)
+    while count:
+        n, N = rng.choice((2, 3, 4, 5, 7, 8, 24, 60, 1000)), rng.randint(2, 30)
+        pairs = N * (N - 1)
+        cuts = sorted(rng.sample(range(1, pairs), min(rng.randint(0, 4), pairs - 1)))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, pairs])]
+        q = rng.randint(1, 12)
+        ts = [Fraction(rng.randint(-q, q - 1), q) for _ in counts]
+        if rng.random() < 0.5:
+            ts[-1] = Fraction(-(N + sum(c * t for c, t in zip(counts[:-1], ts))), counts[-1])
+        entries = {}
+        for t, c in zip(ts, counts):
+            entries[t] = entries.get(t, 0) + c
+        try:
+            yield codes.InnerProductDistribution(n=n, N=N, entries=tuple(sorted(entries.items())))
+        except RangeError:  # an inner product outside [-1, 1)
+            continue
+        count -= 1
+
+
+def test_strength_of_random_distributions_matches_the_fraction_oracle():
+    rng = random.Random(30)
+    seen = set()
+    for dist in _random_distributions(30, 1000):
+        max_tau = rng.randint(0, 12)
+        tau = _oracle_strength(dist, max_tau)
+        assert codes.strength(dist, max_tau) == tau, (dist, max_tau)
+        seen.add(tau)
+    assert {0, 1} <= seen
 
 
 def test_distribution_invariants():

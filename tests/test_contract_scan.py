@@ -1,6 +1,8 @@
 import importlib
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # the cases of contract_scan.cases(4, 50) that exit 3 on this tree: A1
@@ -22,12 +24,42 @@ KNOWN_EXIT_3 = {
 }
 
 
-def test_contract_scan_sample_raises_nothing_and_adds_no_exit_3(monkeypatch):
+@pytest.fixture
+def scan(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
-    scan = importlib.import_module("contract_scan")
+    return importlib.import_module("contract_scan")
+
+
+def test_contract_scan_sample_raises_nothing_and_adds_no_exit_3(scan):
     codes, broken, warned = scan.scan(scan.cases(4, 50))
     assert sum(codes.values()) == 50
     assert not [code for code in codes if code.startswith("TB:")], codes
     assert not warned, {message: len(argvs) for message, argvs in warned.items()}
     exit_3 = {" ".join(argv) for argvs in broken.values() for argv in argvs}
     assert exit_3 <= KNOWN_EXIT_3, sorted(exit_3 - KNOWN_EXIT_3)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_sweep_that_exits_3_is_grouped_by_its_row_errors(scan, fmt):
+    # 8 of its 24 points fail with a ULB rejection, each with its own margin
+    argv = ["sweep", "--n", "60,200", "--tau", "2,3,13,17", "--potential", "gauss:c=1", *fmt]
+    codes, broken, warned = scan.scan([argv])
+    assert codes == {"3": 1}
+    assert broken == {"ULB certificate rejected: ['A# violated: margin # at t = #']": [argv]}
+    assert not warned
+
+
+def test_contract_scan_sample_exits_0(scan, capsys):
+    assert scan.main(["--seed", "4", "--count", "50"]) == 0
+    assert "warned: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code, emitted", [
+    ("0", "RuntimeWarning: invalid value encountered in scalar multiply\n"),
+    ("TB:ValueError", ""),
+])
+def test_contract_scan_exits_1_on_a_warning_or_a_traceback(scan, monkeypatch, capsys, code,
+                                                           emitted):
+    monkeypatch.setattr(scan, "run_case", lambda argv: (code, "", "", emitted))
+    assert scan.main(["--seed", "4", "--count", "5"]) == 1
+    assert capsys.readouterr().out.startswith(f"exit {code}: 5 warned: {5 if emitted else 0}")

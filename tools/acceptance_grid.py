@@ -58,7 +58,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (428 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (432 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo -
   1, lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -96,7 +96,10 @@ The sets:
   kernel's shift divides by a p_(k-1)(s) that rounds to 0, and at N =
   166666666666666666685000000000000, where L_3's denominator does, and
   ``sweep --n 10^13 --tau 25 --N 10^158``, whose integer N squares past the
-  largest double; and ``testfn --jmax`` 0 and -2 and ``code --max-tau -1``.
+  largest double, and ``bound --n 10^15 --N 1.5e154 --tau 21``, whose float
+  N squares to inf, with poly:0 at ``--side lower`` and at ``--side upper
+  --u 0.5``, poly:1 at the latter and log at the former; and ``testfn
+  --jmax`` 0 and -2 and ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -293,6 +296,9 @@ def edges_cases():
     for N in (2 * 10**20, 166666666666666666685000000000000):
         yield ["quadrature", "--n", str(10**20), "--N", str(N), "--tau", "3"]
     yield ["sweep", "--n", str(10**13), "--tau", "25", "--N", str(10**158), "--potential", "log"]
+    for extra in (["poly:0", "--side", "lower"], ["poly:0", "--side", "upper", "--u", "0.5"],
+                  ["poly:1", "--side", "upper", "--u", "0.5"], ["log", "--side", "lower"]):
+        yield ["bound", "--n", str(10**15), "--N", "1.5e154", "--tau", "21", "--potential", *extra]
     for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
                               ("orthogonal-simplices", "--a", "3", "--b", BIG),
                               ("kerdock", "--l", "600")):

@@ -8,7 +8,10 @@ with random parameters, every side, and ``--u`` inside and outside
 count per exit code and the count of cases that emit a Python warning, then
 every case that exits 3 or raises, grouped by its last stderr line (or
 exception name), and every case that warns, grouped by its first warning,
-each with the numbers masked::
+each with the numbers masked. A sweep that exits 3 is grouped by the error
+of each of its error rows instead, read from its CSV or JSON, and counted
+once per distinct message, so its range-error rows are listed too. It exits
+1 when any case raises or warns, and 0 otherwise, whatever exits 3::
 
     PYTHONPATH=src python tools/contract_scan.py --seed 1 --count 3000
 """
@@ -22,7 +25,7 @@ import random
 import re
 import sys
 
-from acceptance_grid import run_case
+from acceptance_grid import _parsed, run_case
 from designbounds.levenshtein import MAX_K, dgs_bound
 
 
@@ -53,18 +56,32 @@ def _masked(message: str) -> str:
     return re.sub(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?", "#", message)
 
 
+def _broken(argv: list[str], code: str, out: str, err: str) -> set[str]:
+    """The masked messages a case that exits 3 or raises is grouped by:
+    the error of each error row of a sweep's CSV or JSON output, else the
+    last stderr line or the exception name; no message for any other case."""
+    if code.startswith("TB:"):
+        return {code}
+    if code != "3":
+        return set()
+    rows = _parsed(out) if argv[0] == "sweep" else []
+    if rows and isinstance(rows[0], list):  # CSV: a header, then one row per point
+        rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    errors = {row["error"] for row in rows if row.get("error")}
+    return {_masked(e) for e in errors or (err.strip().splitlines() or ["(none)"])[-1:]}
+
+
 def scan(argvs) -> tuple[collections.Counter, dict, dict]:
     """The count per exit code, the argvs of each exit-3 or traceback case
-    by their masked message, and the argvs of each case that warns by its
-    first masked warning."""
+    by each of its masked messages, and the argvs of each case that warns by
+    its first masked warning."""
     codes = collections.Counter()
     broken, warned = collections.defaultdict(list), collections.defaultdict(list)
     for argv in argvs:
-        code, _, err, emitted = run_case(argv)
+        code, out, err, emitted = run_case(argv)
         codes[code] += 1
-        if code == "3" or code.startswith("TB:"):
-            message = code if code != "3" else (err.strip().splitlines() or ["(none)"])[-1]
-            broken[_masked(message)].append(argv)
+        for message in _broken(argv, code, out, err):
+            broken[message].append(argv)
         if emitted:
             warned[_masked(emitted.splitlines()[0])].append(argv)
     return codes, broken, warned
@@ -81,7 +98,7 @@ def main(argv=None) -> int:
     for groups in (broken, warned):
         for message, argvs in sorted(groups.items(), key=lambda item: -len(item[1])):
             print(f"{len(argvs)} x {message}\n  e.g. {' '.join(argvs[0])}")
-    return 0
+    return 1 if warned or any(code.startswith("TB:") for code in codes) else 0
 
 
 if __name__ == "__main__":
