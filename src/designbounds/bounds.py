@@ -45,9 +45,10 @@ from .potentials import Potential, parse_potential
 
 A1_GRID = 20_001
 # u within this of the rule's largest node s counts as s, and strip_odd merges
-# -1 or u with a node this close: s is within solve_cardinality's xtol 1e-15 +
-# rtol 8.9e-16 |s| of its root, and eigvalsh's nodes at the interval ends are
-# within 6e-15 of theirs. It stays until ROADMAP item 3's decimal table.
+# -1 or u with a node this close: s is an eigenvalue of a Jacobi matrix of norm
+# about 1, within 1.8e-15 of its 50-digit value for n <= 10^8, tau <= 60, and
+# eigvalsh's nodes at the interval ends are within 6e-15 of theirs. It stays
+# until ROADMAP item 3's decimal table.
 _NODE_SLACK = 1e-12
 
 

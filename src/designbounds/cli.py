@@ -239,9 +239,10 @@ def _usable_cpus() -> int:
 def _sweep_rows(points, h, u, jobs):
     """_sweep_one at every point, rows in point order. With jobs > 1 the (n,
     tau) groups are dealt round-robin over up to jobs processes, at most one
-    per usable CPU and per group: a group's N values share the (n, m) memo
-    of levenshtein.interval. Serial where fork is missing or another thread
-    runs, since a child could inherit a lock that thread holds."""
+    per usable CPU and per group: a group's cardinality bounds share the
+    (n, tau) memo of levenshtein.interval. Serial where fork is missing or
+    another thread runs, since a child could inherit a lock that thread
+    holds."""
     if jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         groups = [list(i) for _, i in itertools.groupby(
             range(len(points)), key=lambda i: (points[i][0], points[i][2]))]

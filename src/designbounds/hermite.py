@@ -56,9 +56,13 @@ class HermiteScheme:
 def interpolate(scheme: HermiteScheme, h: Potential) -> Poly:
     """Newton divided differences with repeated abscissae; multiplicity-2
     nodes also match h'. Both the table and the expansion run in Python
-    floats, which round as numpy's scalars and arrays do."""
+    floats, which round as numpy's scalars and arrays do. A polynomial
+    potential of degree below the scheme's conditions is its own
+    interpolant, and is returned as it is."""
     z = [t for t, m in scheme.nodes for _ in range(m)]
     n = len(z)
+    if h.name == "poly" and len(h.params["coeffs"]) <= n:
+        return Poly(h.params["coeffs"])
     # the table's top row in place, one column j at a time: c[i] becomes
     # table[i - j, j]. Multiplicities are at most 2, so equal abscissae meet
     # only at j = 1, where they take h' at that node

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 
 from .errors import RangeError
-from .levenshtein import _admissible, _brentq, quadrature_rule
+from .levenshtein import _admissible, quadrature_rule
 
 # lower bounds are checked on [ell, 1 - OPEN_UPPER_EPS]: it covers no round-off
 # but keeps the grid and the remainder bound off t = 1, where riesz and log are
@@ -43,27 +43,33 @@ def l_bound(n: int, N: float, tau: int) -> float:
 
 def even_xi(n: int, N: float, k: int) -> float:
     """Smallest root xi of f(t) = gamma_0 N f(-1), f(t) the square of the
-    running product of (t - beta_i) over the even rule's interior nodes, in
-    Python floats. Where round-off in the rule leaves no sign change on
-    [-1, beta_1], xi bounds nothing and -1 is returned."""
+    running product p(t) of (t - beta_i) over the even rule's interior
+    nodes, in Python floats. Where gamma_0 N >= 1 there is no root in
+    (-1, beta_1), xi bounds nothing and -1 is returned."""
     _admissible(n, 2 * k, N, "()")
     rule = quadrature_rule(n, 2 * k, N)
     betas = rule.nodes[1:].tolist()  # beta_1 .. beta_k
-
-    def f(t: float) -> float:
-        p = math.prod(t - b for b in betas)
-        return p * p  # not p ** 2, whose libm pow need not round as one multiply
-
-    target = float(rule.weights[0]) * N * f(-1.0)
-    return _root_or(lambda t: f(t) - target, -1.0, betas[0], -1.0)
-
-
-def _root_or(g, a: float, b: float, trivial: float) -> float:
-    """Root of g on [a, b], or trivial when g has no sign change there."""
-    try:
-        return float(_brentq(g, a, b, xtol=1e-15))
-    except ValueError:  # no sign change, or a NaN value of g
-        return trivial
+    drop = -0.5 * math.log(float(rule.weights[0]) * N)  # log |p(-1)| - log |p(xi)|
+    if not drop > 0:
+        return -1.0
+    # g(t) = log |p(t)| - log |p(-1)| + drop is concave and decreasing on
+    # [-1, beta_1), and -inf at beta_1: a Newton step from the root's left
+    # lands on its right, or past beta_1, where the step halves the way there
+    # instead; from the right the steps fall monotonically to the root
+    log_p = lambda t: sum(math.log(b - t) for b in betas)
+    base = log_p(-1.0) - drop
+    t, right = -1.0, False
+    while True:
+        value = log_p(t) - base
+        if value == 0 or (right and value > 0):  # at the root, or a rounding past it
+            return t
+        right = value < 0
+        step = t + value / sum(1.0 / (b - t) for b in betas)
+        if not step < betas[0]:
+            step = (t + betas[0]) / 2
+        if step == t or step == betas[0]:
+            return t
+        t = step
 
 
 def best_range(n: int, N: float, tau: int) -> float:

@@ -1,15 +1,19 @@
-"""Delsarte-Goethals-Seidel cardinality bounds, Levenshtein bound functions,
-and the associated quadrature rules for (n, tau, N) triples.
+"""Delsarte-Goethals-Seidel cardinality bounds, the branch intervals of the
+Levenshtein bound, and the associated quadrature rules for (n, tau, N)
+triples.
 
 The quadrature rule pairs a node at t = 1 with weight 1/N against interior
 nodes alpha_i / beta_i and weights rho_i / gamma_i, and integrates the
 normalized sphere weight exactly for polynomials of degree <= tau.
 
-The cardinality equation L_tau(n, s) = N, and the even-range equation in
-innerprod, are solved by ``_brentq``: Brent's method (Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 4), ported step for step from
-the C ``brentq`` of Python's numerical stack, with its defaults and errors,
-so each root is that routine's to the bit; the tests compare the two.
+Its nodes, the largest node s included, come from one symmetric
+eigenproblem with no root finder: k nodes beside weight 1/N at t = 1, exact
+to degree 2k - 1, are the Gauss rule of mu - delta_1 / N, so they and 1 are
+the eigenvalues of mu's (k+1) x (k+1) Jacobi matrix with its last row
+changed (Golub's modified eigenproblem, SIAM Review 15, 1973, on the
+point-mass modification of Gautschi, Orthogonal Polynomials, 2004, ch. 2).
+Even tau takes the same step on (1 + t) dmu beside -1. s then solves
+L_tau(n, s) = N, the Levenshtein bound on its tau-th branch.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ MAX_K = 30
 # the one verification tolerance: a rule's exactness residuals, and in
 # bounds a certificate's conditions and its value, are checked against it
 DEB_TOL = 1e-9
-# entries kept by the memos of interval and quadrature_rule; a sweep point's
-# repeats fall within that point, so a few dozen keep every hit
+# entries kept by the memos of interval, read at the cardinality bounds, and
+# quadrature_rule; a sweep point's repeats fall within that point, so a few
+# dozen keep every hit
 MEMO_SIZE = 64
 
 
@@ -55,113 +60,31 @@ def interval(n: int, m: int) -> tuple[float, float]:
     return op.adjacent_largest_zero(n, 1, 0, k), op.adjacent_largest_zero(n, 1, 1, k)
 
 
-def lev_bound_m(n: int, m: int, s: float) -> float:
-    """Levenshtein bound L_m(n, s) on a forced branch m."""
-    if s >= 1:
-        raise RangeError(f"s must be < 1, got {s}")
-    k = (m + 1) // 2
-    (P,) = op._checked_rows(n, k + 1 - m % 2, (s,))
-    if m % 2 == 1:
-        c, d = math.comb(k + n - 3, k - 1), (2 * k + n - 3) / (n - 1)
-        num, den = P[k - 1] - P[k], (1 - s) * P[k]
-    else:
-        c, d = math.comb(k + n - 2, k), (2 * k + n - 1) / (n - 1)
-        num, den = (1 + s) * (P[k] - P[k + 1]), (1 - s) * (P[k] + P[k + 1])
-    if den == 0:
-        raise RangeError(f"L_{m}(n={n}, s) divides by 0 at s = {s}: round-off puts s on a"
-                         " zero of its denominator")
-    return c * (d - num / den)
-
-
 def solve_cardinality(n: int, tau: int, N: float) -> float:
-    """Unique s on the tau-th interval with L_tau(n, s) = N."""
-    lo_card, hi_card = _admissible(n, tau, N)
-    lo, hi = interval(n, tau)
-    if _at_bound(N, lo_card):
-        return lo
-    if _at_bound(N, hi_card):
-        return hi
-    if tau == 1:
-        return -1.0 / (N - 1)
-    f = lambda s: lev_bound_m(n, tau, s) - N
-    try:
-        s = _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    except ValueError as e:
-        raise RangeError(
-            f"L_{tau}(n={n}, s) - N has no sign change on [{lo}, {hi}] for N = {N}:"
-            " round-off in L_tau exceeds the distance to an endpoint"
-        ) from e
-    return float(s)
+    """Unique s on the tau-th interval with L_tau(n, s) = N: the largest
+    node of the (n, tau, N) rule."""
+    return quadrature_rule(n, tau, N).s
 
 
-_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100
-
-
-def _brentq(f, a: float, b: float, xtol: float = _XTOL, rtol: float = _RTOL,
-            maxiter: int = _MAXITER) -> float:
-    """A root of f on [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol |x|. An end where f is 0 is returned as it is. A ValueError
-    when f has the same sign at both ends or a NaN value; a RuntimeError
-    when maxiter steps do not converge.
-
-    Brent's method: xcur is the best estimate, xblk the other end of the
-    bracket and xpre the previous estimate. Each step takes the secant
-    (two points) or inverse quadratic (three points) step when it is short
-    enough, and bisects otherwise."""
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+def _nodes_beside_1(n: int, plus: int, k: int, N: float) -> list:
+    """The k nodes, ascending, of the rule for (1 + t)^plus dmu, mass 1, that is
+    exact to degree 2k - 1 beside weight 1/N at t = 1: the Gauss rule of that
+    weight minus delta_1 / N. Its k nodes and 1 are the eigenvalues of the
+    weight's Jacobi matrix at size k + 1 with b_k = rho^2 / (N - K) and a_k
+    = 1 - rho q_(k-1)(1) / (N - K), where K = sum_(j<k) q_j(1)^2 over the
+    orthonormal q_j, rho = sqrt(b_k) q_k(1), and 1 / (K + rho^2 / b_k) = 1/N
+    is the Christoffel number at 1. The q_j(1) come from the orthonormal
+    recurrence, so no product of the b_j underflows at large n."""
+    a, b = op._adjacent_recurrence(n, 0, plus, k + 1)
+    roots = [math.sqrt(x) for x in b]
+    q_prev, q, K = 0.0, 1.0, 0.0
+    for aj, r, r_prev in zip(a, roots, [0.0, *roots]):
+        K += q * q
+        q_prev, q = q, ((1 - aj) * q - r_prev * q_prev) / r
+    rho, gap = roots[-1] * q, N - K
+    b[-1] = rho * rho / gap
+    a[-1] = 1 - rho * q_prev / gap
+    return op._jacobi_eigh(a, b).tolist()[:-1]
 
 
 def _at_bound(N: float, D: int) -> bool:
@@ -234,26 +157,31 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     k = (tau + 1) // 2
     if k > MAX_K:
         raise RangeError(f"k = {k} exceeds cap {MAX_K}")
-    s = solve_cardinality(n, tau, N)
-    at_lo = _at_bound(N, dgs_bound(n, tau))
-    boundary = at_lo or _at_bound(N, dgs_bound(n, tau + 1))
-    lam = (n - 3) / 2.0
-    try:  # the (1, 0)-adjacent kernel at odd tau, the (1, 1)-adjacent one at even tau
-        roots = op.kernel_zeros(lam + 1, lam if tau % 2 else lam + 1, k, s).tolist()
-    except ValueError:  # p_{k-1}(s) is 0 in doubles, and the shift infinite
-        raise RangeError(f"the kernel at s = {s} has an infinite shift for (n={n}, tau={tau}):"
-                         " p_(k-1)(s) rounds to 0") from None
+    lo_card, hi_card = _admissible(n, tau, N)
+    at_lo = _at_bound(N, lo_card)
+    boundary = at_lo or _at_bound(N, hi_card)
+    odd = tau % 2 == 1
+    # alpha_0 < ... < alpha_(k-1) = s beside 1/N (odd tau), or beta_1 < ... <
+    # beta_k = s of (1 + t) dmu beside 2/N, since (1 + t) f vanishes at the
+    # node -1 (even tau); at tau = 1 the one node has a closed form
+    if tau == 1:
+        xs = [-1.0 / (N - 1)]
+    else:
+        xs = _nodes_beside_1(n, 0, k, N) if odd else _nodes_beside_1(n, 1, k, N / 2)
+    if boundary:  # s is the interval's end, and at odd tau's lower end the rule is tau - 1's
+        xs[-1] = interval(n, tau)[0 if at_lo else 1]
+        if at_lo and odd:
+            xs[0] = -1.0
+    s = xs[-1]
     # weights gamma_i / (1 - x_i), gamma the Christoffel numbers of (1 - t) dmu,
     # mass 1, whose Jacobi matrix is (lam + 1, lam)'s (Golub, SIAM Review 15, 1973)
-    if tau % 2 == 1:
-        xs = roots  # alpha_0 < ... < alpha_{k-1} = s (Radau)
-        gammas = op._christoffel(*op._jacobi_recurrence(lam + 1, lam, k), xs)
+    if odd:
+        gammas = op._christoffel(*op._adjacent_recurrence(n, 1, 0, k), xs)  # Gauss-Radau at s
         parity = "odd"
     else:
-        # -1, the interior double nodes beta_1 < ... < beta_{k-1} and beta_k = s
-        # (Lobatto: b_k makes -1 and s zeros of p_{k+1})
-        xs = [-1.0, *(x for x in roots if x != s), s]
-        a, b = op._jacobi_recurrence(lam + 1, lam, k)
+        # -1 beside the betas (Lobatto: b_k makes -1 and s zeros of p_(k+1))
+        xs = [-1.0, *xs]
+        a, b = op._adjacent_recurrence(n, 1, 0, k)
         (u0, u1), (v0, v1) = op._monic(a, b, -1.0), op._monic(a, b, s)
         b_k = -(1 + s) * u1 * v1 / (u0 * v1 - v0 * u1)
         if b_k > 0 and not at_lo:

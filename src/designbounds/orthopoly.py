@@ -2,15 +2,15 @@
 and Gegenbauer expansions.
 
 Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
-zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), and the zeros
-of the kernel P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) from the same matrix with
-its last diagonal entry shifted, and every weight from the Christoffel numbers
-of such a matrix. The matrices are at most 61 x 61, so each solve is numpy's
-dense symmetric one (``_jacobi_eigh``) on the k x k matrix with its lower
-triangle filled: on a tridiagonal matrix it gives the same bits as LAPACK's
-tridiagonal dstevd, and the package needs nothing beyond numpy at run time.
-Expansions are Horner's rule in the Gegenbauer basis, with no quadrature.
-bench/tracer.py wraps weight_rule and gegenbauer_derivative, their only users.
+zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), the Levenshtein
+rules' nodes from such a matrix with its last row changed (in levenshtein),
+and every weight from the Christoffel numbers of such a matrix. The matrices
+are at most 61 x 61, so each solve is numpy's dense symmetric one
+(``_jacobi_eigh``) on the k x k matrix with its lower triangle filled: on a
+tridiagonal matrix it gives the same bits as LAPACK's tridiagonal dstevd, and
+the package needs nothing beyond numpy at run time. Expansions are Horner's
+rule in the Gegenbauer basis, with no quadrature. bench/tracer.py wraps
+jacobi_zeros, weight_rule and gegenbauer_derivative, their only users.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -38,12 +38,14 @@ class Poly:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        c = [float(x) for x in (coeffs if isinstance(coeffs, (list, tuple))
+                                else np.atleast_1d(coeffs))]
         # trim trailing exact zeros only; NaN and inf stay, so validation sees
         # them; no coefficients at all is the zero polynomial
-        nonzero = np.flatnonzero(c != 0.0)
-        c = c[: nonzero[-1] + 1] if nonzero.size else c[:1] if c.size else [0.0]
-        object.__setattr__(self, "coeffs", tuple(float(x) for x in c))
+        end = len(c)
+        while end > 1 and c[end - 1] == 0.0:
+            end -= 1
+        object.__setattr__(self, "coeffs", tuple(c[:end]) if c else (0.0,))
 
     @property
     def degree(self) -> int:
@@ -205,21 +207,6 @@ def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
     return _jacobi_eigh(a, b)
 
 
-def kernel_zeros(alpha: float, beta: float, k: int, s: float) -> np.ndarray:
-    """All k zeros, ascending, of P_k(t) P_{k-1}(s) - P_k(s) P_{k-1}(t) for
-    P = P^(alpha,beta). In monic form the kernel is p_k - r p_{k-1} with
-    r = p_k(s)/p_{k-1}(s), whose zeros are the eigenvalues of the Jacobi
-    matrix with r added to its last diagonal entry (Golub, SIAM Review 15,
-    1973). t = s is always among them and is pinned exactly."""
-    a, b = _jacobi_recurrence(alpha, beta, k)
-    p_prev, p = _monic(a, b, s)
-    # at p_{k-1}(s) = 0 the shift is infinite, and the solve rejects it
-    a[-1] += p / p_prev if p_prev else math.inf
-    roots = _jacobi_eigh(a, b)
-    roots[np.argmin(np.abs(roots - s))] = s
-    return roots
-
-
 def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
     """Largest zero t_k^{a,b} of the adjacent Jacobi polynomial; t_0^{1,1} = -1."""
     if a not in (0, 1) or b not in (0, 1):
@@ -228,11 +215,16 @@ def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
         if (a, b) == (1, 1):
             return -1.0
         raise RangeError("k = 0 is only defined for (a, b) = (1, 1)")
+    return float(_jacobi_eigh(*_adjacent_recurrence(n, a, b, k))[-1])
+
+
+def _adjacent_recurrence(n: int, a: int, b: int, k: int) -> tuple[list, list]:
+    """_jacobi_recurrence of the adjacent weight (1 - t)^a (1 + t)^b dmu,
+    parameters (a + (n - 3)/2, b + (n - 3)/2), after a check of n."""
     _check_dimension(n)
-    alpha = a + (n - 3) / 2.0
-    beta = b + (n - 3) / 2.0
+    lam = (n - 3) / 2.0
     try:
-        return float(jacobi_zeros(alpha, beta, k)[-1])
+        return _jacobi_recurrence(a + lam, b + lam, k)
     except OverflowError:  # the recurrence squares alpha + beta + 2
         raise RangeError(
             f"n = {n} too large: the Jacobi recurrence squares past the largest double"

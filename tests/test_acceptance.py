@@ -1,6 +1,8 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,19 @@ from scipy.special import roots_jacobi
 
 from designbounds import bounds, codes, innerprod
 from designbounds.levenshtein import dgs_bound, interval as lev_interval
-from designbounds.levenshtein import lev_bound_m, quadrature_rule
+from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_expand, gegenbauer_table
 from designbounds.potentials import make_gauss, make_log, make_riesz
+
+def _lev_bound_m():
+    """The 50-digit Levenshtein bound L_m(n, s), the oracle test_levenshtein
+    keeps."""
+    path = Path(__file__).with_name("test_levenshtein.py")
+    spec = importlib.util.spec_from_file_location("levenshtein_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.lev_bound_m
+
 
 GRID_N = (3, 4, 5, 8, 24)
 GRID_TAU = tuple(range(1, 11))
@@ -65,15 +77,16 @@ def test_criterion_02_closed_form_rule():
 
 
 def test_criterion_03_endpoint_identities():
+    lev_bound_m = _lev_bound_m()
     worst = 0.0
     for n in (3, 4, 8):
         for k in range(1, 7):
             lo_odd, _ = lev_interval(n, 2 * k - 1)
             D = dgs_bound(n, 2 * k - 1)
-            worst = max(worst, abs(lev_bound_m(n, 2 * k - 1, lo_odd) - D) / D)
+            worst = max(worst, float(abs(lev_bound_m(n, 2 * k - 1, lo_odd) - D) / D))
             lo_even, _ = lev_interval(n, 2 * k)
             D2 = dgs_bound(n, 2 * k)
-            worst = max(worst, abs(lev_bound_m(n, 2 * k, lo_even) - D2) / D2)
+            worst = max(worst, float(abs(lev_bound_m(n, 2 * k, lo_even) - D2) / D2))
     _report(3, worst <= 1e-8, f"worst relative endpoint mismatch {worst:.3e}")
 
 

@@ -126,7 +126,7 @@ def test_even_range_in_unstable_zone_exits_3_not_traceback(capsys):
 
 
 @pytest.mark.parametrize("n, N, tau, potential", [
-    (3, "196", 26, "riesz:s=2"),
+    (3, "199", 26, "riesz:s=2"),
     (4, "1938", 33, "log"),
     (8, "826804", 36, "riesz:s=2"),
 ])
@@ -235,11 +235,6 @@ BIG = "1" + "0" * 400
      "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
     ("bound --n TEN200 --N TEN200 --tau 2 --potential log --side upper",
      "upper_2design: the value inf of N(N f_0 - f(1)) is past the largest double"),
-    # a kernel shift or an L_tau quotient that divides by a 0 from round-off
-    ("quadrature --n TEN20 --tau 3 --N 200000000000000000000",
-     "the kernel at s = 0.0 has an infinite shift for (n=TEN20, tau=3): p_(k-1)(s) rounds to 0"),
-    ("quadrature --n TEN20 --tau 3 --N 166666666666666666685000000000000",
-     "L_3(n=TEN20, s) divides by 0 at s = 1e-10"),
 ])
 def test_integers_past_the_doubles_are_range_errors(capsys, argv, names):
     code, out, err = run(capsys, *_written_out(argv).split())
@@ -323,17 +318,15 @@ def test_tau_0_gets_one_message(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, d", [
-    ("bound --n 30000000000000000 --N 30000000000000003 --tau 2 --potential log --side lower",
-     30000000000000001),
-    ("quadrature --n 30000000000000000 --N 30000000000000003 --tau 2", 30000000000000001),
-    ("quadrature --n 60 --tau 26 --N 83710202924601", 83710202924600),
+    ("bound --n 24 --N 47081501377327 --tau 50 --potential log --side lower", 47081501377326),
+    ("quadrature --n 60 --tau 30 --N 2193741936407905", 2193741936407904),
     ("quadrature --n 24 --tau 58 --N 549663398587801", 549663398587800),
-    ("quadrature --n 100000 --tau 6 --N 166676666750001", 166676666750000),
+    ("quadrature --n 24 --tau 60 --N 976274579549361", 976274579549360),
 ])
 def test_even_rule_whose_lobatto_coefficient_rounds_below_0_is_a_range_error(capsys, argv, d):
-    # N = D(n, tau) + 1 or + 2, within 1.2e-14 relative of D, so s is not
-    # resolved from the interval's end and b_k is not positive: -1 would get
-    # weight 0 strictly inside the interval
+    # N = D(n, tau) + 1, within 2.2e-14 relative of D, so s is not resolved
+    # from the interval's end and b_k is not positive: -1 would get weight 0
+    # strictly inside the interval
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("range error: N = ")
@@ -367,7 +360,7 @@ def test_sweep_tau_0_rows_get_one_message(capsys):
     # below the rule's largest node no 35-point code exists
     ("--n 7 --N 35 --tau 4 --u -0.6", "upper_cubic: u = -0.6 must be at least the largest node"),
     ("--n 3 --N 7 --tau 3 --u 0", "upper_cubic: u = 0.0 must be at least the largest node"
-                                  " 0.13807118745769834; strip_odd: u = 0.0 must be at least"
+                                  " 0.1380711874576984; strip_odd: u = 0.0 must be at least"
                                   " the largest node"),
 ])
 def test_bound_upper_says_why_no_method_applies(capsys, argv, reason):
@@ -385,12 +378,13 @@ def test_bound_upper_says_why_no_method_applies(capsys, argv, reason):
 @pytest.mark.parametrize(
     "n, N, tau, u",
     [
-        (24, "20412047012175", 47, "0.8935446724486625"),
+        (24, "20412047012175", 47, "0.8935446724486622"),
         (8, "490314", 33, "0.9389680149268138"),
     ],
 )
 def test_strip_without_admissible_node_exits_3(capsys, n, N, tau, u):
-    # strip_odd rejects every released-node candidate: a convergence failure
+    # u is the rule's s: strip_odd rejects every released-node candidate, a
+    # convergence failure
     code, _, err = run(
         capsys, "bound", "--n", str(n), "--N", N, "--tau", str(tau),
         "--potential", "riesz:s=2", "--side", "upper", "--u", u,
@@ -490,17 +484,17 @@ def test_sweep_rows_agree_with_bound_and_quadrature(capsys, ns, taus, points, er
 
 
 def test_sweep_keeps_rows_when_points_fail_internally(capsys):
-    # 8 of these points give a ULB certificate that fails its own check
+    # 9 of these points give a ULB certificate that fails its own check
     code, out, err = run(
         capsys, "sweep", "--n", "60,200", "--tau", "2,3,13,17",
         "--potential", "gauss:c=1", "--format", "json",
     )
     assert code == 3
-    assert "8 of 24" in err
+    assert "9 of 24" in err
     rows = json.loads(out)
     assert len(rows) == 24
     failed = [row for row in rows if "error" in row]
-    assert len(failed) == 8
+    assert len(failed) == 9
     for row in failed:
         code, _, err = run(
             capsys, "bound", "--n", str(row["n"]), "--N", str(row["N"]), "--tau", str(row["tau"]),
@@ -533,7 +527,7 @@ def forks(monkeypatch):
 @pytest.mark.parametrize("argv, code, says", [
     ("--n 3,4 --tau 2,3,4,5 --potential riesz:s=2 --u 0.5", 0, "strip_odd"),
     ("--n 3,4 --tau 5,61 --potential log", 0, "k = 31 exceeds cap 30"),
-    ("--n 60,200 --tau 2,3,13,17 --potential gauss:c=1", 3, "8 of 24"),
+    ("--n 60,200 --tau 2,3,13,17 --potential gauss:c=1", 3, "9 of 24"),
 ])
 def test_sweep_jobs_2_prints_the_bytes_of_jobs_1(capsys, forks, fmt, argv, code, says):
     # ordinary rows, range-error rows and internal-failure rows; the (n, tau)

@@ -6,18 +6,16 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # the cases of contract_scan.cases(4, 50) that exit 3 on this tree: A1
-# rejections of the double Newton table in the zone and at large n (ROADMAP
-# item 3), and ULB rejections for polynomial potentials that are not
-# absolutely monotone. A change may mend them; it may not add to them. No
-# case may emit a Python warning.
+# rejections of the ULB certificate from the double Newton table, in the
+# zone of high tau at small n and at large n (ROADMAP item 3). A polynomial
+# potential of degree below the scheme's conditions is its own interpolant,
+# so the two poly sweeps that exited 3 here no longer do. A change may mend
+# these cases; it may not add to them. No case may emit a Python warning.
 KNOWN_EXIT_3 = {
     "sweep --n 9431417410 --tau 17 --potential gauss:c=5.769 --u 0.6058518837198799",
     "sweep --n 1660229 --tau 12 --potential log --u -0.18931870511018967",
     "sweep --n 188 --tau 44 --potential log --u -0.048923681349307246",
     "sweep --n 40890650638 --tau 13 --potential riesz:s=1.095 --u 0.486506691472383",
-    "sweep --n 1229106841 --tau 6 --potential poly:-0.249,-0.602,1.606,-0.372"
-    " --u 0.8729931668199653",
-    "sweep --n 491919164 --tau 6 --potential poly:0.051,-0.5,0.792,-1.317 --u 0.3664388727121224",
     "sweep --n 1552 --tau 41 --potential log --u 0.9620518696455346",
     "bound --n 19199287 --N 36796903066103891226373146973238952294277049629704167851929628334159"
     "472408922482115877379467275574138726792520 --tau 35 --potential riesz:s=4.296 --side strip",
@@ -41,8 +39,18 @@ def test_contract_scan_sample_raises_nothing_and_adds_no_exit_3(scan):
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
 def test_sweep_that_exits_3_is_grouped_by_its_row_errors(scan, fmt):
-    # 8 of its 24 points fail with a ULB rejection, each with its own margin
+    # 9 of its 24 points fail with a ULB rejection, each with its own margin
     argv = ["sweep", "--n", "60,200", "--tau", "2,3,13,17", "--potential", "gauss:c=1", *fmt]
+    codes, broken, warned = scan.scan([argv])
+    assert codes == {"3": 1}
+    assert broken == {"ULB certificate rejected: ['A# violated: margin # at t = #']": [argv]}
+    assert not warned
+
+
+def test_range_error_rows_of_a_sweep_that_exits_3_are_left_out(scan):
+    # its lowest point fails with a ULB rejection; N^2 is past the largest
+    # double at the other two, where bound exits 2 with a range error
+    argv = ["sweep", "--n", "5847858", "--tau", "53", "--potential", "log"]
     codes, broken, warned = scan.scan([argv])
     assert codes == {"3": 1}
     assert broken == {"ULB certificate rejected: ['A# violated: margin # at t = #']": [argv]}

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -377,3 +378,17 @@ def test_remainder_bound_counts_the_rounding_of_h_and_f():
     around = remainder_bound(f, tangent, h, c - 0.5, c + 0.5, "below", 1e-9)
     assert h.error(c, 0, v) <= at_c <= 1e-9
     assert around - at_c >= 0.5 * h.error(c, 1, d)
+
+
+def test_a_polynomial_potential_below_the_schemes_degree_is_its_own_interpolant(capsys):
+    # deg h < m: the interpolant is h, taken as it is rather than from the
+    # table, which at n = 10^12 and tau = 5 loses h's values to round-off
+    p = Poly([0.3, -1.0, 2.0])
+    h = make_poly(p)
+    assert interpolate(HermiteScheme([(-0.5, 2), (0.25, 1)]), h).coeffs == p.coeffs
+    assert interpolate(HermiteScheme([(-0.5, 1), (0.25, 1)]), h).degree == 1
+    lo, hi = levenshtein.dgs_bound(10**12, 5), levenshtein.dgs_bound(10**12, 6)
+    argv = ["bound", "--n", str(10**12), "--N", str((lo + hi) // 2), "--tau", "5",
+            "--potential", "poly:1,0,2", "--side", "lower"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["lower"]["best_method"] == "ulb"

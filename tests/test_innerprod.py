@@ -86,8 +86,45 @@ def _mp_xi(n, N, k):
 def test_even_xi_is_the_50_digit_root(n, k):
     N = (dgs_bound(n, 2 * k) + dgs_bound(n, 2 * k + 1)) // 2
     xi = innerprod.even_xi(n, N, k)
-    # within the finder's tolerance, xtol + rtol |xi| < 2e-15
-    assert xi == pytest.approx(_mp_xi(n, N, k), rel=0, abs=2e-15)
+    # Newton's method stops within two ulps of 1 of the root
+    assert xi == pytest.approx(_mp_xi(n, N, k), rel=0, abs=4.5e-16)
+
+
+def _mp_log_xi(n, N, k, start):
+    """xi to 50 digits as the root of log |p(t)| = log |p(-1)| - drop, drop
+    = -log(gamma_0 N)/2, on the rule's double nodes and weight; -1 where
+    drop <= 0 leaves no root. The secant method runs on u = log(beta_1 -
+    t), where the equation has no pole, from the u of start."""
+    rule = quadrature_rule(n, 2 * k, N)
+    with mpmath.workdps(50):
+        betas = [mpmath.mpf(b) for b in rule.nodes[1:].tolist()]
+        drop = -mpmath.log(mpmath.mpf(float(rule.weights[0])) * N) / 2
+        if drop <= 0:
+            return -1.0
+        c = mpmath.fsum(mpmath.log(b + 1) for b in betas) - drop
+        g = lambda u: u + mpmath.fsum(mpmath.log(b - betas[0] + mpmath.exp(u)) for b in betas[1:]) - c
+        u = mpmath.findroot(g, mpmath.log(betas[0] - start), tol=mpmath.mpf(10) ** -90,
+                            verify=False)
+        return float(betas[0] - mpmath.exp(u))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
+def test_even_xi_is_the_50_digit_root_from_bound_to_bound(n):
+    # N = D(2k) + 1, where xi is within round-off of beta_1 and Newton's
+    # first steps from -1 land past it, the middle and D(2k + 1) - 1
+    for k in range(1, 31):
+        lo, hi = dgs_bound(n, 2 * k), dgs_bound(n, 2 * k + 1)
+        if hi > 2**1000:
+            break
+        for N in (lo + 1, (lo + hi) // 2, hi - 1):
+            if not float(lo) < float(N) < float(hi):  # past 2^53, N rounds to a bound
+                continue
+            try:
+                xi = innerprod.even_xi(n, N, k)
+            except RangeError:  # the Lobatto coefficient at D(2k) + 1 rounds below 0
+                assert N == lo + 1
+                continue
+            assert xi == pytest.approx(_mp_log_xi(n, N, k, xi), rel=0, abs=4.5e-16), (k, N)
 
 
 @pytest.mark.parametrize("n, N, k", [(3, 689, 25), (3, 742, 26), (8, 313956, 15),

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
+from designbounds import levenshtein as lev
 from designbounds import orthopoly as op
 from designbounds.errors import RangeError
 
@@ -133,25 +134,6 @@ def test_jacobi_zeros_increasing_and_accurate(a, b, k):
         assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize(
-    "a, b, k, s",
-    [
-        (1.0, 0.0, 1, 0.3), (1.0, 0.0, 4, 0.5), (1.5, 1.5, 6, 0.8), (3.5, 2.5, 12, 0.6),
-        (12.5, 12.5, 20, 0.55), (99.5, 98.5, 9, 0.3), (99.5, 99.5, 31, 0.45),
-    ],
-)
-def test_kernel_zeros(a, b, k, s):
-    roots = op.kernel_zeros(a, b, k, s)
-    assert len(roots) == k
-    assert np.all(np.diff(roots) > 0)
-    assert s in roots
-    Pk_s, Pk1_s = _jacobi_eval(a, b, k, s), _jacobi_eval(a, b, k - 1, s)
-    Pk_t, Pk1_t = _jacobi_eval(a, b, k, roots), _jacobi_eval(a, b, k - 1, roots)
-    kernel = Pk_t * Pk1_s - Pk_s * Pk1_t
-    scale = np.abs(Pk_t * Pk1_s) + np.abs(Pk_s * Pk1_t)
-    assert np.max(np.abs(kernel) / scale) < 1e-12
-
-
 def test_adjacent_largest_zero_special_case():
     assert op.adjacent_largest_zero(3, 1, 1, 0) == -1.0
     with pytest.raises(RangeError):
@@ -211,6 +193,29 @@ def test_poly_arithmetic_and_roots():
 def test_poly_trims_leading_zeros():
     p = op.Poly([1.0, 2.0, 0.0, 0.0])
     assert p.degree == 1
+
+
+def _numpy_trimmed(coeffs):
+    """Poly's coefficients as numpy's nonzero search trims them: trailing
+    exact zeros go, NaN and inf stay, and no coefficients at all is (0.0,)."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    nonzero = np.flatnonzero(c != 0.0)
+    c = c[: nonzero[-1] + 1] if nonzero.size else c[:1] if c.size else [0.0]
+    return tuple(float(x) for x in c)
+
+
+def test_poly_trims_as_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    inputs = [[], (), 0.0, -0.0, 2, np.float64(-0.0), np.asarray(1.5), np.zeros(0), np.zeros(3),
+              [0, 0.0, -0.0], [-0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, -0.0],
+              npoly.polyder([1.0, 2.0, 3.0], 5)]
+    for _ in range(200):
+        c = rng.choice([0.0, -0.0, 1.0, -2.5, 5e-324, np.nan, np.inf], rng.integers(0, 7))
+        inputs += [c, c.tolist(), tuple(c.tolist())]
+    for coeffs in inputs:
+        got = op.Poly(coeffs).coeffs
+        assert all(type(x) is float for x in got)
+        assert np.asarray(got).tobytes() == np.asarray(_numpy_trimmed(coeffs)).tobytes(), coeffs
 
 
 @pytest.mark.parametrize("coeffs", [[], [0.0], [0.0, 0.0]])
@@ -336,10 +341,10 @@ def _same_bits(got, want):
 
 
 # the sphere's parameter lam = (n - 3)/2 for n in {3, 4, 24, 200}, with the
-# (0, 0)-, (1, 0)- and (1, 1)-adjacent pairs the package solves, and a few
-# pairs off that lattice
+# (0, 0)-, (1, 0)-, (1, 1)- and (0, 1)-adjacent pairs the package solves, and
+# a few pairs off that lattice
 _LAMS = [(n - 3) / 2.0 for n in (3, 4, 24, 200)]
-_PARAMS = [(lam + a, lam + b) for lam in _LAMS for a, b in ((0, 0), (1, 0), (1, 1))] + [
+_PARAMS = [(lam + a, lam + b) for lam in _LAMS for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))] + [
     (-0.5, -0.5), (0.5, -0.5), (-0.9, 2.3), (7.25, -0.75),
 ]
 _KS = (1, 2, 3, 5, 8, 17, 31, 61)
@@ -363,21 +368,6 @@ def test_zeros_are_scipys_tridiagonal_solve_bit_for_bit(alpha, beta):
     for k in _KS:
         a, b = _numpy_recurrence(alpha, beta, k)
         assert _same_bits(op.jacobi_zeros(alpha, beta, k), eigvalsh_tridiagonal(a, np.sqrt(b))), k
-
-
-@pytest.mark.parametrize("alpha, beta", _PARAMS)
-def test_kernel_zeros_are_the_shifted_scipy_solve_bit_for_bit(alpha, beta):
-    # the shift p_k(s)/p_{k-1}(s) is added to the last diagonal entry
-    for k in _KS:
-        for s in (-0.37, 0.3, 0.71, float(op.jacobi_zeros(alpha, beta, k)[-1]) + 1e-3):
-            a, b = _numpy_recurrence(alpha, beta, k)
-            p_prev, p = 1.0, s - a[0]
-            for j in range(1, k):
-                p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
-            a[-1] += p / p_prev
-            want = eigvalsh_tridiagonal(a, np.sqrt(b))
-            want[np.argmin(np.abs(want - s))] = s
-            assert _same_bits(op.kernel_zeros(alpha, beta, k, s), want), (k, s)
 
 
 @pytest.mark.parametrize("n", [3, 4, 24, 200])
@@ -406,13 +396,6 @@ def test_non_finite_matrix_is_scipys_value_error(a, b):
         op._jacobi_eigh(a, b)
 
 
-def test_kernel_at_a_zero_of_p_k_minus_1_is_the_same_value_error():
-    # s = a_0 is the zero of p_1, so the shift p_2(s)/p_1(s) divides by 0
-    s = op._jacobi_recurrence(1.0, 0.0, 2)[0][0]
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        op.kernel_zeros(1.0, 0.0, 2, s)
-
-
 class _NonConvergingSolver:
     """numpy's eigen-solver gufuncs, failing as a LAPACK solve that does not
     converge fails: NaN results and the floating-point invalid flag, which
@@ -438,7 +421,7 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
     monkeypatch.setattr(linalg, "_umath_linalg", _NonConvergingSolver(linalg._umath_linalg))
     for call in (
         lambda: op.jacobi_zeros(0.0, 0.0, 2),
-        lambda: op.kernel_zeros(1.0, 0.0, 2, 0.5),
+        lambda: lev._nodes_beside_1(3, 0, 2, 7.0),
         lambda: op.weight_rule(5, 3),
         lambda: op.adjacent_largest_zero(4, 1, 0, 3),
     ):
@@ -451,9 +434,9 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
     [
         lambda: op.jacobi_zeros(-1.0, 0.0, 3),
         lambda: op.jacobi_zeros(0.0, -1.5, 3),
-        lambda: op.kernel_zeros(-1.0, 0.0, 3, 0.5),
+        lambda: op._jacobi_recurrence(-1.0, 0.0, 3),
         lambda: op.jacobi_zeros(0.0, 0.0, 0),
-        lambda: op.kernel_zeros(1.0, 0.0, 0, 0.5),
+        lambda: op._adjacent_recurrence(3, 1, 0, 0),
         lambda: op._jacobi_recurrence(0.5, 0.5, -2),
     ],
 )

@@ -58,7 +58,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (432 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (441 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo -
   1, lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -77,10 +77,13 @@ The sets:
   for n in {25, 26, 200}, and ``bound --tau 2 --side upper`` at N = n + 2
   for n in {10^12, 10^13} and at N = n + 3 for n = 3*10^16, where l and u
   are adjacent doubles, with the three potentials; and at even tau, N one
-  or two above lo, where -1's Lobatto coefficient rounds to 0 or below:
-  ``bound --potential log --side lower`` and ``quadrature`` at (3*10^16,
-  3*10^16 + 3, 2), ``quadrature`` at (n, tau) in {(60, 26), (24, 58),
-  (10^5, 6)} and ``sweep --potential log`` at the first; and ``bound --potential log
+  to three above lo, where -1's Lobatto coefficient can round to 0 or
+  below: ``bound --potential log --side lower`` and ``quadrature`` at
+  (3*10^16, 3*10^16 + 3, 2), ``quadrature`` at (n, tau) in {(60, 26), (24,
+  58), (10^5, 6), (24, 50), (60, 30), (24, 60)} and ``sweep --potential
+  log`` at the first; and ``quadrature`` at N = hi - 1 for (n, tau) in
+  {(24, 48), (1000, 11), (10^5, 5)}, where L_tau - N had no sign change on
+  a root finder's bracket; and ``bound --potential log
   --side lower`` at N = hi - 1 and hi for (n, tau) in {(1000, 10),
   (2*10^12, 2)}, where ell is within 1e-12 of -1 and is -1, and at (8, 60,
   4) with ``--l`` in {-1, -1 + 1e-13, -1 + 1e-11}; and integers past the
@@ -92,14 +95,20 @@ The sets:
   --tau 2`` (n written out as an integer), and whose bound N^2 h overflows,
   the same ``bound`` with ``--side upper`` and with ``--N 10^200 --side
   upper``, and whose b_j underflow, ``quadrature --n 10^100 --N 2e299 --tau
-  6``, and ``quadrature --n 10^20 --tau 3`` at N = 2*10^20, where the
-  kernel's shift divides by a p_(k-1)(s) that rounds to 0, and at N =
-  166666666666666666685000000000000, where L_3's denominator does, and
+  6``, and ``quadrature --n 10^20 --tau 3`` at N = 2*10^20 and at N =
+  166666666666666666685000000000000, where a kernel's shift and L_3's
+  denominator divided by a 0 from round-off, and
   ``sweep --n 10^13 --tau 25 --N 10^158``, whose integer N squares past the
   largest double, and ``bound --n 10^15 --N 1.5e154 --tau 21``, whose float
   N squares to inf, with poly:0 at ``--side lower`` and at ``--side upper
-  --u 0.5``, poly:1 at the latter and log at the former; and ``testfn
-  --jmax`` 0 and -2 and ``code --max-tau -1``.
+  --u 0.5``, poly:1 at the latter and log at the former; and polynomial
+  potentials of degree below the scheme's conditions, which interpolate
+  themselves: ``sweep --tau 6`` at n = 1229106841 with
+  poly:-0.249,-0.602,1.606,-0.372 and ``--u 0.8729931668199653`` and at n =
+  491919164 with poly:0.051,-0.5,0.792,-1.317 and ``--u
+  0.3664388727121224``, and ``bound --n 10^12 --tau 5 --potential
+  poly:1,0,2 --side lower`` at N = (lo+hi)//2; and ``testfn --jmax`` 0 and
+  -2 and ``code --max-tau -1``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -272,7 +281,10 @@ def edges_cases():
     yield ["bound", "--n", str(3 * 10**16), "--N", str(3 * 10**16 + 3), "--tau", "2",
            "--potential", "log", "--side", "lower"]
     for n, tau, N in ((3 * 10**16, 2, 3 * 10**16 + 3), (60, 26, 83710202924601),
-                      (24, 58, 549663398587801), (10**5, 6, 166676666750001)):
+                      (24, 58, 549663398587801), (10**5, 6, 166676666750001),
+                      (24, 50, 47081501377327), (60, 30, 2193741936407905),
+                      (24, 60, 976274579549361), (24, 48, 32247603683099),
+                      (1000, 11, 1418257549408699), (10**5, 5, 166676666749999)):
         yield ["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]
     yield ["sweep", "--n", "60", "--tau", "26", "--N", "83710202924601", "--potential", "log"]
     for n, tau in ((1000, 10), (2 * 10**12, 2)):
@@ -299,6 +311,12 @@ def edges_cases():
     for extra in (["poly:0", "--side", "lower"], ["poly:0", "--side", "upper", "--u", "0.5"],
                   ["poly:1", "--side", "upper", "--u", "0.5"], ["log", "--side", "lower"]):
         yield ["bound", "--n", str(10**15), "--N", "1.5e154", "--tau", "21", "--potential", *extra]
+    for n, pot, u in ((1229106841, "poly:-0.249,-0.602,1.606,-0.372", "0.8729931668199653"),
+                      (491919164, "poly:0.051,-0.5,0.792,-1.317", "0.3664388727121224")):
+        yield ["sweep", "--n", str(n), "--tau", "6", "--potential", pot, "--u", u]
+    lo, hi = _bounds(10**12, 5)
+    yield ["bound", "--n", str(10**12), "--N", str((lo + hi) // 2), "--tau", "5",
+           "--potential", "poly:1,0,2", "--side", "lower"]
     for builder, *options in (("simplex", "--n", BIG), ("cross-polytope", "--n", BIG),
                               ("orthogonal-simplices", "--a", "3", "--b", BIG),
                               ("kerdock", "--l", "600")):

@@ -10,8 +10,10 @@ every case that exits 3 or raises, grouped by its last stderr line (or
 exception name), and every case that warns, grouped by its first warning,
 each with the numbers masked. A sweep that exits 3 is grouped by the error
 of each of its error rows instead, read from its CSV or JSON, and counted
-once per distinct message, so its range-error rows are listed too. It exits
-1 when any case raises or warns, and 0 otherwise, whatever exits 3::
+once per distinct message; a row counts only where ``bound --side strip`` at
+its point, with the sweep's potential and ``--u``, does not exit 2, so its
+range-error rows are left out. It exits 1 when any case raises or warns,
+and 0 otherwise, whatever exits 3::
 
     PYTHONPATH=src python tools/contract_scan.py --seed 1 --count 3000
 """
@@ -56,10 +58,20 @@ def _masked(message: str) -> str:
     return re.sub(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?", "#", message)
 
 
+def _not_range_error(argv: list[str], row: dict) -> bool:
+    """bound at a sweep row's point, with the sweep's potential and --u,
+    exits other than 2: the row is no range error."""
+    options = [x for flag, value in zip(argv[1::2], argv[2::2])
+               if flag in ("--potential", "--u") for x in (flag, value)]
+    point = ["--n", str(row["n"]), "--N", str(row["N"]), "--tau", str(row["tau"])]
+    return run_case(["bound", *point, *options, "--side", "strip"])[0] != "2"
+
+
 def _broken(argv: list[str], code: str, out: str, err: str) -> set[str]:
     """The masked messages a case that exits 3 or raises is grouped by:
-    the error of each error row of a sweep's CSV or JSON output, else the
-    last stderr line or the exception name; no message for any other case."""
+    the error of each error row of a sweep's CSV or JSON output that is no
+    range error, else the last stderr line or the exception name; no
+    message for any other case."""
     if code.startswith("TB:"):
         return {code}
     if code != "3":
@@ -67,7 +79,7 @@ def _broken(argv: list[str], code: str, out: str, err: str) -> set[str]:
     rows = _parsed(out) if argv[0] == "sweep" else []
     if rows and isinstance(rows[0], list):  # CSV: a header, then one row per point
         rows = [dict(zip(rows[0], row)) for row in rows[1:]]
-    errors = {row["error"] for row in rows if row.get("error")}
+    errors = {row["error"] for row in rows if row.get("error") and _not_range_error(argv, row)}
     return {_masked(e) for e in errors or (err.strip().splitlines() or ["(none)"])[-1:]}
 
 
