@@ -89,6 +89,49 @@ def test_solve_cardinality_round_trip():
             assert float(lev_bound_m(n, tau, s)) == pytest.approx(N, rel=1e-10)
 
 
+def _mp_modified_recurrence(n, plus, k, N):
+    """The monic recurrence a_0..a_k, b_1..b_k of (1 + t)^plus dmu, mass 1,
+    in 50-digit mpmath, with b_k = rho^2 / (N - K) and a_k = 1 - rho
+    q_(k-1)(1) / (N - K) from the orthonormal q_j(1), K = sum_(j<k)
+    q_j(1)^2 and rho = sqrt(b_k) q_k(1): the last row that makes the
+    rule's nodes and 1 its zeros."""
+    lam = mpmath.mpf(n - 3) / 2
+    a, b = _mp_recurrence(lam, lam + plus, k + 1)
+    q_prev, q, K = 0, mpmath.mpf(1), 0
+    for j in range(k):
+        K += q * q
+        r_prev = mpmath.sqrt(b[j - 1]) if j else 0
+        q_prev, q = q, ((1 - a[j]) * q - r_prev * q_prev) / mpmath.sqrt(b[j])
+    rho = mpmath.sqrt(b[k - 1]) * q
+    b[k - 1] = rho * rho / (N - K)
+    a[k] = 1 - rho * q_prev / (N - K)
+    return a, b
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
+def test_nodes_are_the_modified_matrixs_50_digit_eigenvalues(n, parity):
+    # the last row makes 1 a zero of p_(k+1) with Christoffel number 1/N'
+    # (N' = N at odd tau, N/2 for (1 + t) dmu at even tau), and every node
+    # of the rule, -1 aside, is within 8e-15 of a 50-digit zero (up to
+    # 6.4e-15 at n = 3, tau = 59, eigvalsh's accuracy there)
+    with mpmath.workdps(50):
+        for tau in range(1 if parity == "odd" else 2, 61, 2):
+            k = (tau + 1) // 2
+            lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+            N = (lo + hi) // 2
+            plus, N_prime = (0, mpmath.mpf(N)) if tau % 2 else (1, mpmath.mpf(N) / 2)
+            a, b = _mp_modified_recurrence(n, plus, k, N_prime)
+            assert abs(_mp_monic(a, b, k + 1, mpmath.mpf(1))[1]) < mpmath.mpf(10) ** -35
+            weight_1 = _mp_christoffel(a, b, [mpmath.mpf(1)])[0]
+            assert abs(weight_1 * N_prime - 1) < mpmath.mpf(10) ** -35
+            rule = lev.quadrature_rule(n, tau, N)
+            nodes = rule.nodes.tolist()[tau % 2 - 1:]  # -1 is no zero at even tau
+            g = lambda t: _mp_monic(a, b, k + 1, t)[1::2]
+            for x in nodes:
+                assert abs(x - _mp_newton(g, mpmath.mpf(x))) <= 8e-15, (tau, x)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
 def test_s_solves_the_levenshtein_equation_and_1_has_weight_1_over_N(n):
     # s, an eigenvalue of the modified Jacobi matrix, is within 2e-15 of the
