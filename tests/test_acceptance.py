@@ -15,6 +15,7 @@ from designbounds.levenshtein import quadrature_rule
 from designbounds.orthopoly import Poly, gegenbauer_expand, gegenbauer_table
 from designbounds.potentials import make_gauss, make_log, make_riesz
 
+
 def _lev_bound_m():
     """The 50-digit Levenshtein bound L_m(n, s), the oracle test_levenshtein
     keeps."""

@@ -12,12 +12,6 @@ from designbounds import orthopoly as op
 from designbounds.errors import RangeError
 
 
-def _jacobi_eval(alpha, beta, k, t):
-    """Standard Jacobi polynomial P_k^(alpha,beta), P_k(1) = binom(k+alpha, k):
-    the oracle for the package's Jacobi matrices."""
-    return special.eval_jacobi(k, alpha, beta, np.asarray(t, dtype=float))
-
-
 def _weight_moment(n, j):
     """Exact monomial moment of the normalized sphere weight (Beta function):
     the oracle for the package's Gauss rules."""
