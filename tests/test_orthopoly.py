@@ -364,6 +364,58 @@ def test_zeros_are_scipys_tridiagonal_solve_bit_for_bit(alpha, beta):
         assert _same_bits(op.jacobi_zeros(alpha, beta, k), eigvalsh_tridiagonal(a, np.sqrt(b))), k
 
 
+def _kernel_zeros(alpha, beta, k, s):
+    """All k zeros, ascending, of the kernel P_k(t) P_(k-1)(s) - P_k(s)
+    P_(k-1)(t), P = P^(alpha,beta): scipy's eigenvalues of the Jacobi matrix
+    with p_k(s) / p_(k-1)(s) of the monic p added to its last diagonal entry
+    (Golub, SIAM Review 15, 1973), with t = s pinned. The oracle for
+    Levenshtein's own description of the rule's nodes."""
+    a, b = _numpy_recurrence(alpha, beta, k)
+    p_prev, p = 1.0, s - a[0]
+    for j in range(1, k):
+        p_prev, p = p, (s - a[j]) * p - b[j - 1] * p_prev
+    a[-1] += p / p_prev
+    roots = eigvalsh_tridiagonal(a, np.sqrt(b))
+    roots[np.argmin(np.abs(roots - s))] = s
+    return roots
+
+
+@pytest.mark.parametrize(
+    "a, b, k, s",
+    [
+        (1.0, 0.0, 1, 0.3), (1.0, 0.0, 4, 0.5), (1.5, 1.5, 6, 0.8), (3.5, 2.5, 12, 0.6),
+        (12.5, 12.5, 20, 0.55), (99.5, 98.5, 9, 0.3), (99.5, 99.5, 31, 0.45),
+    ],
+)
+def test_kernel_zeros(a, b, k, s):
+    roots = _kernel_zeros(a, b, k, s)
+    assert len(roots) == k
+    assert np.all(np.diff(roots) > 0)
+    assert s in roots
+    Pk_s, Pk1_s = special.eval_jacobi(k, a, b, s), special.eval_jacobi(k - 1, a, b, s)
+    Pk_t, Pk1_t = special.eval_jacobi(k, a, b, roots), special.eval_jacobi(k - 1, a, b, roots)
+    kernel = Pk_t * Pk1_s - Pk_s * Pk1_t
+    scale = np.abs(Pk_t * Pk1_s) + np.abs(Pk_s * Pk1_t)
+    assert np.max(np.abs(kernel) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 200, 10**5])
+def test_levenshtein_nodes_are_the_kernel_zeros_at_s(n):
+    # Levenshtein's nodes beside 1 are the zeros of the kernel of (1 - t) dmu
+    # at s, (lam + 1, lam), at odd tau, and beside -1 and 1 those of (1 - t^2)
+    # dmu, (lam + 1, lam + 1), at even tau. The modified matrix's nodes are
+    # within 8e-15 of the 50-digit ones; the two paths differ by up to 4.5e-14,
+    # at n = 3, tau = 47, the kernel path's own float error
+    lam = (n - 3) / 2.0
+    for tau in range(2, 61):
+        k = (tau + 1) // 2
+        lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+        for N in ((lo + hi) // 2, hi - 1):
+            rule = lev.quadrature_rule(n, tau, N)
+            want = _kernel_zeros(lam + 1, lam + 1 - tau % 2, k, rule.s)
+            assert np.max(np.abs(rule.nodes[1 - tau % 2:] - want)) <= 1e-13, (tau, N)
+
+
 @pytest.mark.parametrize("n", [3, 4, 24, 200])
 def test_weight_rule_is_scipys_golub_welsch_rule(n):
     # the nodes are scipy's eigenvalues to the bit; the weights, Christoffel
