@@ -46,8 +46,8 @@ from .potentials import Potential, parse_potential
 A1_GRID = 20_001
 # u within this of the rule's largest node s counts as s, and strip_odd merges
 # -1 or u with a node this close: s is an eigenvalue of a Jacobi matrix of norm
-# about 1, within 1.8e-15 of its 50-digit value for n <= 10^8, tau <= 60, and
-# eigvalsh's nodes at the interval ends are within 6e-15 of theirs. It stays
+# at most 1, within 1.4e-15 of its 50-digit value for n <= 10^8, tau <= 60, and
+# every node, at the interval ends too, within 2e-15 of its own. It stays
 # until ROADMAP item 3's decimal table.
 _NODE_SLACK = 1e-12
 

@@ -6,14 +6,13 @@ The quadrature rule pairs a node at t = 1 with weight 1/N against interior
 nodes alpha_i / beta_i and weights rho_i / gamma_i, and integrates the
 normalized sphere weight exactly for polynomials of degree <= tau.
 
-Its nodes, the largest node s included, come from one symmetric
-eigenproblem with no root finder: k nodes beside weight 1/N at t = 1, exact
-to degree 2k - 1, are the Gauss rule of mu - delta_1 / N, so they and 1 are
-the eigenvalues of mu's (k+1) x (k+1) Jacobi matrix with its last row
-changed (Golub's modified eigenproblem, SIAM Review 15, 1973, on the
-point-mass modification of Gautschi, Orthogonal Polynomials, 2004, ch. 2).
-Even tau takes the same step on (1 + t) dmu beside -1. s then solves
-L_tau(n, s) = N, the Levenshtein bound on its tau-th branch.
+Its nodes, the largest node s included, are the eigenvalues of one k x k
+Jacobi matrix, with no root finder: that of (1 - t) dmu at odd tau, or of
+(1 - t^2) dmu beside -1 at even tau, with its last diagonal entry lowered
+by a closed form in N and the cardinality bounds D(n, tau +- 1) (the
+kernel polynomial of the point-mass modification mu - delta_1 / N,
+Gautschi, Orthogonal Polynomials, 2004, ch. 2). s then solves L_tau(n, s)
+= N, the Levenshtein bound on its tau-th branch.
 """
 
 from __future__ import annotations
@@ -66,25 +65,22 @@ def solve_cardinality(n: int, tau: int, N: float) -> float:
     return quadrature_rule(n, tau, N).s
 
 
-def _nodes_beside_1(n: int, plus: int, k: int, N: float) -> list:
-    """The k nodes, ascending, of the rule for (1 + t)^plus dmu, mass 1, that is
-    exact to degree 2k - 1 beside weight 1/N at t = 1: the Gauss rule of that
-    weight minus delta_1 / N. Its k nodes and 1 are the eigenvalues of the
-    weight's Jacobi matrix at size k + 1 with b_k = rho^2 / (N - K) and a_k
-    = 1 - rho q_(k-1)(1) / (N - K), where K = sum_(j<k) q_j(1)^2 over the
-    orthonormal q_j, rho = sqrt(b_k) q_k(1), and 1 / (K + rho^2 / b_k) = 1/N
-    is the Christoffel number at 1. The q_j(1) come from the orthonormal
-    recurrence, so no product of the b_j underflows at large n."""
-    a, b = op._adjacent_recurrence(n, 0, plus, k + 1)
-    roots = [math.sqrt(x) for x in b]
-    q_prev, q, K = 0.0, 1.0, 0.0
-    for aj, r, r_prev in zip(a, roots, [0.0, *roots]):
-        K += q * q
-        q_prev, q = q, ((1 - aj) * q - r_prev * q_prev) / r
-    rho, gap = roots[-1] * q, N - K
-    b[-1] = rho * rho / gap
-    a[-1] = 1 - rho * q_prev / gap
-    return op._jacobi_eigh(a, b).tolist()[:-1]
+def _shifted_matrix(n: int, tau: int, N: float, hi: int) -> tuple[list, list, list]:
+    """The rule's k nodes beside 1 (odd tau) or beside -1 and 1 (even tau),
+    ascending, and the recurrence (a, b) whose k x k Jacobi matrix has them
+    as its eigenvalues. Beside those ends the rule integrates nu = (1 - t)
+    (1 + t)^plus dmu, plus = 1 at even tau, exactly to degree 2k - 2, so its
+    nodes are the zeros of p_k + c p_(k-1) over nu's monic orthogonal p_j
+    (the kernel polynomial of a point-mass modification, Gautschi,
+    Orthogonal Polynomials, 2004, ch. 2): nu's Jacobi matrix with a_(k-1)
+    lowered by c. L_tau(n, s) = N gives c = (hi - N) / (N - D(n, tau - 1))
+    k (m + plus) / (m (m + 1)), m = 2k + n - 3 + plus, hi = D(n, tau + 1);
+    at N = hi, c = 0 and the matrix is interval's own."""
+    k, plus = (tau + 1) // 2, 1 - tau % 2
+    a, b = op._adjacent_recurrence(n, 1, plus, k)
+    m = 2 * k + n - 3 + plus
+    a[-1] -= (hi - N) / (N - dgs_bound(n, tau - 1)) * (k * (m + plus) / (m * (m + 1)))
+    return op._jacobi_eigh(a, b).tolist(), a, b
 
 
 def _at_bound(N: float, D: int) -> bool:
@@ -161,22 +157,18 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     at_lo = _at_bound(N, lo_card)
     boundary = at_lo or _at_bound(N, hi_card)
     odd = tau % 2 == 1
-    # alpha_0 < ... < alpha_(k-1) = s beside 1/N (odd tau), or beta_1 < ... <
-    # beta_k = s of (1 + t) dmu beside 2/N, since (1 + t) f vanishes at the
-    # node -1 (even tau); at tau = 1 the one node has a closed form
-    if tau == 1:
-        xs = [-1.0 / (N - 1)]
-    else:
-        xs = _nodes_beside_1(n, 0, k, N) if odd else _nodes_beside_1(n, 1, k, N / 2)
-    if boundary:  # s is the interval's end, and at odd tau's lower end the rule is tau - 1's
-        xs[-1] = interval(n, tau)[0 if at_lo else 1]
-        if at_lo and odd:
+    # alpha_0 < ... < alpha_(k-1) = s beside 1 (odd tau), or beta_1 < ... <
+    # beta_k = s beside -1 and 1 (even tau)
+    xs, a, b = _shifted_matrix(n, tau, N, hi_card)
+    if at_lo:  # s is the interval's lower end, and at odd tau the rule is tau - 1's
+        xs[-1] = interval(n, tau)[0]
+        if odd:
             xs[0] = -1.0
     s = xs[-1]
     # weights gamma_i / (1 - x_i), gamma the Christoffel numbers of (1 - t) dmu,
     # mass 1, whose Jacobi matrix is (lam + 1, lam)'s (Golub, SIAM Review 15, 1973)
-    if odd:
-        gammas = op._christoffel(*op._adjacent_recurrence(n, 1, 0, k), xs)  # Gauss-Radau at s
+    if odd:  # Gauss-Radau at s; the shifted a_(k-1) is not read
+        gammas = op._christoffel(a, b, xs)
         parity = "odd"
     else:
         # -1 beside the betas (Lobatto: b_k makes -1 and s zeros of p_(k+1))

@@ -3,14 +3,15 @@ and Gegenbauer expansions.
 
 Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
 zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), the Levenshtein
-rules' nodes from such a matrix with its last row changed (in levenshtein),
-and every weight from the Christoffel numbers of such a matrix. The matrices
-are at most 61 x 61, so each solve is numpy's dense symmetric one
-(``_jacobi_eigh``) on the k x k matrix with its lower triangle filled: on a
-tridiagonal matrix it gives the same bits as LAPACK's tridiagonal dstevd, and
-the package needs nothing beyond numpy at run time. Expansions are Horner's
-rule in the Gegenbauer basis, with no quadrature. bench/tracer.py wraps
-jacobi_zeros, weight_rule and gegenbauer_derivative, their only users.
+rules' nodes from such a matrix with its last diagonal entry shifted (in
+levenshtein), and every weight from the Christoffel numbers of such a
+matrix. The matrices are at most 61 x 61, so each solve is numpy's dense
+symmetric one (``_jacobi_eigh``) on the k x k matrix with its lower triangle
+filled: on a tridiagonal matrix it gives the same bits as LAPACK's
+tridiagonal dstevd, and the package needs nothing beyond numpy at run time.
+Expansions are Horner's rule in the Gegenbauer basis, with no quadrature.
+bench/tracer.py wraps jacobi_zeros, weight_rule and gegenbauer_derivative,
+their only users.
 
 Conventions: Gegenbauer polynomials P_i are normalized so P_i(1) = 1 for the
 dimension-n sphere weight (1-t^2)^((n-3)/2); the weight itself is normalized
@@ -139,17 +140,18 @@ def _recurrence_rows(n: int, d: int, t) -> list:
     return rows[: d + 1]
 
 
-def _jacobi_recurrence(alpha: float, beta: float, k: int) -> tuple[list, list]:
+def _jacobi_recurrence(alpha: float, beta: float, gap: float, k: int) -> tuple[list, list]:
     """Coefficients a_0..a_{k-1}, b_1..b_{k-1} of the monic Jacobi recurrence
     p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t), as fresh lists of
-    floats."""
+    floats. gap is beta - alpha, given exactly: past 2^53 alpha and beta may
+    round to one double, while the a_j are gap (alpha + beta) / s(s + 2)."""
     if alpha <= -1 or beta <= -1:
         raise RangeError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
     if k < 1:
         raise RangeError(f"degree must be >= 1, got {k}")
     ab = alpha + beta
-    diff = beta**2 - alpha**2
-    a = [(beta - alpha) / (ab + 2)]
+    diff = gap * ab
+    a = [gap / (ab + 2)]
     # b_1 is written out: the general form is 0/0 at alpha + beta = -1
     b = [4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))]
     for j in range(1, k):
@@ -203,7 +205,7 @@ def _monic(a: list, b: list, x: float) -> tuple[float, float]:
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
     """All k zeros of P_k^(alpha,beta), ascending: the eigenvalues of the
     k x k Jacobi matrix."""
-    a, b = _jacobi_recurrence(alpha, beta, k)
+    a, b = _jacobi_recurrence(alpha, beta, beta - alpha, k)
     return _jacobi_eigh(a, b)
 
 
@@ -220,11 +222,12 @@ def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
 
 def _adjacent_recurrence(n: int, a: int, b: int, k: int) -> tuple[list, list]:
     """_jacobi_recurrence of the adjacent weight (1 - t)^a (1 + t)^b dmu,
-    parameters (a + (n - 3)/2, b + (n - 3)/2), after a check of n."""
+    parameters (a + (n - 3)/2, b + (n - 3)/2) and their exact gap b - a,
+    after a check of n."""
     _check_dimension(n)
     lam = (n - 3) / 2.0
     try:
-        return _jacobi_recurrence(a + lam, b + lam, k)
+        return _jacobi_recurrence(a + lam, b + lam, b - a, k)
     except OverflowError:  # the recurrence squares alpha + beta + 2
         raise RangeError(
             f"n = {n} too large: the Jacobi recurrence squares past the largest double"
@@ -247,7 +250,7 @@ def weight_rule(n: int, m: int) -> WeightRule:
     if m < 1:
         raise RangeError(f"node count must be >= 1, got {m}")
     lam = (n - 3) / 2.0
-    a, b = _jacobi_recurrence(lam, lam, m)
+    a, b = _jacobi_recurrence(lam, lam, 0, m)
     nodes = _jacobi_eigh(a, b)
     return WeightRule(nodes=nodes, weights=np.fromiter(_christoffel(a, b, nodes.tolist()), float))
 

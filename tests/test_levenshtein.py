@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 import warnings
 
 import mpmath
@@ -109,16 +111,20 @@ def _mp_modified_recurrence(n, plus, k, N):
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8, 10**12, 3 * 10**16, 10**20])
 def test_nodes_are_the_modified_matrixs_50_digit_eigenvalues(n, parity):
     # the last row makes 1 a zero of p_(k+1) with Christoffel number 1/N'
     # (N' = N at odd tau, N/2 for (1 + t) dmu at even tau), and every node
-    # of the rule, -1 aside, is within 8e-15 of a 50-digit zero (up to
-    # 6.4e-15 at n = 3, tau = 59, eigvalsh's accuracy there)
+    # of the rule, -1 aside, is within 2e-15 of a 50-digit zero (up to
+    # 1.5e-15, at n = 60, tau = 53) and within 3e-15 of the largest node's
+    # size (up to 2.7e-15, at n = 1000, tau = 45): at large n the nodes are
+    # O(1/sqrt(n)), and so is their error
     with mpmath.workdps(50):
         for tau in range(1 if parity == "odd" else 2, 61, 2):
             k = (tau + 1) // 2
             lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+            if hi > sys.float_info.max:
+                break
             N = (lo + hi) // 2
             plus, N_prime = (0, mpmath.mpf(N)) if tau % 2 else (1, mpmath.mpf(N) / 2)
             a, b = _mp_modified_recurrence(n, plus, k, N_prime)
@@ -127,17 +133,42 @@ def test_nodes_are_the_modified_matrixs_50_digit_eigenvalues(n, parity):
             assert abs(weight_1 * N_prime - 1) < mpmath.mpf(10) ** -35
             rule = lev.quadrature_rule(n, tau, N)
             nodes = rule.nodes.tolist()[tau % 2 - 1:]  # -1 is no zero at even tau
+            size = max(map(abs, nodes))
             g = lambda t: _mp_monic(a, b, k + 1, t)[1::2]
             for x in nodes:
-                assert abs(x - _mp_newton(g, mpmath.mpf(x))) <= 8e-15, (tau, x)
+                err = abs(x - _mp_newton(g, mpmath.mpf(x)))
+                assert err <= 2e-15 and err <= 3e-15 * size, (tau, x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 200, 10**5, 10**8])
+def test_s_at_the_upper_bound_is_the_intervals_end_bit_for_bit(n):
+    # at N = D(n, tau + 1) the shift is 0, so the matrix is the one interval
+    # solves for the end
+    for tau in range(1, 61):
+        N = lev.dgs_bound(n, tau + 1)
+        assert lev.quadrature_rule(n, tau, N).s == lev.interval(n, tau)[1], tau
+
+
+@pytest.mark.parametrize("n", [10**17, 10**20])
+def test_adjacent_recurrence_keeps_the_gap_past_2_53(n):
+    # lam + 1 rounds to lam past 2^53; the a_j, (b - a)(alpha + beta) /
+    # s(s + 2), take the gap b - a exactly and are within 2 ulps of their
+    # 50-digit values, as every b_j is (from lam and lam + 1, the a_j were 0)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(n - 3) / 2
+        for a, b in ((1, 0), (0, 1), (1, 1)):
+            got_a, got_b = op._adjacent_recurrence(n, a, b, 8)
+            want_a, want_b = _mp_recurrence(lam + a, lam + b, 8)
+            for got, want in zip(got_a + got_b, want_a + want_b):
+                assert abs(got - want) <= 4.5e-16 * abs(want), (a, b)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
 def test_s_solves_the_levenshtein_equation_and_1_has_weight_1_over_N(n):
-    # s, an eigenvalue of the modified Jacobi matrix, is within 2e-15 of the
+    # s, an eigenvalue of the shifted Jacobi matrix, is within 2e-15 of the
     # 50-digit root of L_tau(n, s) = N, interval ends included; and 1 - the
     # sum of the weights, the weight at t = 1, is 1/N to 1e-13, which the
-    # nodes' own error at high degree leaves (up to 8.6e-14, at n = 3)
+    # nodes' own error at high degree leaves (up to 5.4e-14, at n = 4, tau = 54)
     with mpmath.workdps(50):
         for tau in range(1, 61):
             lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
@@ -381,7 +412,7 @@ def test_weights_are_a_50_digit_rules(n):
     # the Vandermonde solve the weights came from before was off by up to 2e3
     # relative at n = 60; Christoffel numbers in doubles are within 1e-12 of
     # the 50-digit weight function at the same nodes, and what the nodes'
-    # own error (up to 6e-15, at n = 3) moves that function by is theirs
+    # own error (up to 2e-15) moves that function by is theirs
     built = 0
     with mpmath.workdps(50):
         for tau in (2, 3, 9, 10, 24, 33, 40, 51, 59, 60):
@@ -411,7 +442,7 @@ def test_high_degree_rule_prints_with_no_warning(capsys):
 
 
 def test_solve_cardinality_at_k_30_with_no_warning():
-    # tau = 60 solves the 31 x 31 modified matrix
+    # tau = 60 solves the 30 x 30 shifted matrix
     lo, hi = lev.dgs_bound(5, 60), lev.dgs_bound(5, 61)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -425,7 +456,8 @@ def test_solve_cardinality_at_k_30_with_no_warning():
     (24, 48, 32247603683099, True), (1000, 11, 1418257549408699, True),
     (100000, 5, 166676666749999, True),
     # a Lobatto coefficient b_k at or below 0 at N = D(n, tau) + 1 or + 3
-    (60, 26, 83710202924601, False), (100000, 6, 166676666750001, False),
+    (60, 26, 83710202924601, False), (24, 50, 47081501377327, False),
+    (24, 58, 549663398587801, False), (24, 60, 976274579549361, False),
     (30000000000000000, 2, 30000000000000003, False),
     # at n = 10^20, tau = 3: an infinite kernel shift at N = D, and an L_3
     # quotient that divided by 0 inside
@@ -433,10 +465,10 @@ def test_solve_cardinality_at_k_30_with_no_warning():
 ])
 def test_former_range_errors_build_correct_rules(capsys, n, tau, N, digits):
     # s came from a root finder that could fail; from the eigenproblem it is
-    # within 2e-15 of the 50-digit root, and 1 has weight 1/N. The other
-    # weights are the 50-digit rule's, but for -1's at N = D(tau) + 1, a
-    # quotient of values at round-off, and past n = 2^54, where lam + 1
-    # rounds to lam; there they hold to the exactness check's DEB_TOL
+    # within 2e-15 of the 50-digit root relatively, and 1 has weight 1/N, to
+    # 1e-15 at tau <= 3 and to 1e-13 at high degree, which the nodes' own
+    # error leaves. The other weights are the 50-digit rule's, but for -1's
+    # at N = D(tau) + 1, a quotient of values at round-off
     assert cli.main(["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]) == 0
     assert capsys.readouterr().out
     N = float(N)  # as the command line reads it
@@ -445,12 +477,34 @@ def test_former_range_errors_build_correct_rules(capsys, n, tau, N, digits):
     if rule.boundary:
         assert at_lo and rule.s == lev.interval(n, tau)[0]
     else:
-        assert abs(rule.s - _mp_root(n, tau, N, rule.s)) <= 2e-15
+        root = _mp_root(n, tau, N, rule.s)
+        assert abs(rule.s - root) <= 2e-15 * abs(root)
     with mpmath.workdps(50):
         weight_1 = 1 - mpmath.fsum(rule.weights.tolist())
-        assert abs(weight_1 - 1 / mpmath.mpf(N)) <= (1e-13 if n < 2**54 else lev.DEB_TOL)
+        assert abs(weight_1 - 1 / mpmath.mpf(N)) <= (1e-15 if tau <= 3 else 1e-13)
         if digits:
             w, w_ours, residual = _mp_rule(n, tau, rule, False)
             assert residual < 1e-40
             for got, want, moved in zip(rule.weights.tolist(), w, w_ours):
                 assert abs(got - want) <= 1e-12 * want + abs(moved - want)
+
+
+@pytest.mark.parametrize("n, tau, N", [
+    # lam + 1 rounds to lam past 2^53; the weights took (lam, lam)'s recurrence
+    # and were off by 1e-10 relative
+    (10**20, 3, 166666666666666666685000000000000),
+    # s = -3.3e-17 is O(1/n); as an eigenvalue beside 1 it was -1.2e-32
+    (30000000000000000, 2, 30000000000000003),
+])
+def test_rules_past_2_53_are_the_50_digit_rules_relatively(capsys, n, tau, N):
+    # s and every weight, -1's at D(tau) + 3 aside, within 1e-15 relative of
+    # the 50-digit rule's
+    assert cli.main(["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    root = _mp_root(n, tau, float(N), printed["s"])
+    assert abs(printed["s"] - root) <= 1e-15 * abs(root)
+    with mpmath.workdps(50):
+        w, _, residual = _mp_rule(n, tau, lev.quadrature_rule(n, tau, float(N)), False)
+        assert residual < 1e-40
+        for got, want in list(zip(printed["weights"], w))[1 - tau % 2:]:
+            assert abs(got - want) <= 1e-15 * want

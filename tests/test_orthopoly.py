@@ -318,11 +318,12 @@ def test_expand_matches_the_mpmath_conversion(n, d):
 
 def _numpy_recurrence(alpha, beta, k):
     """The recurrence coefficients by the numpy formula the package used
-    before it ran them in Python floats: the oracle for the float path."""
+    before it ran them in Python floats, with beta^2 - alpha^2 taken as
+    (beta - alpha)(alpha + beta): the oracle for the float path."""
     ab = alpha + beta
     j = np.arange(1, k, dtype=float)
     s = 2 * j + ab
-    a = np.concatenate(([(beta - alpha) / (ab + 2)], (beta**2 - alpha**2) / (s * (s + 2))))
+    a = np.concatenate(([(beta - alpha) / (ab + 2)], (beta - alpha) * ab / (s * (s + 2))))
     b1 = 4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))
     j, s = j[1:], s[1:]
     b = 4 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1) * (s - 1))
@@ -347,7 +348,7 @@ _KS = (1, 2, 3, 5, 8, 17, 31, 61)
 @pytest.mark.parametrize("alpha, beta", _PARAMS)
 def test_jacobi_recurrence_is_the_numpy_formula_bit_for_bit(alpha, beta):
     for k in _KS:
-        a, b = op._jacobi_recurrence(alpha, beta, k)
+        a, b = op._jacobi_recurrence(alpha, beta, beta - alpha, k)
         want_a, want_b = _numpy_recurrence(alpha, beta, k)
         assert type(a) is list and type(b) is list
         assert all(type(x) is float for x in a + b)
@@ -403,9 +404,9 @@ def test_kernel_zeros(a, b, k, s):
 def test_levenshtein_nodes_are_the_kernel_zeros_at_s(n):
     # Levenshtein's nodes beside 1 are the zeros of the kernel of (1 - t) dmu
     # at s, (lam + 1, lam), at odd tau, and beside -1 and 1 those of (1 - t^2)
-    # dmu, (lam + 1, lam + 1), at even tau. The modified matrix's nodes are
-    # within 8e-15 of the 50-digit ones; the two paths differ by up to 4.5e-14,
-    # at n = 3, tau = 47, the kernel path's own float error
+    # dmu, (lam + 1, lam + 1), at even tau. The shifted matrix's nodes are
+    # within 2e-15 of the 50-digit ones; the two paths differ by up to 4.8e-14,
+    # at n = 4, tau = 54, the kernel path's own float error
     lam = (n - 3) / 2.0
     for tau in range(2, 61):
         k = (tau + 1) // 2
@@ -467,7 +468,7 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
     monkeypatch.setattr(linalg, "_umath_linalg", _NonConvergingSolver(linalg._umath_linalg))
     for call in (
         lambda: op.jacobi_zeros(0.0, 0.0, 2),
-        lambda: lev._nodes_beside_1(3, 0, 2, 7.0),
+        lambda: lev._shifted_matrix(3, 3, 7.0, lev.dgs_bound(3, 4)),
         lambda: op.weight_rule(5, 3),
         lambda: op.adjacent_largest_zero(4, 1, 0, 3),
     ):
@@ -480,10 +481,10 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
     [
         lambda: op.jacobi_zeros(-1.0, 0.0, 3),
         lambda: op.jacobi_zeros(0.0, -1.5, 3),
-        lambda: op._jacobi_recurrence(-1.0, 0.0, 3),
+        lambda: op._jacobi_recurrence(-1.0, 0.0, 1.0, 3),
         lambda: op.jacobi_zeros(0.0, 0.0, 0),
         lambda: op._adjacent_recurrence(3, 1, 0, 0),
-        lambda: op._jacobi_recurrence(0.5, 0.5, -2),
+        lambda: op._jacobi_recurrence(0.5, 0.5, 0.0, -2),
     ],
 )
 def test_bad_jacobi_parameters_are_range_errors(call):
