@@ -453,14 +453,18 @@ def k0_threshold(k: int) -> float:
 
 
 def strip2_asym(zeta: float, h: Potential, N: float) -> tuple[float, float]:
-    """Main terms (per N^2) of the asymptotic 2-design strip at N/n -> zeta."""
+    """The 2-design strip per N^2 at n = N / zeta to order 1/N: lower_2design
+    at kappa = 1 - zeta is h(0) + (h(1 - zeta) - zeta h(0)) / ((zeta - 1) N)
+    exactly; upper_2design's chord ((1 - 1/N)(u h(ell) - ell h(u)) + (h(ell)
+    - h(u)) / N) / (u - ell), ell = 1 - zeta, u = zeta - 1 - 2 zeta / N, is
+    (h(ell) + h(-ell)) / 2 - (h(ell) + zeta h'(-ell)) / N + O(1/N^2)."""
     if not (1.0 < zeta < 2.0):
         raise RangeError(f"zeta must lie in (1, 2), got {zeta}")
     h0 = float(h.eval(0.0))
     hm = float(h.eval(1.0 - zeta))
     hp = float(h.eval(zeta - 1.0))
-    lower = h0 + (hm - zeta * h0) / ((1.0 - zeta) * N)
-    upper = (hm + hp) / 2.0 + ((2.0 - zeta) * hm - zeta * hp) / (2.0 * (zeta - 1.0) * N)
+    lower = h0 + (hm - zeta * h0) / ((zeta - 1.0) * N)
+    upper = (hm + hp) / 2.0 - (hm + zeta * float(h.derivative(zeta - 1.0, 1))) / N
     return lower, upper
 
 

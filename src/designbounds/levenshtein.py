@@ -11,8 +11,9 @@ Jacobi matrix, with no root finder: that of (1 - t) dmu at odd tau, or of
 (1 - t^2) dmu beside -1 at even tau, with its last diagonal entry lowered
 by a closed form in N and the cardinality bounds D(n, tau +- 1) (the
 kernel polynomial of the point-mass modification mu - delta_1 / N,
-Gautschi, Orthogonal Polynomials, 2004, ch. 2). s then solves L_tau(n, s)
-= N, the Levenshtein bound on its tau-th branch.
+Gautschi, Orthogonal Polynomials, 2004, ch. 2); s solves L_tau(n, s) = N,
+the Levenshtein bound on its tau-th branch. Its weights are that matrix's
+Christoffel numbers, but -1's at even tau, a closed form exact in N - D.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def _shifted_matrix(n: int, tau: int, N: float, hi: int) -> tuple[list, list, li
     m = 2 * k + n - 3 + plus
     a[-1] -= (hi - N) / (N - dgs_bound(n, tau - 1)) * (k * (m + plus) / (m * (m + 1)))
     return op._jacobi_eigh(a, b).tolist(), a, b
+
+
+def _minus_1_weight(n: int, k: int, N: float, lo: int, hi: int) -> float:
+    """-1's weight in the even rule of strength 2k, D' = D(2k - 1), lo =
+    D(2k), hi = D(2k + 1): k (hi - D') (N - lo) / (D' (lo - D') ((n + k - 1)
+    (N - D') - k (hi - N))). The rule applied to (1 - t) pi(t), pi = prod(t
+    - beta_i) = p_k + c p_(k-1) over nu's monic p_j, gives it as the mean of
+    (1 - t) pi over mu, over 2 pi(-1). The mean is affine in c = k (hi - N)
+    / ((2k + n - 2)(N - D')), 0 at N = lo, where -1 has weight 0, and (1 -
+    t) p_k's at N = hi; pi(-1) = -p_(k-1)(-1) ((n + k - 1) / (2k + n - 2) -
+    c) by the Jacobi values at -1. In integers from N = p / q the quotient
+    is correctly rounded, and N - lo exact."""
+    below = dgs_bound(n, 2 * k - 1)
+    p, q = (N if isinstance(N, int) else float(N)).as_integer_ratio()
+    num = k * (hi - below) * (p - lo * q)
+    return num / (below * (lo - below) * ((n + k - 1) * (p - below * q) - k * (hi * q - p)))
 
 
 def _at_bound(N: float, D: int) -> bool:
@@ -165,29 +182,15 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         if odd:
             xs[0] = -1.0
     s = xs[-1]
-    # weights gamma_i / (1 - x_i), gamma the Christoffel numbers of (1 - t) dmu,
-    # mass 1, whose Jacobi matrix is (lam + 1, lam)'s (Golub, SIAM Review 15, 1973)
-    if odd:  # Gauss-Radau at s; the shifted a_(k-1) is not read
-        gammas = op._christoffel(a, b, xs)
-        parity = "odd"
-    else:
-        # -1 beside the betas (Lobatto: b_k makes -1 and s zeros of p_(k+1))
+    # the shifted matrix's Christoffel numbers (Golub, SIAM Review 15, 1973),
+    # which never read its a_(k-1), over 1 - t (nu's mass is 1) at odd tau,
+    # Gauss-Radau at s, and over 1 - t^2 (mass 1 - 1/n) at even tau
+    weights = [g / (1 - x) for g, x in zip(op._christoffel(a, b, xs), xs)]
+    if not odd:
+        weights = [0.0 if at_lo else _minus_1_weight(n, k, N, lo_card, hi_card),
+                   *((n - 1) / n * w / (1 + x) for w, x in zip(weights, xs))]
         xs = [-1.0, *xs]
-        a, b = op._adjacent_recurrence(n, 1, 0, k)
-        (u0, u1), (v0, v1) = op._monic(a, b, -1.0), op._monic(a, b, s)
-        b_k = -(1 + s) * u1 * v1 / (u0 * v1 - v0 * u1)
-        if b_k > 0 and not at_lo:
-            gammas = op._christoffel(a, [*b, b_k], xs)
-        elif boundary:  # b_k is 0 at N = D(tau), up to round-off, and so is -1's weight
-            gammas = [0.0, *op._christoffel(a, b, xs[1:])]
-        else:
-            raise RangeError(
-                f"N = {N} is within round-off of D(n, tau) = {dgs_bound(n, tau)} for (n={n},"
-                f" tau={tau}): the Lobatto coefficient b_k = {b_k:.3g} at s = {s} is not"
-                " positive, so -1 gets no weight")
-        parity = "even"
-    nodes = np.array(xs)
-    weights = np.array([g / (1 - x) for g, x in zip(gammas, xs)])
+    nodes, weights = np.array(xs), np.array(weights)
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise InternalConsistencyError(f"nodes not strictly increasing: {nodes}")
     if weights.min() <= 0 and not boundary:
@@ -207,7 +210,7 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
         s=s,
         nodes=nodes,
         weights=weights,
-        parity=parity,
+        parity="odd" if odd else "even",
         exactness_residuals=res,
         boundary=boundary,
     )

@@ -4,11 +4,11 @@ and Gegenbauer expansions.
 Every node set comes from one symmetric tridiagonal eigenproblem: Jacobi
 zeros and Gauss rules from the Jacobi matrix (Golub-Welsch), the Levenshtein
 rules' nodes from such a matrix with its last diagonal entry shifted (in
-levenshtein), and every weight from the Christoffel numbers of such a
-matrix. The matrices are at most 61 x 61, so each solve is numpy's dense
-symmetric one (``_jacobi_eigh``) on the k x k matrix with its lower triangle
-filled: on a tridiagonal matrix it gives the same bits as LAPACK's
-tridiagonal dstevd, and the package needs nothing beyond numpy at run time.
+levenshtein), and every weight, but a closed form for -1, from the
+Christoffel numbers of such a matrix. The matrices are at most 61 x 61, so
+each solve is numpy's dense symmetric one (``_jacobi_eigh``) on the k x k
+matrix, lower triangle filled: on a tridiagonal matrix it gives the bits of
+LAPACK's tridiagonal dstevd, and the package needs only numpy at run time.
 Expansions are Horner's rule in the Gegenbauer basis, with no quadrature.
 bench/tracer.py wraps jacobi_zeros, weight_rule and gegenbauer_derivative,
 their only users.
@@ -192,14 +192,6 @@ def _christoffel(a: list, b: list, xs):
             q_prev, q = q, ((x - aj) * q - r_prev * q_prev) / r
             total += q * q
         yield 1.0 / total
-
-
-def _monic(a: list, b: list, x: float) -> tuple[float, float]:
-    """p_{k-1}(x) and p_k(x) of the monic recurrence with k = len(a)."""
-    p_prev, p = 1.0, x - a[0]
-    for j in range(1, len(a)):
-        p_prev, p = p, (x - a[j]) * p - b[j - 1] * p_prev
-    return p_prev, p
 
 
 def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:

@@ -288,8 +288,9 @@ def test_k0_threshold():
 def test_strip2_asym_forms():
     lo, up = bounds.strip2_asym(1.5, R2, 100.0)
     h0, hm, hp = 0.5, float(R2.eval(-0.5)), float(R2.eval(0.5))
-    assert lo == pytest.approx(h0 + (hm - 1.5 * h0) / (-0.5 * 100))
-    assert up == pytest.approx((hm + hp) / 2 + (0.5 * hm - 1.5 * hp) / (1.0 * 100))
+    dp = float(R2.derivative(0.5, 1))
+    assert lo == pytest.approx(h0 + (hm - 1.5 * h0) / (0.5 * 100))
+    assert up == pytest.approx((hm + hp) / 2 - (hm + 1.5 * dp) / 100)
     with pytest.raises(RangeError):
         bounds.strip2_asym(2.5, R2, 10.0)
 

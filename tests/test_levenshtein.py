@@ -363,15 +363,17 @@ def _mp_gegenbauer(n, d, t):
 
 
 def _mp_rule(n, tau, rule, at_lo):
-    """The rule of (n, tau) pinned at the program's s, in 50-digit mpmath:
-    nodes by Newton's method on the kernel polynomial from the program's
-    nodes, weights gamma_i / (1 - x_i) from the Gauss-Radau (odd tau) or
-    Gauss-Lobatto (even tau) Christoffel numbers of (1 - t) dmu. At N =
-    D(tau), even tau, it is the Gauss rule of (1 - t) dmu beside -1 at
-    weight 0. Returns the weights, the same weight function at the
+    """The rule of (n, tau, N) in 50-digit mpmath, pinned at the 50-digit
+    root s of L_tau(n, s) = N: nodes by Newton's method on the kernel
+    polynomial from the program's nodes, weights gamma_i / (1 - x_i) from
+    the Gauss-Radau (odd tau) or Gauss-Lobatto (even tau) Christoffel
+    numbers of (1 - t) dmu. At N = D(tau), even tau, it is the Gauss rule of
+    (1 - t) dmu beside -1 at weight 0. Pinned at the program's s, -1's
+    weight would be that of the N the double s solves for, which near
+    D(tau) is not N. Returns the weights, the same weight function at the
     program's own nodes, and the largest exactness residual on P_1..P_tau."""
     k = (tau + 1) // 2
-    lam, s = mpmath.mpf(n - 3) / 2, mpmath.mpf(rule.s)
+    lam, s = mpmath.mpf(n - 3) / 2, _mp_root(n, tau, rule.spec.N, rule.s)
     ours = [mpmath.mpf(x) for x in rule.nodes.tolist()]
     a, b = _mp_recurrence(lam + 1, lam, k + 1 - tau % 2)
 
@@ -410,9 +412,9 @@ def _mp_rule(n, tau, rule, at_lo):
 @pytest.mark.parametrize("n", [3, 8, 24, 60, 1000])
 def test_weights_are_a_50_digit_rules(n):
     # the Vandermonde solve the weights came from before was off by up to 2e3
-    # relative at n = 60; Christoffel numbers in doubles are within 1e-12 of
-    # the 50-digit weight function at the same nodes, and what the nodes'
-    # own error (up to 2e-15) moves that function by is theirs
+    # relative at n = 60; every weight is within 1e-13 of the 50-digit rule's
+    # (up to 6.1e-14, at n = 8, tau = 60) beyond what the nodes' own error
+    # (up to 2e-15) moves the 50-digit weight function by
     built = 0
     with mpmath.workdps(50):
         for tau in (2, 3, 9, 10, 24, 33, 40, 51, 59, 60):
@@ -424,12 +426,69 @@ def test_weights_are_a_50_digit_rules(n):
                 w, w_ours, residual = _mp_rule(n, tau, rule, at_lo)
                 assert residual < 1e-40, (tau, N)
                 for got, want, moved in zip(rule.weights.tolist(), w, w_ours):
-                    assert abs(got - want) <= 1e-12 * want + abs(moved - want), (tau, N)
+                    assert abs(got - want) <= 1e-13 * want + abs(moved - want), (tau, N)
                 if tau % 2 == 0:
                     # gamma_0 N is 1 at N = D(tau + 1), which hi - 1 is as a double past 2^53
                     assert 0 <= rule.weights[0] * N <= 1 + 1e-12, (tau, N)
                     assert bool(rule.weights[0] == 0) is at_lo, (tau, N)
     assert built == 40, built
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])
+def test_even_rules_weights_are_the_50_digit_rules_at_its_root(n):
+    # -1's weight, a closed form taken in integers, is correctly rounded:
+    # within 1e-15 of the 50-digit rule's at the 50-digit root of L_tau = N
+    # (up to 1.1e-16). Every other weight is within 1e-13 beyond what the
+    # nodes' own error moves the 50-digit weight function by (up to 7e-14,
+    # at n = 5, tau = 58, N = D + 1; with that move, up to 2.5e-13 at n = 24,
+    # tau = 60). At D + 1, -1's weight is proportional to N - D(tau), which a
+    # rule pinned at the double s would not resolve
+    with mpmath.workdps(50):
+        for tau in range(2, 61, 2):
+            lo, hi = lev.dgs_bound(n, tau), lev.dgs_bound(n, tau + 1)
+            if hi > sys.float_info.max:
+                break
+            for N in (lo + 1, (lo + hi) // 2, hi - 1):
+                rule = lev.quadrature_rule(n, tau, N)
+                if rule.boundary:  # past 2^53, N rounds to a bound
+                    continue
+                w, w_ours, residual = _mp_rule(n, tau, rule, False)
+                assert residual < 1e-40, (tau, N)
+                assert abs(rule.weights[0] - w[0]) <= 1e-15 * w[0], (tau, N)
+                for got, want, moved in zip(rule.weights.tolist()[1:], w[1:], w_ours[1:]):
+                    assert abs(got - want) <= 1e-13 * want + abs(moved - want), (tau, N)
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --n 24 --N 166386610183025 --tau 54 --potential log --side lower",
+    "quadrature --n 60 --tau 30 --N 2193741936407905",
+    "quadrature --n 100000 --tau 6 --N 166676666750001",
+    "quadrature --n 100000000 --tau 4 --N 5000000150000001",
+])
+def test_even_rule_at_D_plus_1_builds_with_the_50_digit_minus_1_weight(capsys, argv):
+    # N = D(n, tau) + 1, within 6e-15 relative of D. -1's weight came from a
+    # Lobatto coefficient, a quotient of values at round-off that rounded to
+    # 0 or below here, and the rule was a range error; in closed form it is
+    # within 1e-15 of the 50-digit rule's (up to 1.4e-16). The rule builds:
+    # quadrature and a sweep point exit 0, and bound reaches the ULB
+    # certificate, whose A1 check rejects it, as at D + 3 and D + 10
+    args = argv.split()
+    n, tau, N = (args[args.index(f"--{k}") + 1] for k in ("n", "tau", "N"))
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    if args[0] == "bound":
+        assert code == 3 and "ULB certificate rejected: ['A1 violated" in err
+    else:
+        assert code == 0
+        assert cli.main(["sweep", "--n", n, "--tau", tau, "--N", N, "--potential", "log",
+                         "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert "error" not in row
+    rule = lev.quadrature_rule(int(n), int(tau), float(N))
+    with mpmath.workdps(50):
+        w, _, residual = _mp_rule(int(n), int(tau), rule, False)
+        assert residual < 1e-40
+        assert abs(rule.weights[0] - w[0]) <= 1e-15 * w[0]
 
 
 def test_high_degree_rule_prints_with_no_warning(capsys):
@@ -467,8 +526,9 @@ def test_former_range_errors_build_correct_rules(capsys, n, tau, N, digits):
     # s came from a root finder that could fail; from the eigenproblem it is
     # within 2e-15 of the 50-digit root relatively, and 1 has weight 1/N, to
     # 1e-15 at tau <= 3 and to 1e-13 at high degree, which the nodes' own
-    # error leaves. The other weights are the 50-digit rule's, but for -1's
-    # at N = D(tau) + 1, a quotient of values at round-off
+    # error leaves. The other weights are the 50-digit rule's, checked here
+    # where a root finder failed and for the even rules at N = D(tau) + 1 by
+    # test_even_rules_weights_are_the_50_digit_rules_at_its_root
     assert cli.main(["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]) == 0
     assert capsys.readouterr().out
     N = float(N)  # as the command line reads it
@@ -497,8 +557,8 @@ def test_former_range_errors_build_correct_rules(capsys, n, tau, N, digits):
     (30000000000000000, 2, 30000000000000003),
 ])
 def test_rules_past_2_53_are_the_50_digit_rules_relatively(capsys, n, tau, N):
-    # s and every weight, -1's at D(tau) + 3 aside, within 1e-15 relative of
-    # the 50-digit rule's
+    # s and every weight within 1e-15 relative of the 50-digit rule's; -1's
+    # at D(tau) + 3 is proportional to N - D(tau), taken exactly
     assert cli.main(["quadrature", "--n", str(n), "--tau", str(tau), "--N", str(N)]) == 0
     printed = json.loads(capsys.readouterr().out)
     root = _mp_root(n, tau, float(N), printed["s"])
@@ -506,5 +566,5 @@ def test_rules_past_2_53_are_the_50_digit_rules_relatively(capsys, n, tau, N):
     with mpmath.workdps(50):
         w, _, residual = _mp_rule(n, tau, lev.quadrature_rule(n, tau, float(N)), False)
         assert residual < 1e-40
-        for got, want in list(zip(printed["weights"], w))[1 - tau % 2:]:
+        for got, want in zip(printed["weights"], w):
             assert abs(got - want) <= 1e-15 * want

@@ -16,9 +16,12 @@ the ``src`` this script imports, prints only the cases whose lines differ
 (``-`` the other tree's line, ``+`` this tree's) and then their count, and
 exits with 1 when any case differs (2 when either run fails). Under each
 differing case it names the columns that differ and, when stdout differs
-and both stdouts parse as JSON (else as CSV), the largest relative
-difference between paired numbers and the non-numeric differences, so a
-declared output change can be checked against its declaration::
+and both stdouts parse as JSON (else as CSV, one dict per row keyed by
+the header), the largest relative difference between paired numbers at
+each leaf path with its list indices stripped (``weights[]``, the largest
+first) and the non-numeric differences, so a declared output change can
+be checked against its declaration, and a change at round-off in one
+field does not hide a larger one in another::
 
     PYTHONPATH=src python tools/acceptance_grid.py --set all --against ../parent/src
 
@@ -77,8 +80,8 @@ The sets:
   for n in {25, 26, 200}, and ``bound --tau 2 --side upper`` at N = n + 2
   for n in {10^12, 10^13} and at N = n + 3 for n = 3*10^16, where l and u
   are adjacent doubles, with the three potentials; and at even tau, N one
-  to three above lo, where -1's Lobatto coefficient can round to 0 or
-  below: ``bound --potential log --side lower`` and ``quadrature`` at
+  to three above lo, where -1's weight is proportional to N - lo and so
+  near 0: ``bound --potential log --side lower`` and ``quadrature`` at
   (3*10^16, 3*10^16 + 3, 2), ``quadrature`` at (n, tau) in {(60, 26), (24,
   58), (10^5, 6), (24, 50), (60, 30), (24, 60)} and ``sweep --potential
   log`` at the first; and ``quadrature`` at N = hi - 1 for (n, tau) in
@@ -132,6 +135,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -389,7 +393,7 @@ def _parsed(text: str):
     try:
         return json.loads(text)
     except ValueError:
-        return list(csv.reader(io.StringIO(text)))
+        return list(csv.DictReader(io.StringIO(text), restkey="+"))
 
 
 def _number(x) -> float | None:
@@ -417,10 +421,11 @@ def _leaf_pairs(a, b, path: str = ""):
 
 def stdout_differences(old: str, new: str) -> list[str]:
     """Report lines on two stdouts that both parse as JSON, or else as CSV:
-    the largest relative difference between paired numbers, and each
-    non-numeric difference."""
+    the largest relative difference between paired numbers at each leaf
+    path with its list indices stripped, the largest first, with the full
+    path where it has indices, and each non-numeric difference."""
     short = lambda x: (r if len(r := repr(x)) <= 60 else r[:57] + "...")
-    largest, where, other = 0.0, None, []
+    largest, other = {}, []
     for path, a, b in _leaf_pairs(_parsed(old), _parsed(new)):
         x, y = _number(a), _number(b)
         pair = f"{short(a)} -> {short(b)}"
@@ -430,10 +435,12 @@ def stdout_differences(old: str, new: str) -> list[str]:
             continue
         rel = abs(x - y) / max(abs(x), abs(y))
         rel = math.inf if math.isnan(rel) else rel  # a NaN or an inf is the largest
-        if rel > largest:
-            largest, where = rel, f"{path} ({pair})"
-    lines = [f"  largest relative difference {largest:.3g} at {where}"] if where else []
-    return lines + other
+        key = re.sub(r"\[\d+\]", "[]", path)
+        if rel > largest.get(key, (0.0,))[0]:
+            largest[key] = rel, pair if key == path else f"{path}: {pair}"
+    ranked = sorted(largest.items(), key=lambda item: -item[1][0])
+    return [f"  largest relative difference {rel:.3g} at {key} ({where})"
+            for key, (rel, where) in ranked] + other
 
 
 def case_report(old: list | None, new: list | None) -> list[str]:

@@ -76,9 +76,7 @@ def _broken(argv: list[str], code: str, out: str, err: str) -> set[str]:
         return {code}
     if code != "3":
         return set()
-    rows = _parsed(out) if argv[0] == "sweep" else []
-    if rows and isinstance(rows[0], list):  # CSV: a header, then one row per point
-        rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    rows = _parsed(out) if argv[0] == "sweep" else []  # one dict per point
     errors = {row["error"] for row in rows if row.get("error") and _not_range_error(argv, row)}
     return {_masked(e) for e in errors or (err.strip().splitlines() or ["(none)"])[-1:]}
 
