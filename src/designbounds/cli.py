@@ -16,6 +16,12 @@ BoundReport.verify at the same constant DEB_TOL and by the same route (the
 Hermite remainder proof, or the sampled grid where the proof does not
 apply, as each report's "sign_route" margin says), so a printed report has
 nothing left to re-check.
+Where argv names a command first, ``main`` parses the rest with that
+command's parser alone, ``designbounds <command>``: the subparser that
+``build_parser``'s full tree would hand it to, so its usage, help and
+error messages are the same. The full tree parses argv only where the top
+level speaks: no command first (no argv, ``-h``, an unknown command or an
+option) or arguments that the command's parser leaves over.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import argparse
 import csv
 import io
 import itertools
+import math
 import os
 import pickle
 import signal
@@ -195,12 +202,19 @@ def cmd_code(args) -> int:
 
 
 def _sweep_points(args):
+    """The sweep's (n, N, tau) points. A RangeError where an auto N has more
+    digits than Python prints, so no row could print it."""
+    digits = sys.get_int_max_str_digits()
+    past = 10**digits if digits else math.inf
     pts = []
     for n in args.n:
         for tau in args.tau:
             lo = levenshtein.dgs_bound(n, tau)
             hi = levenshtein.dgs_bound(n, tau + 1)
             if args.N == "auto":
+                if hi >= past:
+                    raise RangeError(f"D(n, tau + 1) has more than {digits} digits, past what"
+                                     f" Python prints, for (n={n}, tau={tau})")
                 Ns = sorted({lo, (lo + hi) // 2, hi})
             else:
                 Ns = [N for N in args.N if lo <= N <= hi]
@@ -348,11 +362,7 @@ def cmd_sweep(args) -> int:
     return exit_code
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="designbounds", description="LP energy bounds for spherical designs")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bound", help="energy bounds for (n, N, tau)")
+def _bound_options(b):
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--N", type=float, required=True)
     b.add_argument("--tau", type=int, required=True)
@@ -363,20 +373,23 @@ def build_parser() -> _Parser:
     b.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     b.set_defaults(func=cmd_bound)
 
-    q = sub.add_parser("quadrature", help="Levenshtein quadrature rule")
+
+def _quadrature_options(q):
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--tau", type=int, required=True)
     q.add_argument("--N", type=float, required=True)
     q.set_defaults(func=cmd_quadrature)
 
-    t = sub.add_parser("testfn", help="test-function table Q_1..Q_jmax")
+
+def _testfn_options(t):
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--tau", type=int, required=True)
     t.add_argument("--N", type=float, required=True)
     t.add_argument("--jmax", type=_positive_int, required=True)
     t.set_defaults(func=cmd_testfn)
 
-    c = sub.add_parser("code", help="explicit configuration energy and strength")
+
+def _code_options(c):
     c.add_argument("--builder", required=True, choices=sorted(_BUILDERS))
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--a", type=int, default=None)
@@ -386,7 +399,8 @@ def build_parser() -> _Parser:
     c.add_argument("--max-tau", type=int, default=6, dest="max_tau")
     c.set_defaults(func=cmd_code)
 
-    s = sub.add_parser("sweep", help="grid sweep over (n, N, tau)")
+
+def _sweep_options(s):
     s.add_argument("--n", type=_int_list, required=True, help="comma-separated dimensions")
     s.add_argument("--tau", type=_int_list, required=True, help="comma-separated strengths")
     s.add_argument("--N", type=lambda text: text if text == "auto" else _int_list(text),
@@ -399,13 +413,43 @@ def build_parser() -> _Parser:
                         " processes; same output as 1")
     s.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     s.set_defaults(func=cmd_sweep)
+
+
+# command -> (its line in the top-level help, the function declaring its options)
+_COMMANDS = {
+    "bound": ("energy bounds for (n, N, tau)", _bound_options),
+    "quadrature": ("Levenshtein quadrature rule", _quadrature_options),
+    "testfn": ("test-function table Q_1..Q_jmax", _testfn_options),
+    "code": ("explicit configuration energy and strength", _code_options),
+    "sweep": ("grid sweep over (n, N, tau)", _sweep_options),
+}
+
+
+def build_parser() -> _Parser:
+    """The full tree: the top-level parser with every command's subparser."""
+    p = _Parser(prog="designbounds", description="LP energy bounds for spherical designs")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, declare) in _COMMANDS.items():
+        declare(sub.add_parser(name, help=help_line))
     return p
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's parser alone, which the full tree would
+    hand argv[1:] to. The full tree parses argv only where the top level
+    speaks: no command first, or arguments the command leaves over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"designbounds {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

@@ -276,6 +276,19 @@ def test_sweep_point_whose_N_squared_is_past_the_doubles_gets_an_error_row(capsy
     assert row["error"] == f"N^2 is past the largest double at N = {N}"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_whose_auto_N_has_more_digits_than_python_prints_is_a_range_error(
+        capsys, monkeypatch, fmt):
+    # D(3000, 60001) has about 7,200 digits; the sweep stops before any point runs
+    monkeypatch.setattr(cli, "_sweep_one", lambda *_: pytest.fail("a point ran"))
+    code, out, err = run(capsys, "sweep", "--n", "3000", "--tau", "3,60000", "--potential", "log",
+                         "--format", fmt)
+    assert code == 2
+    assert err == (f"range error: D(n, tau + 1) has more than {sys.get_int_max_str_digits()}"
+                   " digits, past what Python prints, for (n=3000, tau=60000)\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     "--potential poly:0 --side lower",
     "--potential poly:0 --side upper --u 0.5",
@@ -703,7 +716,7 @@ def test_acceptance_grid_runs_every_command():
     (sub,) = (a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction))
     grid = _load_acceptance_grid()
-    run_first = {case[0] for cases in grid.SETS.values() for case in cases()}
+    run_first = {case[0] for cases in grid.SETS.values() for case in cases() if case}
     assert run_first >= set(sub.choices), sorted(set(sub.choices) - run_first)
 
 
@@ -738,3 +751,27 @@ def test_acceptance_grid_reports_what_differs():
     assert report[:3] == [f"- {records[0][0]}", f"+ {records[1][0]}", "  differ: exit, stdout"]
     assert report[3].startswith("  largest relative difference 2.22e-16")
     assert grid.case_report(records[0], None)[1] == "+ (no case)"
+
+
+@pytest.mark.parametrize("argv", _load_acceptance_grid().USAGE_CASES,
+                         ids=lambda argv: " ".join(argv) or "(no argv)")
+def test_main_prints_what_the_full_tree_prints(capsys, monkeypatch, argv):
+    # main parses a command's arguments with its own parser; argparse's help
+    # and usage errors must be those of the full tree's parse
+    alone = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert run(capsys, *argv) == alone
+
+
+def test_a_bound_call_constructs_one_parser(capsys, monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    code, _, _ = run(capsys, "bound", "--n", "3", "--N", "6", "--tau", "3", "--potential", "log")
+    assert code == 0
+    assert made == ["designbounds bound"]

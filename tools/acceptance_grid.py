@@ -61,7 +61,7 @@ The sets:
   once without ``--u``. This covers ``upper_cubic`` on both sides of the
   rule's largest node s, and the N = 2n, tau = 3, ``--u 0`` point where its
   closed-form tangency point is 0/0.
-- ``edges`` (441 cases): the admissibility edges. tau = 0 for ``bound``
+- ``edges`` (464 cases): the admissibility edges. tau = 0 for ``bound``
   (each ``--side``), ``quadrature`` and ``sweep``; ``bound --side strip``
   (``--u 0`` at odd tau) over n in {3, 8}, tau in {2, 3, 4, 6}, N in {lo -
   1, lo, lo + 1, hi - 1, hi, hi + 1} and the three potentials, with
@@ -111,7 +111,14 @@ The sets:
   491919164 with poly:0.051,-0.5,0.792,-1.317 and ``--u
   0.3664388727121224``, and ``bound --n 10^12 --tau 5 --potential
   poly:1,0,2 --side lower`` at N = (lo+hi)//2; and ``testfn --jmax`` 0 and
-  -2 and ``code --max-tau -1``.
+  -2 and ``code --max-tau -1``; and ``sweep --n 3000 --tau 60000
+  --potential log`` in csv and json, whose auto N has more digits than
+  Python prints; and ``USAGE_CASES``, where argparse itself prints: each
+  command's ``--help`` and ``-h``, no argv, an unknown command, an unknown
+  option before and after the command, a trailing positional, a missing
+  required option, a bad ``type=`` value, an abbreviated option
+  (``--pot``), ``--`` before the options and before a trailing
+  positional, and ``-h bound``.
 - ``code`` (144 cases): ``code`` with the builds simplex and
   cross-polytope at n in {1, 2, 3, 8}, orthogonal-simplices at (a, b) in
   {(2, 2), (3, 3), (4, 4), (2, 5)} and kerdock at l in {2, 3}, each with
@@ -238,6 +245,26 @@ POLY_POTENTIALS = ("poly:1,0,2", "poly:0,-1")
 BIG = "1" + "0" * 400  # an integer past the largest double
 
 
+BOUND = ["bound", "--n", "3", "--N", "6", "--tau", "3", "--potential", "log"]
+# where argparse speaks: each command's help, and usage errors of the
+# command's parser and of the top level
+USAGE_CASES = (
+    *([command, flag] for command in ("bound", "quadrature", "testfn", "code", "sweep")
+      for flag in ("--help", "-h")),
+    [],
+    ["frobnicate", "--n", "3"],
+    ["--bogus", *BOUND],
+    [*BOUND, "--bogus"],
+    [*BOUND, "extra"],
+    ["bound", "--n", "3"],
+    ["bound", "--n", "x", *BOUND[3:]],
+    [*BOUND[:-2], "--pot", "log"],
+    ["bound", "--", *BOUND[1:]],
+    [*BOUND, "--", "extra"],
+    ["-h", "bound"],
+)
+
+
 def edges_cases():
     for side in ("lower", "upper", "strip"):
         yield ["bound", "--n", "3", "--N", "2", "--tau", "0", "--potential", "log", "--side", side]
@@ -328,6 +355,9 @@ def edges_cases():
     for jmax in ("0", "-2"):
         yield ["testfn", "--n", "3", "--tau", "3", "--N", "7", "--jmax", jmax]
     yield ["code", "--builder", "simplex", "--n", "3", "--potential", "log", "--max-tau", "-1"]
+    for fmt in ("csv", "json"):
+        yield ["sweep", "--n", "3000", "--tau", "60000", "--potential", "log", "--format", fmt]
+    yield from USAGE_CASES
 
 
 CODE_BUILDS = (
