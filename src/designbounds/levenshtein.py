@@ -31,9 +31,8 @@ MAX_K = 30
 # the one verification tolerance: a rule's exactness residuals, and in
 # bounds a certificate's conditions and its value, are checked against it
 DEB_TOL = 1e-9
-# entries kept by the memos of interval, read at the cardinality bounds, and
-# quadrature_rule; a sweep point's repeats fall within that point, so a few
-# dozen keep every hit
+# entries kept by the memo of quadrature_rule; a sweep point's repeats fall
+# within that point, so a few dozen keep every hit
 MEMO_SIZE = 64
 
 
@@ -48,10 +47,10 @@ def dgs_bound(n: int, tau: int) -> int:
     return math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def interval(n: int, m: int) -> tuple[float, float]:
-    """Endpoints of the m-th branch interval of the Levenshtein bound;
-    memoised on (n, m)."""
+    """Endpoints of the m-th branch interval of the Levenshtein bound. Not
+    memoised: only a rule built at N = D(n, tau) reads it, once per build,
+    and rule builds are memoised."""
     if m < 1:
         raise RangeError(f"branch index must be >= 1, got {m}")
     k = (m + 1) // 2
