@@ -5,10 +5,14 @@ The form of outside input is validated here; n, N and tau are checked where
 they are used, by levenshtein's one admissibility check. Exit codes: 0 ok,
 1 usage (a message names the bad input), 2 range error, 3
 internal-consistency or convergence failure.
-A sweep runs its points in order, in this process, and prints every row; a
-point that fails gets an error row. The sweep exits 3 if any point failed
-internally, and 0 otherwise. ``sweep --jobs J`` is checked as a positive
-integer and ignored, since existing invocations pass it.
+A sweep prints every row, and a point that fails gets an error row; the sweep
+exits 3 if any point failed internally, and 0 otherwise.
+A sweep deals its (n, tau) groups round-robin over min(usable CPUs,
+groups) processes, this one and forked children, and gives the rows,
+stderr, exception and exit code of a serial run, which it is where
+``os.fork`` is missing or another thread runs. ``sweep --jobs J`` is
+checked as a positive integer and ignored, since existing invocations pass
+it.
 ``--verify`` is accepted and ignored: acceptance runs the checks of
 BoundReport.verify at the same constant DEB_TOL and by the same route (the
 Hermite remainder proof, or the sampled grid where the proof does not
@@ -27,8 +31,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 
 from . import bounds, codes, jsonio, levenshtein
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
@@ -237,12 +246,100 @@ def _sweep_one(point, h, u):
     return row
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_rows(points, h, u):
+    """_sweep_one at every point, rows in point order. The (n, tau) groups
+    are dealt round-robin over one process per usable CPU, at most one per
+    group. Serial where fork is missing or another thread runs, since a
+    child could inherit a lock that thread holds."""
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        groups = [list(i) for _, i in itertools.groupby(
+            range(len(points)), key=lambda i: (points[i][0], points[i][2]))]
+        procs = min(_usable_cpus(), len(groups))
+        if procs > 1:
+            shares = [list(itertools.chain(*groups[k::procs])) for k in range(procs)]
+            return _forked_rows(points, shares, h, u)
+    return [_sweep_one(p, h, u) for p in points]
+
+
+def _sweep_share(points, h, u):
+    """_sweep_one over points until one raises: the rows of the points
+    before it, and the exception, or None."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(_sweep_one(point, h, u))
+        except Exception as e:
+            return rows, e
+    return rows, None
+
+
+def _share_in_child(fd, points, h, u):
+    """In a forked child: send _sweep_share's outcome down the pipe fd and
+    exit without returning, so nothing the parent holds is flushed or run
+    twice. An outcome that does not pickle is not sent."""
+    code = 1
+    try:
+        data = pickle.dumps(_sweep_share(points, h, u))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_rows(points, shares, h, u):
+    """Share 0 runs here and each other share in a forked child. Every child
+    is reaped before this returns or raises, and killed first unless every
+    outcome was read. Then the rows are put in point order, and the
+    exception of the earliest point that raised, if any, is raised, as the
+    serial loop raises it."""
+    children = []  # (pid, read end of its pipe)
+    read = False
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _share_in_child(w, [points[i] for i in share], h, u)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outcomes = [_sweep_share([points[i] for i in shares[0]], h, u)]
+        for pid, pipe in children:
+            try:
+                outcomes.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"sweep process {pid} ended without its rows") from None
+        read = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not read:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows, first = [None] * len(points), None  # first: (point, exception)
+    for share, (done, error) in zip(shares, outcomes):
+        for i, row in zip(share, done):
+            rows[i] = row
+        if error is not None and (first is None or share[len(done)] < first[0]):
+            first = (share[len(done)], error)
+    if first:
+        raise first[1]
+    return rows
+
+
 def cmd_sweep(args) -> int:
     h = _potential_or_usage(args.potential)
     points = _sweep_points(args)
     if not points:
         _usage("empty sweep grid")
-    rows = [_sweep_one(point, h, args.u) for point in points]
+    rows = _sweep_rows(points, h, args.u)
     failed = sum(row.pop("failed", False) for row in rows)
     if failed:
         print(f"internal failure at {failed} of {len(rows)} sweep points; see their error rows",
@@ -312,7 +409,7 @@ def _sweep_options(s):
     s.add_argument("--u", type=_inner_product)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--jobs", type=_positive_int, default=1,
-                   help="ignored; the sweep runs its points in this process")
+                   help="ignored; the (n, tau) groups are dealt over the usable CPUs")
     s.add_argument("--verify", action="store_true", help="ignored; acceptance is the check")
     s.set_defaults(func=cmd_sweep)
 

@@ -48,15 +48,22 @@ def dgs_bound(n: int, tau: int) -> int:
 
 
 def interval(n: int, m: int) -> tuple[float, float]:
-    """Endpoints of the m-th branch interval of the Levenshtein bound. Not
-    memoised: only a rule built at N = D(n, tau) reads it, once per build,
-    and rule builds are memoised."""
+    """Endpoints of the m-th branch interval of the Levenshtein bound: the
+    (m - 1)-th and the m-th branch ends. Not memoised: a rule at N = D(n,
+    tau) reads only its lower end, through _branch_end, and rule builds are
+    memoised."""
     if m < 1:
         raise RangeError(f"branch index must be >= 1, got {m}")
-    k = (m + 1) // 2
+    return _branch_end(n, m - 1), _branch_end(n, m)
+
+
+def _branch_end(n: int, m: int) -> float:
+    """The upper end of the m-th branch interval, the lower end of the
+    (m + 1)-th: the largest zero t_k^{1,0}, k = (m + 1) / 2, at odd m, and
+    t_k^{1,1}, k = m / 2, at even m; -1 at m = 0."""
     if m % 2 == 1:
-        return op.adjacent_largest_zero(n, 1, 1, k - 1), op.adjacent_largest_zero(n, 1, 0, k)
-    return op.adjacent_largest_zero(n, 1, 0, k), op.adjacent_largest_zero(n, 1, 1, k)
+        return op.adjacent_largest_zero(n, 1, 0, (m + 1) // 2)
+    return op.adjacent_largest_zero(n, 1, 1, m // 2)
 
 
 def solve_cardinality(n: int, tau: int, N: float) -> float:
@@ -177,7 +184,7 @@ def quadrature_rule(n: int, tau: int, N: float) -> QuadratureRule:
     # beta_k = s beside -1 and 1 (even tau)
     xs, a, b = _shifted_matrix(n, tau, N, hi_card)
     if at_lo:  # s is the interval's lower end, and at odd tau the rule is tau - 1's
-        xs[-1] = interval(n, tau)[0]
+        xs[-1] = _branch_end(n, tau - 1)
         if odd:
             xs[0] = -1.0
     s = xs[-1]

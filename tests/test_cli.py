@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -496,34 +498,82 @@ def test_sweep_keeps_rows_when_points_fail_internally(capsys):
         assert err == f"internal consistency failure: {row['error']}\n"
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs and the pids of the forks made; after the test, no
+    child of this process is left, running or unreaped."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv, code, says", [
     ("--n 3,4 --tau 2,3,4,5 --potential riesz:s=2 --u 0.5", 0, "strip_odd"),
     ("--n 3,4 --tau 5,61 --potential log", 0, "k = 31 exceeds cap 30"),
     ("--n 60,200 --tau 2,3,13,17 --potential gauss:c=1", 3, "7 of 24"),
 ])
-def test_sweep_jobs_2_prints_the_bytes_of_jobs_1(capsys, monkeypatch, fmt, argv, code, says):
-    # ordinary rows, range-error rows and internal-failure rows; --jobs is
-    # ignored, and the sweep forks no process
-    def no_fork():
-        raise AssertionError("sweep forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_sweep_jobs_2_prints_the_bytes_of_jobs_1(capsys, forks, monkeypatch, fmt, argv, code,
+                                                says):
+    # ordinary rows, range-error rows and internal-failure rows. --jobs is
+    # ignored and the usable CPUs decide: with one the sweep runs here, with
+    # two the (n, tau) groups alternate between this process and one child
     argv = ["sweep", *argv.split(), "--format", fmt]
-    serial = run(capsys, *argv)
-    for jobs in ("2", "64"):
-        assert run(capsys, *argv, "--jobs", jobs) == serial
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = run(capsys, *argv, "--jobs", "1")
+    assert not forks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forked = run(capsys, *argv, "--jobs", "2")
+    assert len(forks) == 1
+    assert forked == serial
     assert serial[0] == code
     assert says in serial[1] + serial[2]
 
 
-@pytest.mark.parametrize("planted, raised", [
-    ((3,), 3),
-    ((2,), 2),
-    ((3, 4), 3),  # the earliest point's
+@pytest.mark.parametrize("argv, count", [
+    ("--n 3,4,5 --tau 2,3 --jobs 64", 1),  # capped by the 2 CPUs
+    ("--n 3 --tau 2,3 --jobs 64", 1),
+    ("--n 3 --tau 2 --jobs 64", 0),  # one (n, tau) group
+    ("--n 3 --tau 2,3 --jobs 1", 1),  # --jobs is ignored
 ])
-def test_sweep_exception_reaches_the_caller_as_serially(capsys, monkeypatch, planted, raised):
-    # the sweep stops at the first point that raises, and prints no row
+def test_sweep_forks_at_most_one_process_per_cpu_and_group(capsys, forks, argv, count):
+    assert run(capsys, "sweep", *argv.split(), "--potential", "log")[0] == 0
+    assert len(forks) == count
+
+
+def test_sweep_runs_serially_while_another_thread_runs(capsys, forks):
+    # a child could inherit a lock that the other thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        forked = run(capsys, "sweep", "--n", "3,4", "--tau", "2,3", "--potential", "log",
+                     "--jobs", "2")
+    finally:
+        release.set()
+        other.join()
+    assert not forks
+    assert forked == run(capsys, "sweep", "--n", "3,4", "--tau", "2,3", "--potential", "log")
+
+
+@pytest.mark.parametrize("planted, raised", [
+    ((3,), 3),  # in the child's share
+    ((2,), 2),  # in this process's share
+    ((3, 4), 3),  # in both: the earliest point's, from the child
+])
+def test_sweep_exception_reaches_the_caller_as_serially(capsys, forks, monkeypatch,
+                                                        planted, raised):
+    # groups (3, 2) and (3, 4) run here, (3, 3) in the child
     lower = cli._lower_reports
 
     def planted_lower(n, N, tau, h, l_override=None):
@@ -532,30 +582,74 @@ def test_sweep_exception_reaches_the_caller_as_serially(capsys, monkeypatch, pla
         return lower(n, N, tau, h, l_override)
 
     monkeypatch.setattr(cli, "_lower_reports", planted_lower)
-    with pytest.raises(ValueError, match=f"^planted at tau {raised}$"):
-        cli.main(["sweep", "--n", "3", "--tau", "2,3,4", "--potential", "log", "--jobs", "2"])
+    for cpus in (1, 2):  # serial, then forked
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=f"^planted at tau {raised}$"):
+            cli.main(["sweep", "--n", "3", "--tau", "2,3,4", "--potential", "log",
+                      "--jobs", "2"])
+    assert len(forks) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_sweep_interrupted_here_kills_and_reaps_the_child(capsys, forks, monkeypatch):
+    # the child's share would take a minute; the interrupt does not wait for it
+    lower = cli._lower_reports
+
+    def interrupted(n, N, tau, h, l_override=None):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return lower(n, N, tau, h, l_override)
+
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_lower_reports", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--n", "3", "--tau", "2,3", "--potential", "log", "--jobs", "2"])
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+
+
+def test_sweep_child_that_dies_is_an_error_not_missing_rows(capsys, forks, monkeypatch):
+    lower = cli._lower_reports
+
+    def dying(n, N, tau, h, l_override=None):
+        if tau == 3:
+            os._exit(5)
+        return lower(n, N, tau, h, l_override)
+
+    monkeypatch.setattr(cli, "_lower_reports", dying)
+    with pytest.raises(RuntimeError, match="ended without its rows"):
+        cli.main(["sweep", "--n", "3", "--tau", "2,3", "--potential", "log", "--jobs", "2"])
+    assert len(forks) == 1
 
 
 def test_sweep_jobs_2_in_a_fresh_process_prints_the_bytes_of_jobs_1():
     # stdout, a pipe here, is written once, and neither run warns. OpenBLAS
     # runs no thread of its own here, as Python 3.12 warns when a process
-    # with other threads forks
+    # with other threads forks. The first run has one usable CPU, so it
+    # forks no child, where the platform lets a process set its CPUs
     argv = [sys.executable, "-m", "designbounds.cli", "sweep", "--n", "3,4", "--tau", "59,60",
             "--potential", "riesz:s=2"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
+
+    def one_cpu():
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+
     serial, forked = (subprocess.run([*argv, "--jobs", jobs], env=env, capture_output=True,
-                                     timeout=120) for jobs in ("1", "2"))
+                                     timeout=120, preexec_fn=pin)
+                      for jobs, pin in (("1", one_cpu), ("2", None)))
     assert b"Warning" not in serial.stderr + forked.stderr
     assert serial.stdout.count(b"\n") == 13
     assert (forked.returncode, forked.stdout, forked.stderr) == (
         serial.returncode, serial.stdout, serial.stderr)
 
 
-def test_high_degree_commands_emit_no_warning(capsys):
+def test_high_degree_commands_emit_no_warning(capsys, forks):
     # degrees 31..60 are as accurate as the lower ones, so nothing warns;
-    # the memo is cleared so that each command builds what it reads
+    # the rule memo is cleared so that each command builds what it reads
     quadrature_rule.cache_clear()
     mid = lambda n, tau: (dgs_bound(n, tau) + dgs_bound(n, tau + 1)) // 2
     s = solve_cardinality(3, 59, mid(3, 59))
@@ -573,6 +667,7 @@ def test_high_degree_commands_emit_no_warning(capsys):
         for argv, code in commands:
             assert run(capsys, *argv)[0] == code, argv
         assert gegenbauer_table(3, 45, 0.3).shape == (46,)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize(

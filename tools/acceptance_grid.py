@@ -49,10 +49,9 @@ The sets:
   2,3,13,17; 2,3 with tau 1,2,3), each with no extra option, ``--u 0``,
   ``--u 0.5`` and ``--N 4,5,6,7,10,14,20,50``, in csv and json, and the
   three potentials; each case runs once as it is and once more with
-  ``--jobs 2``. ``--jobs`` is ignored, so both runs are serial; the
-  ``--jobs 2`` cases stay so that ``--against`` a tree that forked for them
-  still lines up case by case, and compares its forked output with the
-  serial one.
+  ``--jobs 2``. ``--jobs`` is ignored: with more than one usable CPU both
+  runs fork, and ``--against`` a tree that forked only for ``--jobs 2``
+  compares the forked output of each first run with its serial one.
 - ``rules`` (1,620 cases): ``quadrature`` over n in {3, 4, 5, 8, 24, 60},
   tau 1..60 and N in {lo, (lo+hi)//2, hi}, plus ``testfn --jmax
   min(tau+9, 60)`` at odd tau.
