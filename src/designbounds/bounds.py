@@ -37,13 +37,15 @@ import numpy as np
 from . import innerprod
 from .errors import ConvergenceError, InternalConsistencyError, RangeError
 from .hermite import HermiteScheme, interpolate, remainder_bound, verify_one_sided
-from .innerprod import OPEN_UPPER_EPS
 from .levenshtein import (DEB_TOL, DesignSpec, QuadratureRule, _admissible, _at_bound,
                           quadrature_rule)
 from .orthopoly import GegExpansion, Poly, gegenbauer_expand, gegenbauer_table
 from .potentials import Potential, parse_potential
 
-A1_GRID = 20_001
+# lower bounds are checked on [ell, 1 - OPEN_UPPER_EPS]: it covers no round-off
+# but keeps the grid and the remainder bound off t = 1, where riesz and log are
+# infinite. It stays until ROADMAP item 3's decimal table.
+OPEN_UPPER_EPS = 1e-9
 # u within this of the rule's largest node s counts as s, and strip_odd merges
 # -1 or u with a node this close: s is an eigenvalue of a Jacobi matrix of norm
 # at most 1, within 1.4e-15 of its 50-digit value for n <= 10^8, tau <= 60, and
@@ -101,8 +103,8 @@ class BoundReport:
             again.accepted
             and again.certificate.relation == c.relation
             and len(expansion) == len(stored)
-            and all(_close(a, b, DEB_TOL) for a, b in zip(expansion, stored))
-            and _close(again.value, self.value, DEB_TOL)
+            and all(_close(a, b) for a, b in zip(expansion, stored))
+            and _close(again.value, self.value)
         )
 
     def to_json(self) -> dict:
@@ -160,9 +162,9 @@ def _rule_value(rule: QuadratureRule, h: Potential, N: float) -> float:
     return float(N * N * np.dot(rule.weights, h.eval(rule.nodes)))
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    """a equals b to tol relative to max(1, |b|); NaN never does."""
-    return abs(a - b) <= tol * max(1.0, abs(b))
+def _close(a: float, b: float) -> bool:
+    """a equals b to DEB_TOL relative to max(1, |b|); NaN never does."""
+    return abs(a - b) <= DEB_TOL * max(1.0, abs(b))
 
 
 def _conditions(cert: Certificate, h: Potential, tau: int):
@@ -180,7 +182,7 @@ def _conditions(cert: Certificate, h: Potential, tau: int):
     if bound <= DEB_TOL:
         sign_margin, route = -bound, "proof"
     else:
-        m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation, A1_GRID, tol=DEB_TOL)
+        m = verify_one_sided(cert.poly, h, cert.lo, cert.hi, cert.relation)
         sign_margin, route = m.min_margin, "sample"
         if not m.passes:
             violations.append(
@@ -222,7 +224,7 @@ def _pin_value(report: BoundReport, value: float, source: str) -> None:
     """Report the method's own value instead of the certificate's, which a
     report fresh from _certify holds; the two must agree to DEB_TOL, the
     tolerance verify() applies."""
-    if not _close(report.value, value, DEB_TOL):
+    if not _close(report.value, value):
         raise InternalConsistencyError(
             f"certificate value {report.value} disagrees with {source} value {value}"
         )

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
+from .levenshtein import DEB_TOL
 from .orthopoly import Poly
 from .potentials import UNIT_ROUNDOFF, Potential
 
@@ -238,32 +239,31 @@ class MarginReport:
     passes: bool
 
 
-def verify_one_sided(
-    f: Poly,
-    h: Potential,
-    lo: float,
-    hi: float,
-    relation: str,
-    grid_size: int,
-    tol: float,
-) -> MarginReport:
+# the sampled check's grids: A1_GRID points over [lo, hi], and _REFINE_SIZE
+# points between the neighbours of the least gap on it
+A1_GRID = 20_001
+_REFINE_SIZE = 2001
+
+
+def verify_one_sided(f: Poly, h: Potential, lo: float, hi: float, relation: str) -> MarginReport:
     """Sampled check that f stays below (f <= h) or above (f >= h) on
-    [lo, hi], on a grid of grid_size points and to an absolute tol."""
+    [lo, hi], on the A1_GRID-point grid and its refinement, to an absolute
+    DEB_TOL."""
     if relation not in ("below", "above"):
         raise RangeError(f"relation must be 'below' or 'above', got {relation!r}")
-    grid_buf, f_buf = _scratch(grid_size)
+    grid_buf, f_buf, fine_buf = _workspace()
     grid = _linspace(float(lo), float(hi), grid_buf)
     diff = _gap(f(grid, out=f_buf), h.eval(grid), relation)
     i = int(np.argmin(diff))
     coarse = diff[i]
     # refine locally around the sampled minimum
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
-    fine = _linspace(float(a), float(b), _fine_scratch())
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, A1_GRID - 1)]
+    fine = _linspace(float(a), float(b), fine_buf)
     fdiff = _gap(f(fine), h.eval(fine), relation)
     j = int(np.argmin(fdiff))
     m = min(float(coarse), float(fdiff[j]))
     arg = float(fine[j]) if fdiff[j] <= coarse else float(grid[i])
-    return MarginReport(min_margin=m, argmin=arg, passes=m >= -tol)
+    return MarginReport(min_margin=m, argmin=arg, passes=m >= -DEB_TOL)
 
 
 def _gap(ft: np.ndarray, ht: np.ndarray, relation: str) -> np.ndarray:
@@ -276,31 +276,22 @@ def _gap(ft: np.ndarray, ht: np.ndarray, relation: str) -> np.ndarray:
     return ft
 
 
-# each thread's two work arrays of the coarse grid's size: the grid, and f
-# on it. A grid of A1 points is above the size from which the allocator
-# maps and unmaps each array, so reusing them saves the page faults of two
-# fresh arrays per check. The 2001-point refinement grid has a third
-_SCRATCH = threading.local()
-_REFINE_SIZE = 2001
+# each thread's three work arrays: the grid, f on it, and the refinement
+# grid. An array of A1_GRID points is above the size from which the
+# allocator maps and unmaps each array, so reusing them saves the page
+# faults of fresh arrays per check
+_WORKSPACE = threading.local()
 
 
-def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's grid and f work arrays, of the given size."""
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or bufs[0].size != size:
-        bufs = _SCRATCH.bufs = (np.empty(size), np.empty(size))
+def _workspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's grid, f and refinement work arrays, allocated once."""
+    bufs = getattr(_WORKSPACE, "bufs", None)
+    if bufs is None:
+        bufs = _WORKSPACE.bufs = (np.empty(A1_GRID), np.empty(A1_GRID), np.empty(_REFINE_SIZE))
     return bufs
 
 
-def _fine_scratch() -> np.ndarray:
-    """This thread's work array of the refinement grid."""
-    fine = getattr(_SCRATCH, "fine", None)
-    if fine is None:
-        fine = _SCRATCH.fine = np.empty(_REFINE_SIZE)
-    return fine
-
-
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _index(size: int) -> np.ndarray:
     """0.0, 1.0, ..., size - 1, read-only."""
     idx = np.arange(size, dtype=float)
@@ -309,18 +300,18 @@ def _index(size: int) -> np.ndarray:
 
 
 def _linspace(lo: float, hi: float, out: np.ndarray) -> np.ndarray:
-    """np.linspace(lo, hi, out.size) written into out by linspace's own
-    arithmetic, so with its bits: index * step + lo, and hi as the last
-    point. A step that underflows to 0 scales index / (size - 1) by
-    hi - lo instead, as linspace does."""
+    """np.linspace(lo, hi, out.size), out.size >= 2, written into out by
+    linspace's own arithmetic, so with its bits: index * step + lo, and hi
+    as the last point. A step that underflows to 0, as on a collapsed
+    interval [c, c], scales index / (size - 1) by hi - lo instead, as
+    linspace does."""
     size = out.size
     delta, div = hi - lo, size - 1
-    if div > 0 and delta / div == 0:
+    if delta / div == 0:
         np.divide(_index(size), div, out=out)
         out *= delta
     else:
-        np.multiply(_index(size), delta / div if div > 0 else delta, out=out)
+        np.multiply(_index(size), delta / div, out=out)
     out += lo
-    if size > 1:
-        out[-1] = hi
+    out[-1] = hi
     return out

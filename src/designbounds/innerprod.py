@@ -9,11 +9,6 @@ import math
 from .errors import RangeError
 from .levenshtein import _admissible, quadrature_rule
 
-# lower bounds are checked on [ell, 1 - OPEN_UPPER_EPS]: it covers no round-off
-# but keeps the grid and the remainder bound off t = 1, where riesz and log are
-# infinite. It stays until ROADMAP item 3's decimal table.
-OPEN_UPPER_EPS = 1e-9
-
 
 def _check_closed_form(name: str, n: int, N: float, tau: int, ends: str) -> None:
     """The closed forms hold for n >= 3, tau in (2, 4) and N between

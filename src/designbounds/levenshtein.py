@@ -59,11 +59,13 @@ def interval(n: int, m: int) -> tuple[float, float]:
 
 def _branch_end(n: int, m: int) -> float:
     """The upper end of the m-th branch interval, the lower end of the
-    (m + 1)-th: the largest zero t_k^{1,0}, k = (m + 1) / 2, at odd m, and
-    t_k^{1,1}, k = m / 2, at even m; -1 at m = 0."""
-    if m % 2 == 1:
-        return op.adjacent_largest_zero(n, 1, 0, (m + 1) // 2)
-    return op.adjacent_largest_zero(n, 1, 1, m // 2)
+    (m + 1)-th: -1 at m = 0, and otherwise the largest zero of the adjacent
+    Jacobi polynomial t_k^{1,plus}, k = (m + 1) // 2 and plus = 1 - m % 2
+    (t_k^{1,0} at odd m, t_k^{1,1} at even m), the largest eigenvalue of
+    the matrix _shifted_matrix shifts at strength m."""
+    if m == 0:
+        return -1.0
+    return float(op._jacobi_eigh(*op._adjacent_recurrence(n, 1 - m % 2, (m + 1) // 2))[-1])
 
 
 def solve_cardinality(n: int, tau: int, N: float) -> float:
@@ -84,7 +86,7 @@ def _shifted_matrix(n: int, tau: int, N: float, hi: int) -> tuple[list, list, li
     k (m + plus) / (m (m + 1)), m = 2k + n - 3 + plus, hi = D(n, tau + 1);
     at N = hi, c = 0 and the matrix is interval's own."""
     k, plus = (tau + 1) // 2, 1 - tau % 2
-    a, b = op._adjacent_recurrence(n, 1, plus, k)
+    a, b = op._adjacent_recurrence(n, plus, k)
     m = 2 * k + n - 3 + plus
     a[-1] -= (hi - N) / (N - dgs_bound(n, tau - 1)) * (k * (m + plus) / (m * (m + 1)))
     return op._jacobi_eigh(a, b).tolist(), a, b

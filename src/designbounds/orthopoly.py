@@ -201,25 +201,14 @@ def jacobi_zeros(alpha: float, beta: float, k: int) -> np.ndarray:
     return _jacobi_eigh(a, b)
 
 
-def adjacent_largest_zero(n: int, a: int, b: int, k: int) -> float:
-    """Largest zero t_k^{a,b} of the adjacent Jacobi polynomial; t_0^{1,1} = -1."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise RangeError(f"a, b must be 0 or 1, got ({a}, {b})")
-    if k == 0:
-        if (a, b) == (1, 1):
-            return -1.0
-        raise RangeError("k = 0 is only defined for (a, b) = (1, 1)")
-    return float(_jacobi_eigh(*_adjacent_recurrence(n, a, b, k))[-1])
-
-
-def _adjacent_recurrence(n: int, a: int, b: int, k: int) -> tuple[list, list]:
-    """_jacobi_recurrence of the adjacent weight (1 - t)^a (1 + t)^b dmu,
-    parameters (a + (n - 3)/2, b + (n - 3)/2) and their exact gap b - a,
-    after a check of n."""
+def _adjacent_recurrence(n: int, plus: int, k: int) -> tuple[list, list]:
+    """_jacobi_recurrence of the adjacent weight (1 - t) (1 + t)^plus dmu,
+    parameters (1 + (n - 3)/2, plus + (n - 3)/2) and their exact gap
+    plus - 1, after a check of n."""
     _check_dimension(n)
     lam = (n - 3) / 2.0
     try:
-        return _jacobi_recurrence(a + lam, b + lam, b - a, k)
+        return _jacobi_recurrence(1 + lam, plus + lam, plus - 1, k)
     except OverflowError:  # the recurrence squares alpha + beta + 2
         raise RangeError(
             f"n = {n} too large: the Jacobi recurrence squares past the largest double"

@@ -443,9 +443,7 @@ def test_verify_of_an_empty_stored_poly_is_false():
 
 def _sampled_margin(report) -> float:
     c = report.certificate
-    return hermite.verify_one_sided(
-        c.poly, report.h, c.lo, c.hi, c.relation, bounds.A1_GRID, levenshtein.DEB_TOL
-    ).min_margin
+    return hermite.verify_one_sided(c.poly, report.h, c.lo, c.hi, c.relation).min_margin
 
 
 def _recertified(report, **changes):

@@ -92,29 +92,29 @@ def test_hermite_below_convex_potential():
     # stays below h on the whole interval
     h = make_riesz(2.0)
     g = interpolate(HermiteScheme([(-0.7, 2), (0.1, 2)]), h)
-    rep = verify_one_sided(g, h, -1.0, 0.9, "below", 10_001, 1e-9)
+    rep = verify_one_sided(g, h, -1.0, 0.9, "below")
     assert rep.passes
 
 
 def test_verify_one_sided_detects_violation():
     h = make_riesz(2.0)
     above = Poly([10.0])
-    rep = verify_one_sided(above, h, -1.0, 0.5, "below", 10_001, 1e-9)
+    rep = verify_one_sided(above, h, -1.0, 0.5, "below")
     assert not rep.passes
     assert rep.min_margin < -1
-    rep2 = verify_one_sided(above, h, -1.0, 0.5, "above", 10_001, 1e-9)
+    rep2 = verify_one_sided(above, h, -1.0, 0.5, "above")
     assert rep2.passes
 
 
 def test_verify_one_sided_rejects_bad_relation():
     with pytest.raises(RangeError):
-        verify_one_sided(Poly([0.0]), make_riesz(1.0), -1, 1, "sideways", 10_001, 1e-9)
+        verify_one_sided(Poly([0.0]), make_riesz(1.0), -1, 1, "sideways")
 
 
 def test_margin_report_fields():
     h = make_riesz(2.0)
     g = interpolate(HermiteScheme([(0.0, 2)]), h)
-    rep = verify_one_sided(g, h, -1.0, 0.5, "below", 10_001, 1e-9)
+    rep = verify_one_sided(g, h, -1.0, 0.5, "below")
     assert rep.passes
     # tangency point is where the margin vanishes
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
@@ -130,8 +130,8 @@ def test_verify_one_sided_keeps_negative_zero_margin():
     # f == h exactly: h - f is +0.0, and f - h ("above") is -0.0
     p = Poly([1.0, 2.0])
     h = make_poly(p)
-    below = verify_one_sided(p, h, -1.0, 0.5, "below", 10_001, 1e-9)
-    above = verify_one_sided(p, h, -1.0, 0.5, "above", 10_001, 1e-9)
+    below = verify_one_sided(p, h, -1.0, 0.5, "below")
+    above = verify_one_sided(p, h, -1.0, 0.5, "above")
     assert below.passes and above.passes
     assert math.copysign(1.0, below.min_margin) == 1.0
     assert math.copysign(1.0, above.min_margin) == -1.0
@@ -150,18 +150,18 @@ def test_cli_reports_negative_zero_sign_margin(capsys):
 
 
 @pytest.mark.parametrize("relation", ["below", "above"])
-@pytest.mark.parametrize("where", [0, 4321, 10_000])
+@pytest.mark.parametrize("where", [0, 4321, 10_000, 20_000])
 def test_verify_one_sided_fails_on_nan(relation, where):
-    grid = np.linspace(-1.0, 0.5, 10_001)
+    grid = np.linspace(-1.0, 0.5, hermite.A1_GRID)
     bad = grid[where]
     h = _potential(lambda t: np.where(t == bad, np.nan, 100.0 if relation == "below" else -100.0))
-    rep = verify_one_sided(Poly([0.0, 1.0]), h, -1.0, 0.5, relation, 10_001, 1e-9)
+    rep = verify_one_sided(Poly([0.0, 1.0]), h, -1.0, 0.5, relation)
     assert not rep.passes
     assert math.isnan(rep.min_margin)
 
 
 def test_verify_one_sided_nan_polynomial_fails():
-    rep = verify_one_sided(Poly([np.nan]), make_riesz(2.0), -1.0, 0.5, "below", 10_001, 1e-9)
+    rep = verify_one_sided(Poly([np.nan]), make_riesz(2.0), -1.0, 0.5, "below")
     assert not rep.passes
 
 
@@ -174,7 +174,7 @@ def test_verify_one_sided_leaves_shared_potential_values():
 
     h = _potential(shared)
     for relation in ("below", "above"):
-        rep = verify_one_sided(Poly([1.0, 2.0]), h, -1.0, 0.5, relation, 10_001, 1e-9)
+        rep = verify_one_sided(Poly([1.0, 2.0]), h, -1.0, 0.5, relation)
         assert rep.passes == (relation == "below")
     assert len(cache) == 2
     assert all(np.all(a == 5.0) for a in cache.values())
@@ -202,9 +202,9 @@ def test_a1_check_allocation_budget():
     # the sampled sign check runs for every certificate the proof does not
     # take; at degree 30 on a 20001-point grid, Horner runs in one buffer,
     # f's own or one it is given. The grid and f on it are the thread's
-    # scratch arrays, and h - f is written into f's, so a check allocates h
+    # work arrays, and h - f is written into f's, so a check allocates h
     # on the grid, plus the 2001-point refinement (0.3 grid arrays)
-    size = 20_001
+    size = hermite.A1_GRID
     rng = np.random.default_rng(3)
     f = Poly(rng.standard_normal(31) * 1e-3)
     h = make_riesz(2.0)
@@ -214,7 +214,7 @@ def test_a1_check_allocation_budget():
     assert _peak_in_grid_arrays(lambda: f(grid, out=buf), size) <= 0.01
     assert f(grid, out=buf) is buf and buf.tobytes() == f(grid).tobytes()
     for relation in ("below", "above"):
-        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation, size, 1e-9)
+        check = lambda: verify_one_sided(f, h, -1.0, 0.9, relation)
         assert _peak_in_grid_arrays(check, size) <= 1.4
 
 
@@ -225,9 +225,9 @@ def test_a1_check_allocation_budget():
      (np.float64(-0.75), np.float64(0.25))],
 )
 def test_scratch_grid_is_linspace_bit_for_bit(lo, hi):
-    # the grid written into a scratch array is np.linspace's, at every size,
-    # an interval of one point, signed zeros and a step that underflows
-    for size in (0, 1, 2, 3, 10, 2001, 20_001):
+    # the grid written into a work array is np.linspace's, at both sizes,
+    # on an interval of one point, signed zeros and a step that underflows
+    for size in (2001, 20_001):
         with np.errstate(invalid="ignore"):  # inf - inf, as in linspace
             got = hermite._linspace(float(lo), float(hi), np.full(size, 7.0))
             want = np.linspace(lo, hi, size)
@@ -236,46 +236,42 @@ def test_scratch_grid_is_linspace_bit_for_bit(lo, hi):
 
 def test_scratch_arrays_are_per_thread():
     # library callers may check from several threads at once, so each
-    # thread has its own grid and f
-    mine = hermite._scratch(101)
-    assert hermite._scratch(101) is mine
+    # thread has its own grid, f and refinement grid, allocated once
+    mine = hermite._workspace()
+    assert [a.size for a in mine] == [hermite.A1_GRID, hermite.A1_GRID, 2001]
+    verify_one_sided(Poly([1.0]), make_riesz(2.0), -1.0, 0.5, "below")
+    assert all(a is b for a, b in zip(hermite._workspace(), mine))
     theirs = []
-    worker = threading.Thread(target=lambda: theirs.append(hermite._scratch(101)))
+    worker = threading.Thread(target=lambda: theirs.append(hermite._workspace()))
     worker.start()
     worker.join()
+    assert [a.size for a in theirs[0]] == [a.size for a in mine]
     assert not any(np.shares_memory(a, b) for a in mine for b in theirs[0])
 
 
 def test_refinement_grid_is_linspace_bit_for_bit():
     # the 2001-point refinement around the sampled minimum is written into
-    # this thread's third scratch array, with np.linspace's bits, so the
+    # this thread's third work array, with np.linspace's bits, so the
     # margin and where it lies are those of the np.linspace refinement
     h = make_log()
     f = interpolate(HermiteScheme([(-0.5, 2), (0.3, 2)]), h)
-    for lo, hi, size in ((-1.0, 0.9, 1001), (-0.7, 0.6, 20_001)):
-        report = verify_one_sided(f, h, lo, hi, "below", size, 1e-9)
+    size = hermite.A1_GRID
+    for lo, hi in ((-1.0, 0.9), (-0.7, 0.6)):
+        report = verify_one_sided(f, h, lo, hi, "below")
         grid = np.linspace(lo, hi, size)
         i = int(np.argmin(h.eval(grid) - f(grid)))
         fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, size - 1)], 2001)
         gap = h.eval(fine) - f(fine)
         j = int(np.argmin(gap))
         assert (report.min_margin, report.argmin) == (gap[j], fine[j])
-    mine = hermite._fine_scratch()
-    assert hermite._fine_scratch() is mine
-    theirs = []
-    worker = threading.Thread(target=lambda: theirs.append(hermite._fine_scratch()))
-    worker.start()
-    worker.join()
-    assert not np.shares_memory(mine, theirs[0])
 
 
-def test_sample_memo_leaves_potential_arrays_writable():
-    # the check must not change the flags of h's own array (a sample memo
-    # once held read-only views of it)
+def test_check_leaves_potential_arrays_writable():
+    # the check must not change the flags of h's own arrays
     cache = {}
     h = _potential(lambda t: cache.setdefault(t.shape, np.full(t.shape, 5.0)))
     for _ in range(3):
-        assert verify_one_sided(Poly([1.0]), h, -1.0, 0.5, "below", 1001, 1e-9).passes
+        assert verify_one_sided(Poly([1.0]), h, -1.0, 0.5, "below").passes
     assert all(a.flags.writeable for a in cache.values())
 
 

@@ -1,7 +1,8 @@
 """The runtime needs numpy only: no command imports scipy. No module reads
 the environment. Every name the benchmark tracer wraps exists in the
 package, and every public name of the package is reached from outside the
-tests or is library API on a list."""
+tests or is library API on a list. No parameter of a public function takes
+one constant in every call, unless a list gives its reason."""
 
 import ast
 import importlib
@@ -116,12 +117,16 @@ def _public_definitions():
                     yield f"{path.stem}.{qual}", name, qual, path, d.lineno, d.end_lineno
 
 
+def _program_files():
+    """The modules of src, bench and tools."""
+    return [*Path(SRC, "designbounds").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+            *(ROOT / "tools").glob("*.py")]
+
+
 def _references():
     """(path, line, text) of every ast.Name, ast.Attribute and string
     constant in src, bench and tools."""
-    paths = [*Path(SRC, "designbounds").glob("*.py"), *(ROOT / "bench").glob("*.py"),
-             *(ROOT / "tools").glob("*.py")]
-    for path in paths:
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 yield path, node.lineno, node.id
@@ -143,3 +148,141 @@ def test_every_public_name_is_reached_or_library_api():
             unreached.add(key)
     assert sorted(unreached - set(LIBRARY_API)) == [], "reached by tests only"
     assert sorted(set(LIBRARY_API) - unreached) == [], "listed, but reached or not defined"
+
+
+# parameters that every call in src, bench and tools binds to one constant,
+# kept with the reason; any other such parameter is a constant of its module
+ONE_VALUE_PARAMETERS = {
+    "hermite.remainder_bound.tol": "tests read the whole proved bound at tol = inf",
+}
+
+
+def _assigned(node):
+    """The names a module-level statement assigns."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _package_scope(tree, module):
+    """What each top-level name of a file is in the package: ("module", m)
+    for the package module m, ("name", m, x) for the name x of module m.
+    Module is the file's own package module, or None outside the package.
+    A name imported from elsewhere is not the package's, so json.dumps is
+    not jsonio.dumps."""
+    scope = {}
+    for node in tree.body:
+        if module is not None:
+            own = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            scope.update((x, ("name", module, x)) for x in own + _assigned(node))
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 or node.module.partition(".")[0] == "designbounds":
+            inner = node.module if node.level else node.module.partition(".")[2]
+            for a in node.names:
+                scope[a.asname or a.name] = ("name", inner, a.name) if inner else ("module", a.name)
+    return scope
+
+
+def _resolve(node, scope):
+    """The package's (module, name) that node, a name or an attribute of a
+    package module, refers to; None for anything else."""
+    if isinstance(node, ast.Name):
+        target = scope.get(node.id)
+        return target[1:] if target and target[0] == "name" else None
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        target = scope.get(node.value.id)
+        return (target[1], node.attr) if target and target[0] == "module" else None
+    return None
+
+
+def _constant(node, scope, local, assigned):
+    """A literal's type and value, or the package's (module, name) of a
+    name assigned at module level; None for anything else, a local
+    variable such as N among them."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        pass
+    else:
+        return "literal", type(value).__name__, repr(value)
+    if isinstance(node, ast.Name) and node.id in local:
+        return None
+    key = _resolve(node, scope)
+    return ("name", *key) if key in assigned else None
+
+
+def _bound_values(fn, fn_scope, call, scope, local, assigned):
+    """(parameter, _constant of what call binds it to) for each parameter
+    of fn; one that call leaves out takes its default, read in fn_scope,
+    and one that a *args or **kwargs may bind is None."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    defaults = dict(zip([p.arg for p in positional[len(positional) - len(a.defaults):]],
+                        a.defaults))
+    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+    given = {}
+    for p, arg in zip(positional, call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        given[p.arg] = arg
+    given.update((k.arg, k.value) for k in call.keywords if k.arg)
+    spread = any(isinstance(x, ast.Starred) for x in call.args) or any(
+        k.arg is None for k in call.keywords)
+    for p in [*positional, *a.kwonlyargs]:
+        if p.arg in given:
+            yield p.arg, _constant(given[p.arg], scope, local, assigned)
+        elif p.arg in defaults and not spread:
+            yield p.arg, _constant(defaults[p.arg], fn_scope, set(), assigned)
+        else:
+            yield p.arg, None
+
+
+def _call_bindings():
+    """{"module.function.parameter": [what each call binds it to]} over
+    every call, in src, bench and tools, of a public top-level function of
+    the package, each call resolved through the file's imports."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
+    modules = {path: path.stem if path.parent.name == "designbounds" else None
+               for path in trees}
+    scopes = {path: _package_scope(tree, modules[path]) for path, tree in trees.items()}
+    functions, assigned = {}, set()
+    for path, tree in trees.items():
+        for node in tree.body if modules[path] else []:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions[modules[path], node.name] = (node, scopes[path])
+            assigned.update((modules[path], x) for x in _assigned(node))
+    bindings = {}
+
+    def visit(node, scope, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            local = local | {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg] if p}
+            local |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        key = _resolve(node.func, scope) if isinstance(node, ast.Call) else None
+        if key in functions:
+            fn, fn_scope = functions[key]
+            for name, value in _bound_values(fn, fn_scope, node, scope, local, assigned):
+                bindings.setdefault(".".join([*key, name]), []).append(value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, local)
+
+    for path, tree in trees.items():
+        visit(tree, scopes[path], frozenset())
+    return bindings
+
+
+def test_no_parameter_has_one_value_in_use():
+    # a parameter that every call binds to the same literal or package
+    # constant is a constant of its module, not a setting; it stays only
+    # with a reason on the list
+    one_value = {name for name, values in _call_bindings().items()
+                 if None not in values and len(set(values)) == 1}
+    assert sorted(one_value - set(ONE_VALUE_PARAMETERS)) == [], "one value in every call"
+    assert sorted(set(ONE_VALUE_PARAMETERS) - one_value) == [], "listed, but not one-valued"

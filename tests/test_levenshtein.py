@@ -151,16 +151,17 @@ def test_s_at_the_upper_bound_is_the_intervals_end_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [10**17, 10**20])
 def test_adjacent_recurrence_keeps_the_gap_past_2_53(n):
-    # lam + 1 rounds to lam past 2^53; the a_j, (b - a)(alpha + beta) /
-    # s(s + 2), take the gap b - a exactly and are within 2 ulps of their
-    # 50-digit values, as every b_j is (from lam and lam + 1, the a_j were 0)
+    # lam + 1 rounds to lam past 2^53; the a_j, (plus - 1)(alpha + beta) /
+    # s(s + 2), take the gap plus - 1 exactly and are within 2 ulps of their
+    # 50-digit values, as every b_j is (from lam + 1 and lam, the a_j at
+    # plus = 0 were 0)
     with mpmath.workdps(50):
         lam = mpmath.mpf(n - 3) / 2
-        for a, b in ((1, 0), (0, 1), (1, 1)):
-            got_a, got_b = op._adjacent_recurrence(n, a, b, 8)
-            want_a, want_b = _mp_recurrence(lam + a, lam + b, 8)
+        for plus in (0, 1):
+            got_a, got_b = op._adjacent_recurrence(n, plus, 8)
+            want_a, want_b = _mp_recurrence(lam + 1, lam + plus, 8)
             for got, want in zip(got_a + got_b, want_a + want_b):
-                assert abs(got - want) <= 4.5e-16 * abs(want), (a, b)
+                assert abs(got - want) <= 4.5e-16 * abs(want), plus
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 60, 10**3, 10**5, 10**8])

@@ -128,10 +128,8 @@ def test_jacobi_zeros_increasing_and_accurate(a, b, k):
         assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_adjacent_largest_zero_special_case():
-    assert op.adjacent_largest_zero(3, 1, 1, 0) == -1.0
-    with pytest.raises(RangeError):
-        op.adjacent_largest_zero(3, 1, 0, 0)
+def test_branch_end_at_0_is_minus_1():
+    assert lev._branch_end(3, 0) == -1.0
 
 
 def test_weight_moment_exact():
@@ -470,7 +468,7 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
         lambda: op.jacobi_zeros(0.0, 0.0, 2),
         lambda: lev._shifted_matrix(3, 3, 7.0, lev.dgs_bound(3, 4)),
         lambda: op.weight_rule(5, 3),
-        lambda: op.adjacent_largest_zero(4, 1, 0, 3),
+        lambda: lev._branch_end(4, 5),
     ):
         with pytest.raises(LinAlgError, match="did not converge"):
             call()
@@ -483,7 +481,7 @@ def test_lapack_failure_is_lin_alg_error(monkeypatch):
         lambda: op.jacobi_zeros(0.0, -1.5, 3),
         lambda: op._jacobi_recurrence(-1.0, 0.0, 1.0, 3),
         lambda: op.jacobi_zeros(0.0, 0.0, 0),
-        lambda: op._adjacent_recurrence(3, 1, 0, 0),
+        lambda: op._adjacent_recurrence(3, 0, 0),
         lambda: op._jacobi_recurrence(0.5, 0.5, 0.0, -2),
     ],
 )
